@@ -20,7 +20,7 @@ import numpy as np
 
 from . import assets
 from .dapg import DapgConfig, demos_from_expert, train
-from .demopipe import PipelineConfig, read_demo, translate_timed, write_demo
+from .demopipe import PipelineConfig, atomic_write_text, read_demo, translate_timed, write_demo
 from .dynamics import DynamicsInput, inverse_dynamics
 from .errors import DataError, NumericalError
 from .handgen import HandShapeParams, build_custom_hand, load_template
@@ -69,12 +69,6 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
     return values
 
 
-def _atomic_write_text(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -90,7 +84,7 @@ def cmd_gen_hand(args) -> int:
     shape = HandShapeParams(beta)
     template = load_template(args.template) if args.template else None
     tree = build_custom_hand(shape, template)
-    _atomic_write_text(Path(args.out), dump_robot(tree))
+    atomic_write_text(args.out, dump_robot(tree))
     _say(f"wrote {args.out}: {tree.num_actuated} actuated joints, "
          f"{len(tree.keypoints)} fingertip keypoints")
     return 0

@@ -27,7 +27,7 @@ from .dynamics import BOTH, POSITION, TORQUE, compute_actions
 from .errors import DataError, DemoFormatError, NumericalError
 from .handgen import build_custom_hand, default_template, load_template
 from .kinematics import KinematicTree, forward_kinematics, load_robot
-from .poseio import HandPoseStream, calibrate, solve_wrist
+from .poseio import HandPoseStream, calibrate, solve_wrists
 from .retarget import (
     DEFAULT_ALPHA,
     KeypointMap,
@@ -36,7 +36,7 @@ from .retarget import (
     read_keypoint_map,
     retarget_trajectory,
 )
-from .transforms import RigidTransform, quat_conjugate, quat_multiply, quat_to_rotvec
+from .transforms import quat_conjugate, quat_multiply, quat_to_rotvec
 
 log = logging.getLogger(__name__)
 
@@ -126,30 +126,30 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _wrist_trajectory(stream: HandPoseStream, hand: KinematicTree) -> list[RigidTransform]:
-    """Per-frame wrist transform from observed keypoints (identity if absent)."""
-    wrists = []
-    for i, frame in enumerate(stream.frames):
-        if not frame.observed_keypoints:
-            wrists.append(RigidTransform.identity())
-            continue
-        canonical = forward_kinematics(hand, frame.pose)
-        try:
-            transform, _ = solve_wrist(canonical, frame.observed_keypoints)
-        except DataError as exc:
-            raise DataError(f"wrist solve failed at frame {i}: {exc}") from exc
-        wrists.append(transform)
-    return wrists
+def _wrist_trajectory(stream: HandPoseStream, hand: KinematicTree) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame wrist rotation (T, 4) and translation (T, 3) from observed
+    keypoints; frames without keypoints get the identity."""
+    frames = stream.frames
+    rotation = np.tile([1.0, 0.0, 0.0, 0.0], (len(frames), 1))
+    translation = np.zeros((len(frames), 3))
+    seen = [i for i, frame in enumerate(frames) if frame.observed_keypoints]
+    if not seen:
+        return rotation, translation
+    canonical = forward_kinematics(hand, stream.pose_matrix()[seen])
+    results, _ = solve_wrists(canonical, [frames[i].observed_keypoints for i in seen])
+    for i, result in zip(seen, results):
+        if isinstance(result, DataError):
+            raise DataError(f"wrist solve failed at frame {i}: {result}") from result
+        rotation[i] = result.rotation
+        translation[i] = result.translation
+    return rotation, translation
 
 
-def _palm_velocities(wrists: list[RigidTransform], dt: float) -> np.ndarray:
+def _palm_velocities(rotation: np.ndarray, translation: np.ndarray, dt: float) -> np.ndarray:
     """(T-1, 6) linear + angular velocity commands between frames."""
-    out = np.zeros((len(wrists) - 1, 6))
-    for t in range(len(wrists) - 1):
-        out[t, :3] = (wrists[t + 1].translation - wrists[t].translation) / dt
-        rel = quat_multiply(wrists[t + 1].rotation, quat_conjugate(wrists[t].rotation))
-        out[t, 3:] = quat_to_rotvec(rel) / dt
-    return out
+    linear = (translation[1:] - translation[:-1]) / dt
+    rel = quat_multiply(rotation[1:], quat_conjugate(rotation[:-1]))
+    return np.concatenate([linear, quat_to_rotvec(rel) / dt], axis=1)
 
 
 def translate(stream: HandPoseStream, config: PipelineConfig) -> Demonstration:
@@ -204,15 +204,17 @@ def translate_timed(
     t0 = time.perf_counter()
 
     gamma = config.gamma if config.gamma is not None else gamma_from_cutoff(config.cutoff_hz, dt)
+    # The demo keeps torques only in torque mode, so "both" needs no RNEA here.
+    mode = TORQUE if config.action_mode == TORQUE else POSITION
     try:
-        action_frames = compute_actions(target, q_traj, dt, gamma, mode=config.action_mode)
+        action_frames = compute_actions(target, q_traj, dt, gamma, mode=mode)
     except (DataError, NumericalError) as exc:
         raise type(exc)(f"action stage: {exc}") from exc
     timings["actions"] = time.perf_counter() - t0
     t0 = time.perf_counter()
 
-    wrists = _wrist_trajectory(stream, hand)
-    palm_vel = _palm_velocities(wrists, dt)
+    wrist_rotation, wrist_translation = _wrist_trajectory(stream, hand)
+    palm_vel = _palm_velocities(wrist_rotation, wrist_translation, dt)
 
     finger_width = target.num_actuated
     if config.action_mode == TORQUE:
@@ -235,19 +237,18 @@ def translate_timed(
     )
     action_layout = (("palm_velocity", PALM_VELOCITY_WIDTH), (finger_field, finger_width))
 
-    states = np.zeros((n_frames, sum(w for _, w in state_layout)))
-    for t in range(n_frames):
-        vel = palm_vel[min(t, n_frames - 2)]
-        states[t] = np.concatenate(
-            [
-                q_traj[t],
-                wrists[t].rotation,
-                wrists[t].translation,
-                vel,
-                object_pose,
-                target_position,
-            ]
-        )
+    # The last state repeats the last palm velocity: there is no next frame.
+    states = np.concatenate(
+        [
+            q_traj,
+            wrist_rotation,
+            wrist_translation,
+            palm_vel[np.minimum(np.arange(n_frames), n_frames - 2)],
+            np.broadcast_to(object_pose, (n_frames, 7)),
+            np.broadcast_to(target_position, (n_frames, 3)),
+        ],
+        axis=1,
+    )
     actions = np.concatenate([palm_vel, finger_track[:-1]], axis=1)
 
     mean_residual = float(np.mean([r.residual for r in results]))
@@ -302,9 +303,16 @@ def translate_all(
 # Demonstration file I/O
 # ---------------------------------------------------------------------------
 
+def atomic_write_text(path: str | Path, text: str):
+    """Write through a sibling temporary file so the file appears complete or not at all."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def write_demo(demo: Demonstration, path: str | Path):
     """Atomic write: the file appears complete or not at all."""
-    path = Path(path)
     header = {
         "format": DEMO_FORMAT,
         "robot": demo.robot,
@@ -320,9 +328,7 @@ def write_demo(demo: Demonstration, path: str | Path):
         if t < demo.actions.shape[0]:
             rec["action"] = [float(v) for v in demo.actions[t]]
         lines.append(json.dumps(rec, sort_keys=True))
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_demo(path: str | Path) -> Demonstration:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .control import low_pass_trajectory
 from .errors import DataError
-from .kinematics import REVOLUTE, KinematicTree
-from .transforms import axis_angle_matrix
+from .kinematics import KinematicTree, _joint_rotations
+from .transforms import cross
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -26,6 +26,8 @@ BOTH = "both"
 
 @dataclass(frozen=True)
 class DynamicsInput:
+    """One motion state (n,) each, or a stack of T states (T, n) each."""
+
     q: np.ndarray
     qd: np.ndarray
     qdd: np.ndarray
@@ -37,7 +39,7 @@ class DynamicsInput:
         qdd = np.asarray(self.qdd, dtype=float)
         g = np.asarray(self.gravity, dtype=float)
         if not (q.shape == qd.shape == qdd.shape):
-            raise DataError("q, qd, qdd must have equal lengths")
+            raise DataError("q, qd, qdd must have equal shapes")
         for arr, label in ((q, "q"), (qd, "qd"), (qdd, "qdd"), (g, "gravity")):
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"{label} contains non-finite values")
@@ -54,97 +56,82 @@ class ActionFrame:
     position_target: np.ndarray | None
 
 
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (m @ v[..., None])[..., 0]
+
+
 def inverse_dynamics(tree: KinematicTree, inp: DynamicsInput) -> np.ndarray:
-    """Joint torques (N*m) for the motion state via recursive Newton-Euler."""
+    """Joint torques (N*m) for the motion state via recursive Newton-Euler.
+
+    A stacked (T, n) input gives (T, n) torques from one pass over the tree,
+    vectorised over the T states.
+    """
     q = tree.check_q(inp.q)
-    qd, qdd = inp.qd, inp.qdd
-    n = len(tree.links)
     for link in tree.links:
         if link.id not in tree.inertials:
             raise DataError(f"link '{link.id}' has no inertial data")
+    single = q.ndim == 1
+    q = np.atleast_2d(q)
+    qd, qdd = np.atleast_2d(inp.qd), np.atleast_2d(inp.qdd)
+    n_links = len(tree.links)
+    joints = tree._joint_links
+    inertials = [tree.inertials[link.id] for link in tree.links]
+    mass = np.array([i.mass for i in inertials])[:, None]
+    com = np.array([i.com for i in inertials])
+    inertia = np.array([i.inertia for i in inertials])
+    off = tree._origin_trans  # joint origin in the parent frame
 
-    qi = {child: k for k, child in enumerate(tree.actuated_joints)}
-    # child <- parent rotation and joint origin offset in the parent frame
-    rot_cp = np.empty((n, 3, 3))
-    off = tree._origin_trans
-    w = np.empty((n, 3))
-    wd = np.empty((n, 3))
-    a = np.empty((n, 3))
-    force = np.empty((n, 3))
-    torque_l = np.empty((n, 3))
+    # Per-link joint axis and rates; zero for fixed joints and the root.
+    axis = np.zeros((n_links, 3))
+    axis[joints] = tree._joint_axes
+    qd_l = np.zeros(q.shape[:1] + (n_links, 1))
+    qdd_l = np.zeros_like(qd_l)
+    qd_l[:, joints, 0] = qd
+    qdd_l[:, joints, 0] = qdd
+    # child <- parent rotation of every link
+    rot_cp = np.swapaxes(tree._origin_rot @ _joint_rotations(tree, q), -1, -2)
 
-    for i in tree._topo:
-        link = tree.links[i]
-        joint = tree.joints.get(link.id)
-        r_pc = tree._origin_rot[i]
-        if joint is not None and joint.type == REVOLUTE:
-            k = qi[link.id]
-            r_pc = r_pc @ axis_angle_matrix(joint.axis, q[k])
-            axis = joint.axis
-            qd_k, qdd_k = qd[k], qdd[k]
-        else:
-            axis = None
-            qd_k = qdd_k = 0.0
-        rot_cp[i] = r_pc.T
+    w = np.empty(qd_l.shape[:2] + (3,))
+    wd = np.empty_like(w)
+    a = np.empty_like(w)
 
-        p = tree._parent_idx[i]
-        if p < 0:
-            w_par = np.zeros(3)
-            wd_par = np.zeros(3)
-            a_par = -inp.gravity  # gravity as base acceleration
-        else:
-            w_par, wd_par, a_par = w[p], wd[p], a[p]
+    def forward(links, w_par, wd_par, a_par):
+        r, o = rot_cp[:, links], off[links]
+        w_in = _matvec(r, w_par)
+        a[:, links] = _matvec(r, a_par + cross(wd_par, o) + cross(w_par, cross(w_par, o)))
+        spin = qd_l[:, links] * axis[links]
+        w[:, links] = w_in + spin
+        wd[:, links] = _matvec(r, wd_par) + qdd_l[:, links] * axis[links] + cross(w_in, spin)
 
-        w_in = rot_cp[i] @ w_par
-        a_in = rot_cp[i] @ (a_par + np.cross(wd_par, off[i]) + np.cross(w_par, np.cross(w_par, off[i])))
-        if axis is not None:
-            w[i] = w_in + qd_k * axis
-            wd[i] = rot_cp[i] @ wd_par + qdd_k * axis + np.cross(w_in, qd_k * axis)
-        else:
-            w[i] = w_in
-            wd[i] = rot_cp[i] @ wd_par
-        a[i] = a_in
+    # The root's parent is at rest; gravity enters as a base acceleration.
+    rest = np.zeros(q.shape[:1] + (1, 3))
+    forward([tree._index[tree.root]], rest, rest, rest - inp.gravity)
+    for links, parents, *_ in tree._levels:
+        forward(links, w[:, parents], wd[:, parents], a[:, parents])
 
-        inert = tree.inertials[link.id]
-        a_com = a[i] + np.cross(wd[i], inert.com) + np.cross(w[i], np.cross(w[i], inert.com))
-        force[i] = inert.mass * a_com
-        torque_l[i] = inert.inertia @ wd[i] + np.cross(w[i], inert.inertia @ w[i])
+    a_com = a + cross(wd, com) + cross(w, cross(w, com))
+    f = mass * a_com
+    nt = _matvec(inertia, wd) + cross(w, _matvec(inertia, w)) + cross(com, f)
+    for links, parents, *_ in reversed(tree._levels):
+        r_pc = np.swapaxes(rot_cp[:, links], -1, -2)
+        fc = _matvec(r_pc, f[:, links])
+        nc = _matvec(r_pc, nt[:, links]) + cross(off[links], fc)
+        np.add.at(f, (slice(None), parents), fc)
+        np.add.at(nt, (slice(None), parents), nc)
 
-    children: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i in range(n):
-        p = tree._parent_idx[i]
-        if p >= 0:
-            children[p].append(i)
-
-    f = np.zeros((n, 3))
-    nt = np.zeros((n, 3))
-    tau = np.zeros(tree.num_actuated)
-    for i in reversed(tree._topo):
-        link = tree.links[i]
-        inert = tree.inertials[link.id]
-        f[i] = force[i]
-        nt[i] = torque_l[i] + np.cross(inert.com, force[i])
-        for c in children[i]:
-            fc = rot_cp[c].T @ f[c]
-            f[i] += fc
-            nt[i] += rot_cp[c].T @ nt[c] + np.cross(off[c], fc)
-        joint = tree.joints.get(link.id)
-        if joint is not None and joint.type == REVOLUTE:
-            k = qi[link.id]
-            tau[k] = joint.axis @ nt[i] + joint.damping * qd[k]
-    return tau
+    damping = np.array([tree.joints[c].damping for c in tree.actuated_joints])
+    tau = np.vecdot(nt[:, joints], tree._joint_axes) + damping * qd
+    return tau[0] if single else tau
 
 
 def mass_matrix(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
-    """Joint-space inertia matrix assembled column-by-column from RNEA."""
+    """Joint-space inertia matrix: RNEA with zero velocity and gravity, once
+    per column of the identity acceleration, all in one stacked call."""
+    q = tree.check_q(q, batch=False)
     n = tree.num_actuated
-    zeros = np.zeros(n)
-    m = np.empty((n, n))
-    for j in range(n):
-        unit = np.zeros(n)
-        unit[j] = 1.0
-        m[:, j] = inverse_dynamics(tree, DynamicsInput(q, zeros, unit, gravity=np.zeros(3)))
-    return m
+    zeros = np.zeros((n, n))
+    tau = inverse_dynamics(tree, DynamicsInput(np.tile(q, (n, 1)), zeros, np.eye(n), gravity=np.zeros(3)))
+    return tau.T
 
 
 def differentiate_trajectory(qtraj: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -203,12 +190,7 @@ def compute_actions(
     torques = None
     if mode in (TORQUE, BOTH):
         qd, qdd = differentiate_trajectory(filtered, dt)
-        torques = np.stack(
-            [
-                inverse_dynamics(tree, DynamicsInput(filtered[t], qd[t], qdd[t], gravity))
-                for t in range(filtered.shape[0])
-            ]
-        )
+        torques = inverse_dynamics(tree, DynamicsInput(filtered, qd, qdd, gravity))
 
     frames = []
     for t in range(filtered.shape[0]):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DescriptionError
-from .transforms import RigidTransform, axis_angle_matrix, quat_from_rpy
+from .transforms import RigidTransform, axis_angle_matrix, cross, quat_from_rpy
 
 _AXIS_TOL = 1e-9
 _PSD_TOL = -1e-9
@@ -70,17 +70,22 @@ class KinematicTree:
     inertials: dict[str, Inertial]
     keypoints: tuple[Keypoint, ...]
     geometry: tuple[dict, ...] = ()
-    # Derived traversal caches, filled by _finalize.
+    # Derived read-only caches, filled by _finalize.
     root: str = field(default="", repr=False)
     _index: dict[str, int] = field(default_factory=dict, repr=False)
-    _topo: tuple[int, ...] = field(default=(), repr=False)
-    _parent_idx: np.ndarray = field(default=None, repr=False)
+    # Per tree depth 1, 2, ... (the root alone is depth 0): the links, their
+    # parents, origin rotations (k, 3, 3) and origin translations (k, 3, 1).
+    _levels: tuple[tuple[np.ndarray, ...], ...] = field(default=(), repr=False)
     _origin_rot: np.ndarray = field(default=None, repr=False)
     _origin_trans: np.ndarray = field(default=None, repr=False)
     _actuated: tuple[str, ...] = field(default=(), repr=False)
-    _joint_col: np.ndarray = field(default=None, repr=False)
-    _joint_axes: np.ndarray = field(default=None, repr=False)
-    _kp_paths: dict[str, tuple] = field(default_factory=dict, repr=False)
+    _joint_links: np.ndarray = field(default=None, repr=False)  # link index per q column
+    _joint_axes: np.ndarray = field(default=None, repr=False)   # (num_actuated, 3)
+    _kp_row: dict[str, int] = field(default_factory=dict, repr=False)
+    _kp_links: np.ndarray = field(default=None, repr=False)
+    _kp_offsets: np.ndarray = field(default=None, repr=False)
+    # [k, j]: joint column j lies on the root-to-keypoint-k chain.
+    _kp_joint_mask: np.ndarray = field(default=None, repr=False)
 
     @property
     def num_actuated(self) -> int:
@@ -100,9 +105,10 @@ class KinematicTree:
         upper = np.array([self.joints[c].upper for c in self._actuated])
         return lower, upper
 
-    def check_q(self, q: np.ndarray) -> np.ndarray:
+    def check_q(self, q: np.ndarray, batch: bool = True) -> np.ndarray:
+        """Validate one joint vector (n,) or, with `batch`, a stack of them (B, n)."""
         q = np.asarray(q, dtype=float)
-        if q.shape != (self.num_actuated,):
+        if q.ndim not in ((1, 2) if batch else (1,)) or q.shape[-1] != self.num_actuated:
             raise DescriptionError(
                 f"joint vector has shape {q.shape}, tree '{self.name}' has "
                 f"{self.num_actuated} actuated joints"
@@ -186,51 +192,51 @@ def _finalize(tree: KinematicTree) -> KinematicTree:
 
     n = len(tree.links)
     parent_idx = np.full(n, -1, dtype=int)
+    depth = np.zeros(n, dtype=int)
     origin_rot = np.zeros((n, 3, 3))
     origin_trans = np.zeros((n, 3))
-    for i, link in enumerate(tree.links):
+    for i in topo:
+        link = tree.links[i]
         if link.parent is not None:
             parent_idx[i] = index[link.parent]
+            depth[i] = depth[parent_idx[i]] + 1
         origin_rot[i] = link.origin.matrix()
         origin_trans[i] = link.origin.translation
-    origin_rot.flags.writeable = False
-    origin_trans.flags.writeable = False
-    parent_idx.flags.writeable = False
+    levels = []
+    for d in range(1, int(depth.max()) + 1):
+        links = np.flatnonzero(depth == d)
+        levels.append((links, parent_idx[links], origin_rot[links], origin_trans[links, :, None]))
 
     actuated = tuple(c for c, j in tree.joints.items() if j.type == REVOLUTE)
+    joint_links = np.array([index[c] for c in actuated], dtype=int)
+    joint_axes = np.array([tree.joints[c].axis for c in actuated], dtype=float).reshape(-1, 3)
+    column = {int(i): col for col, i in enumerate(joint_links)}
 
-    # Flat per-link joint caches so FK avoids dict lookups in the hot loop.
-    joint_col = np.full(n, -1, dtype=int)
-    joint_axes = np.zeros((n, 3))
-    for col, child in enumerate(actuated):
-        i = index[child]
-        joint_col[i] = col
-        joint_axes[i] = tree.joints[child].axis
-    joint_col.flags.writeable = False
-    joint_axes.flags.writeable = False
+    kp_links = np.array([index[kp.link] for kp in tree.keypoints], dtype=int)
+    kp_offsets = np.array([kp.offset for kp in tree.keypoints], dtype=float).reshape(-1, 3)
+    kp_joint_mask = np.zeros((len(tree.keypoints), len(actuated)), dtype=bool)
+    for k, i in enumerate(kp_links):
+        while i >= 0:
+            if i in column:
+                kp_joint_mask[k, column[i]] = True
+            i = parent_idx[i]
 
-    # Per-keypoint ancestor chains of revolute joints (link index, column).
-    kp_paths = {}
-    for kp in tree.keypoints:
-        chain = []
-        lid = kp.link
-        while lid is not None:
-            i = index[lid]
-            if joint_col[i] >= 0:
-                chain.append((i, int(joint_col[i])))
-            lid = tree.links[i].parent
-        kp_paths[kp.name] = tuple(chain)
+    for arr in (origin_rot, origin_trans, joint_links, joint_axes,
+                kp_links, kp_offsets, kp_joint_mask, *(a for level in levels for a in level)):
+        arr.flags.writeable = False
 
     object.__setattr__(tree, "root", root)
     object.__setattr__(tree, "_index", index)
-    object.__setattr__(tree, "_topo", tuple(topo))
-    object.__setattr__(tree, "_parent_idx", parent_idx)
+    object.__setattr__(tree, "_levels", tuple(levels))
     object.__setattr__(tree, "_origin_rot", origin_rot)
     object.__setattr__(tree, "_origin_trans", origin_trans)
     object.__setattr__(tree, "_actuated", actuated)
-    object.__setattr__(tree, "_joint_col", joint_col)
+    object.__setattr__(tree, "_joint_links", joint_links)
     object.__setattr__(tree, "_joint_axes", joint_axes)
-    object.__setattr__(tree, "_kp_paths", kp_paths)
+    object.__setattr__(tree, "_kp_row", {kp.name: k for k, kp in enumerate(tree.keypoints)})
+    object.__setattr__(tree, "_kp_links", kp_links)
+    object.__setattr__(tree, "_kp_offsets", kp_offsets)
+    object.__setattr__(tree, "_kp_joint_mask", kp_joint_mask)
     return tree
 
 
@@ -438,45 +444,72 @@ def write_robot(tree: KinematicTree, path: str | Path):
 # Forward kinematics and Jacobians
 # ---------------------------------------------------------------------------
 
-def link_poses(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World rotation (n,3,3) and origin position (n,3) of every link."""
-    q = tree.check_q(q)
-    n = len(tree.links)
-    rot = np.empty((n, 3, 3))
-    pos = np.empty((n, 3))
-    parent = tree._parent_idx
-    cols = tree._joint_col
-    for i in tree._topo:
-        p = parent[i]
-        if p < 0:
-            r = tree._origin_rot[i]
-            t = tree._origin_trans[i]
-        else:
-            r = rot[p] @ tree._origin_rot[i]
-            t = rot[p] @ tree._origin_trans[i] + pos[p]
-        col = cols[i]
-        if col >= 0:
-            r = r @ axis_angle_matrix(tree._joint_axes[i], q[col])
-        rot[i] = r
-        pos[i] = t
+def _joint_rotations(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
+    """Rotation (B, n_links, 3, 3) of every link's joint for a (B, n) stack.
+
+    Revolute joints rotate by q about their axis; fixed joints (and the root)
+    get the identity. One Rodrigues evaluation covers all joints and frames.
+    """
+    rot = np.empty((q.shape[0], len(tree.links), 3, 3))
+    rot[:] = np.eye(3)
+    rot[:, tree._joint_links] = axis_angle_matrix(tree._joint_axes, q)
+    return rot
+
+
+def _link_poses(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """World rotations (B, n_links, 3, 3) and origins (B, n_links, 3) for a (B, n) stack."""
+    joint = _joint_rotations(tree, q)
+    rot = np.empty_like(joint)
+    pos = np.empty(joint.shape[:-1])
+    root = tree._index[tree.root]
+    rot[:, root] = tree._origin_rot[root]
+    pos[:, root] = tree._origin_trans[root]
+    for links, parents, origin_rot, origin_trans in tree._levels:
+        rot_p = rot[:, parents]
+        pos[:, links] = (rot_p @ origin_trans)[..., 0] + pos[:, parents]
+        rot[:, links] = (rot_p @ origin_rot) @ joint[:, links]
     return rot, pos
 
 
+def _as_batch(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Validated (B, n) view of q and whether q was a single (n,) vector."""
+    q = tree.check_q(q)
+    return np.atleast_2d(q), q.ndim == 1
+
+
+def link_poses(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """World rotation (n,3,3) and origin position (n,3) of every link.
+
+    A (B, n) stack of joint vectors gives (B, n_links, 3, 3) and (B, n_links, 3).
+    """
+    qb, single = _as_batch(tree, q)
+    rot, pos = _link_poses(tree, qb)
+    return (rot[0], pos[0]) if single else (rot, pos)
+
+
+def _keypoint_positions(tree, rot, pos, rows) -> np.ndarray:
+    links = tree._kp_links[rows]
+    return (rot[:, links] @ tree._kp_offsets[rows, :, None])[..., 0] + pos[:, links]
+
+
 def forward_kinematics(tree: KinematicTree, q: np.ndarray) -> dict[str, np.ndarray]:
-    """Positions of all keypoints in the root frame, keyed by name."""
-    rot, pos = link_poses(tree, q)
-    out = {}
-    for kp in tree.keypoints:
-        i = tree._index[kp.link]
-        out[kp.name] = rot[i] @ kp.offset + pos[i]
-    return out
+    """Positions of all keypoints in the root frame, keyed by name.
+
+    Each value is (3,) for one joint vector and (B, 3) for a (B, n) stack.
+    """
+    qb, single = _as_batch(tree, q)
+    rot, pos = _link_poses(tree, qb)
+    points = _keypoint_positions(tree, rot, pos, slice(None))
+    if single:
+        points = points[0]
+    return {kp.name: points[..., k, :] for k, kp in enumerate(tree.keypoints)}
 
 
-def _keypoint_index(tree: KinematicTree, name: str) -> Keypoint:
-    for kp in tree.keypoints:
-        if kp.name == name:
-            return kp
-    raise DescriptionError("unknown keypoint", element=name)
+def _keypoint_rows(tree: KinematicTree, names) -> list[int]:
+    try:
+        return [tree._kp_row[name] for name in names]
+    except KeyError as exc:
+        raise DescriptionError("unknown keypoint", element=exc.args[0]) from None
 
 
 def keypoint_jacobians(
@@ -485,23 +518,24 @@ def keypoint_jacobians(
     """Positions and 3xN analytic Jacobians for several keypoints at once.
 
     Column j of a Jacobian is d(position)/d(q_j); joints off the root-to-
-    keypoint path contribute zero columns.
+    keypoint path contribute zero columns. For a (B, n) stack of joint
+    vectors each position is (B, 3) and each Jacobian (B, 3, N).
     """
-    kps = [_keypoint_index(tree, name) for name in names]
-    rot, pos = link_poses(tree, q)
-    nq = tree.num_actuated
-
-    positions = {}
-    jacobians = {}
-    for kp in kps:
-        i = tree._index[kp.link]
-        point = rot[i] @ kp.offset + pos[i]
-        jac = np.zeros((3, nq))
-        for li, col in tree._kp_paths[kp.name]:
-            axis_world = rot[li] @ tree._joint_axes[li]
-            jac[:, col] = np.cross(axis_world, point - pos[li])
-        positions[kp.name] = point
-        jacobians[kp.name] = jac
+    rows = _keypoint_rows(tree, names)
+    qb, single = _as_batch(tree, q)
+    rot, pos = _link_poses(tree, qb)
+    points = _keypoint_positions(tree, rot, pos, rows)                        # (B, K, 3)
+    links = tree._joint_links
+    axes = (rot[:, links] @ tree._joint_axes[:, :, None])[..., 0]             # (B, N, 3)
+    arms = points[:, :, None, :] - pos[:, None, links]                       # (B, K, N, 3)
+    cols = np.where(tree._kp_joint_mask[rows, :, None], cross(axes[:, None], arms), 0.0)
+    # C order, so each (3, N) Jacobian has the layout of a freshly built one
+    # and the solver's products with it round as they always have.
+    jac = np.ascontiguousarray(np.swapaxes(cols, -1, -2))                    # (B, K, 3, N)
+    if single:
+        points, jac = points[0], jac[0]
+    positions = {name: points[..., k, :] for k, name in enumerate(names)}
+    jacobians = {name: jac[..., k, :, :] for k, name in enumerate(names)}
     return positions, jacobians
 
 

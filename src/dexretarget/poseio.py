@@ -136,12 +136,6 @@ def read_stream(path: str | Path) -> HandPoseStream:
         except DataError as exc:
             raise StreamFormatError(f"frame {i}: {exc}") from exc
 
-    if len(frames) >= 2 and any(
-        frames[i].timestamp <= frames[i - 1].timestamp for i in range(1, len(frames))
-    ):
-        bad = next(i for i in range(1, len(frames)) if frames[i].timestamp <= frames[i - 1].timestamp)
-        raise StreamFormatError(f"timestamps not strictly increasing at frame {bad}")
-
     s0 = header.get("s0")
     sigma = header.get("sigma")
     metadata = {k: v for k, v in header.items() if k not in ("format", "rate_hz", "s0", "sigma")}
@@ -183,6 +177,66 @@ def write_stream(stream: HandPoseStream, path: str | Path):
 # Wrist solving: 3D-3D rigid alignment (orthogonal Procrustes)
 # ---------------------------------------------------------------------------
 
+def _align(
+    src: np.ndarray, dst: np.ndarray, conditioning_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rotations, translations, RMS residuals and collinearity flags aligning
+    each (K, 3) point set of a (B, K, 3) stack onto its observed counterpart,
+    with one stacked SVD."""
+    src_mean = src.mean(axis=1)
+    dst_mean = dst.mean(axis=1)
+    cross = np.swapaxes(src - src_mean[:, None], 1, 2) @ (dst - dst_mean[:, None])
+    u, s, vt = np.linalg.svd(cross)
+    # Points spanning a plane give rank 2; a line gives rank 1, which leaves
+    # the rotation about that line free.
+    collinear = s[:, 1] <= conditioning_tol * np.maximum(s[:, 0], 1e-300)
+    v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
+    # v @ diag(1, 1, d) @ u.T with d = +-1 gives a proper rotation.
+    diag = np.ones((len(v), 1, 3))
+    diag[:, 0, 2] = np.sign(np.linalg.det(v @ ut))
+    rot = (v * diag) @ ut
+    trans = dst_mean - (rot @ src_mean[..., None])[..., 0]
+    moved = src @ np.swapaxes(rot, 1, 2) + trans[:, None]
+    residual = np.sqrt(np.mean(np.sum((moved - dst) ** 2, axis=2), axis=1))
+    return rot, trans, residual, collinear
+
+
+def solve_wrists(
+    canonical_keypoints: dict[str, np.ndarray],
+    observed_keypoints: list[dict[str, np.ndarray]],
+    conditioning_tol: float = 1e-8,
+) -> tuple[list[RigidTransform | DataError], np.ndarray]:
+    """solve_wrist for B frames at once.
+
+    `canonical_keypoints` maps each name to its (B, 3) positions, one row per
+    frame; `observed_keypoints` holds the B frames' observations. Frames that
+    share the same keypoint names are solved with one stacked SVD. Returns one
+    entry per frame, the transform or the DataError that solve_wrist would
+    raise for it, and the (B,) RMS residuals (NaN where the solve failed).
+    """
+    results: list[RigidTransform | DataError] = [None] * len(observed_keypoints)
+    residuals = np.full(len(observed_keypoints), np.nan)
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for b, observed in enumerate(observed_keypoints):
+        names = tuple(sorted(set(canonical_keypoints) & set(observed)))
+        groups.setdefault(names, []).append(b)
+    for names, rows in groups.items():
+        if len(names) < 3:
+            for b in rows:
+                results[b] = DataError(f"need at least 3 shared keypoints, got {len(names)}")
+            continue
+        src = np.stack([np.asarray(canonical_keypoints[n], dtype=float)[rows] for n in names], axis=1)
+        dst = np.array([[observed_keypoints[b][n] for n in names] for b in rows], dtype=float)
+        rot, trans, residual, collinear = _align(src, dst, conditioning_tol)
+        for j, b in enumerate(rows):
+            if collinear[j]:
+                results[b] = DataError("keypoint configuration is collinear; wrist rotation is ambiguous")
+            else:
+                results[b] = RigidTransform.from_matrix(rot[j], trans[j])
+                residuals[b] = residual[j]
+    return results, residuals
+
+
 def solve_wrist(
     canonical_keypoints: dict[str, np.ndarray],
     observed_keypoints: dict[str, np.ndarray],
@@ -194,23 +248,8 @@ def solve_wrist(
     points are required. Returns the proper-rotation transform and the RMS
     residual in meters.
     """
-    names = sorted(set(canonical_keypoints) & set(observed_keypoints))
-    if len(names) < 3:
-        raise DataError(f"need at least 3 shared keypoints, got {len(names)}")
-    src = np.stack([np.asarray(canonical_keypoints[n], dtype=float) for n in names])
-    dst = np.stack([np.asarray(observed_keypoints[n], dtype=float) for n in names])
-
-    src_mean = src.mean(axis=0)
-    dst_mean = dst.mean(axis=0)
-    cross = (src - src_mean).T @ (dst - dst_mean)
-    u, s, vt = np.linalg.svd(cross)
-    # Points spanning a plane give rank 2; a line gives rank 1, which leaves
-    # the rotation about that line free.
-    if s[1] <= conditioning_tol * max(s[0], 1e-300):
-        raise DataError("keypoint configuration is collinear; wrist rotation is ambiguous")
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    trans = dst_mean - rot @ src_mean
-    transform = RigidTransform.from_matrix(rot, trans)
-    residual = float(np.sqrt(np.mean(np.sum((src @ rot.T + trans - dst) ** 2, axis=1))))
-    return transform, residual
+    canonical = {k: np.asarray(v, dtype=float)[None] for k, v in canonical_keypoints.items()}
+    (result,), (residual,) = solve_wrists(canonical, [observed_keypoints], conditioning_tol)
+    if isinstance(result, DataError):
+        raise result
+    return result, float(residual)

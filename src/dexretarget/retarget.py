@@ -167,8 +167,8 @@ def retarget_frame(
     problem: RetargetProblem, q_source: np.ndarray, q_prev: np.ndarray
 ) -> RetargetResult:
     """Solve one frame of the retargeting objective from a warm start."""
-    q_source = problem.source.check_q(q_source)
-    q_prev = problem.target.check_q(q_prev)
+    q_source = problem.source.check_q(q_source, batch=False)
+    q_prev = problem.target.check_q(q_prev, batch=False)
     lower, upper = problem.target.joint_limits()
     if np.any(q_prev < lower - 1e-9) or np.any(q_prev > upper + 1e-9):
         raise DataError("warm start lies outside the target joint limits")
@@ -256,7 +256,7 @@ def retarget_trajectory(
     problem: RetargetProblem, source_traj: np.ndarray, q0: np.ndarray
 ) -> list[RetargetResult]:
     """Retarget a whole source trajectory, warm starting frame to frame."""
-    q0 = problem.target.check_q(q0)
+    q0 = problem.target.check_q(q0, batch=False)
     lower, upper = problem.target.joint_limits()
     if np.any(q0 < lower - 1e-9) or np.any(q0 > upper + 1e-9):
         raise DataError("initial guess lies outside the target joint limits")

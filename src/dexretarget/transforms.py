@@ -12,35 +12,39 @@ import numpy as np
 from .errors import DataError
 
 _UNIT_TOL = 1e-9
+_CONJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    """Normalize to unit length and canonicalize the sign so w >= 0."""
+    """Normalize to unit length and canonicalize the sign so w >= 0.
+
+    Broadcasts over a (..., 4) stack.
+    """
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if not np.isfinite(n) or n < 1e-12:
+    n = np.sqrt(np.vecdot(q, q))[..., None]
+    if not 1e-12 <= n.min() <= n.max() < np.inf:
         raise DataError(f"degenerate quaternion {q!r}")
     q = q / n
-    if q[0] < 0.0:
-        q = -q
-    return q
+    return np.negative(q, out=q, where=q[..., :1] < 0.0)
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    """Hamilton product; broadcasts over (..., 4) stacks."""
+    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    return np.stack(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
-        ]
+        ],
+        axis=-1,
     )
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q, dtype=float) * _CONJUGATE_SIGNS
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -100,30 +104,54 @@ def quat_from_rpy(roll: float, pitch: float, yaw: float) -> np.ndarray:
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
-    """Rotation-vector (axis * angle) logarithm of a unit quaternion."""
+    """Rotation-vector (axis * angle) logarithm of a unit quaternion.
+
+    Broadcasts over a (..., 4) stack.
+    """
     q = quat_normalize(q)
-    w = min(q[0], 1.0)
-    v = q[1:]
-    s = np.linalg.norm(v)
-    if s < 1e-12:
-        return 2.0 * v  # small-angle limit: rotvec ~ 2 * vector part
-    angle = 2.0 * np.arctan2(s, w)
-    return v * (angle / s)
+    w = np.minimum(q[..., 0], 1.0)
+    v = q[..., 1:]
+    s = np.sqrt(np.vecdot(v, v))
+    small = s < 1e-12  # small-angle limit: rotvec ~ 2 * vector part
+    scale = np.where(small, 2.0, 2.0 * np.arctan2(s, w) / np.where(small, 1.0, s))
+    return v * scale[..., None]
 
 
-def axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis."""
-    x, y, z = axis
+_NEXT = [1, 2, 0]
+_PREV = [2, 0, 1]
+# (a @ _SKEW_BASIS).reshape(3, 3) is the cross-product matrix [a]x.
+_SKEW_BASIS = np.array(
+    [
+        [0, 0, 0, 0, 0, -1, 0, 1, 0],
+        [0, 0, 1, 0, 0, 0, -1, 0, 0],
+        [0, -1, 0, 1, 0, 0, 0, 0, 0],
+    ],
+    dtype=float,
+)
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of broadcastable (..., 3) stacks.
+
+    Same arithmetic as np.cross, without its per-call overhead on small stacks.
+    """
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def axis_angle_matrix(axis: np.ndarray, angle) -> np.ndarray:
+    """Rodrigues rotation matrix about a unit axis.
+
+    Broadcasts: axes (..., 3) and angles (...) give matrices (..., 3, 3).
+    """
+    axis = np.asarray(axis, dtype=float)
+    angle = np.asarray(angle, dtype=float)[..., None, None]
     c = np.cos(angle)
     s = np.sin(angle)
-    t = 1.0 - c
-    return np.array(
-        [
-            [c + x * x * t, x * y * t - z * s, x * z * t + y * s],
-            [x * y * t + z * s, c + y * y * t, y * z * t - x * s],
-            [x * z * t - y * s, y * z * t + x * s, c + z * z * t],
-        ]
-    )
+    outer = axis[..., :, None] * axis[..., None, :]
+    skew = (axis @ _SKEW_BASIS).reshape(axis.shape[:-1] + (3, 3))
+    # Summed in this order, each entry rounds exactly like the written-out
+    # formula, e.g. c + x*x*(1-c) and x*y*(1-c) - z*s.
+    return (outer * (1.0 - c) + c * np.eye(3)) + s * skew
 
 
 @dataclass(frozen=True)

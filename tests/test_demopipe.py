@@ -257,6 +257,26 @@ def test_palm_velocity_commands_recover_known_wrist_motion():
     assert np.abs(palm_vel - expected).max() < 1e-7
 
 
+def test_wrist_failure_names_the_first_bad_frame():
+    from dataclasses import replace
+
+    from dexretarget.poseio import HandPoseStream
+
+    stream = make_wrist_stream(n=12)
+    frames = list(stream.frames)
+    names = sorted(frames[0].observed_keypoints)
+    line = {n: np.array([0.02 * i, 0.0, 0.0]) for i, n in enumerate(names)}
+    frames[9] = replace(frames[9], observed_keypoints={n: frames[9].observed_keypoints[n] for n in names[:2]})
+    frames[5] = replace(frames[5], observed_keypoints=line)
+    frames[2] = replace(frames[2], observed_keypoints=None)  # no keypoints: identity wrist
+    bad = HandPoseStream(tuple(frames), stream.rate_hz)
+    with pytest.raises(DataError, match="wrist solve failed at frame 5: .*collinear"):
+        translate(bad, make_config("allegro"))
+    frames[5] = stream.frames[5]
+    with pytest.raises(DataError, match="wrist solve failed at frame 9: need at least 3"):
+        translate(HandPoseStream(tuple(frames), stream.rate_hz), make_config("allegro"))
+
+
 def test_object_metadata_passes_through_to_states():
     object_pose = [0.9238795325112867, 0.0, 0.0, 0.3826834323650898, 0.2, -0.1, 0.05]
     target_position = [0.4, 0.1, 0.0]
@@ -288,6 +308,22 @@ def test_both_action_mode_uses_position_targets(short_stream):
     position = translate(short_stream, make_config("allegro", action_mode="position"))
     assert dict(both.action_layout)["finger_position_target"] == 16
     assert np.array_equal(both.actions, position.actions)
+
+
+def test_both_action_mode_skips_inverse_dynamics(short_stream, monkeypatch):
+    import dexretarget.demopipe as demopipe
+
+    modes = []
+    real = demopipe.compute_actions
+
+    def recording(*args, mode, **kwargs):
+        modes.append(mode)
+        return real(*args, mode=mode, **kwargs)
+
+    monkeypatch.setattr(demopipe, "compute_actions", recording)
+    translate(short_stream, make_config("allegro", action_mode="both"))
+    translate(short_stream, make_config("allegro", action_mode="torque"))
+    assert modes == ["position", "torque"]
 
 
 def test_tree_and_problem_share_safely_across_threads():
