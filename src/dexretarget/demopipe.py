@@ -52,8 +52,6 @@ class PipelineConfig:
     alpha: float = DEFAULT_ALPHA
     gamma: float | None = None            # filter factor; derived from cutoff if None
     cutoff_hz: float = DEFAULT_CUTOFF_HZ
-    kp: float = 2.0                       # PD gains, chosen, not from any paper
-    kd: float = 0.1
     calibration_frames: int = 30
     action_mode: str = POSITION
     task: str = "relocate"
@@ -254,10 +252,11 @@ def translate_timed(
     mean_residual = float(np.mean([r.residual for r in results]))
     unconverged = int(sum(not r.converged for r in results))
     provenance = {
-        "stream_sha256": _sha256_stream(stream),
+        "stream_sha256": stream.sha256,
         "config_sha256": _sha256(config.canonical_json()),
         "mean_keypoint_residual": mean_residual,
         "unconverged_frames": unconverged,
+        "gn_iterations": int(sum(r.iterations for r in results)),
         "object_fields": "stream" if "object_pose" in stream.metadata else "zero-filled",
     }
     timings["wrist_and_assembly"] = time.perf_counter() - t0
@@ -276,12 +275,6 @@ def translate_timed(
         provenance=provenance,
     )
     return demo, timings
-
-
-def _sha256_stream(stream: HandPoseStream) -> str:
-    from .poseio import stream_to_text
-
-    return _sha256(stream_to_text(stream))
 
 
 def translate_all(

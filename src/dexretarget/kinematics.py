@@ -512,6 +512,21 @@ def _keypoint_rows(tree: KinematicTree, names) -> list[int]:
         raise DescriptionError("unknown keypoint", element=exc.args[0]) from None
 
 
+def _keypoint_jacobian_stack(tree, rot, pos, points, mask) -> np.ndarray:
+    """Jacobians (B, K, 3, N) of K keypoints from link poses already computed.
+
+    `points` (B, K, 3) are the keypoints' positions under the poses `rot`,
+    `pos`, and `mask` (K, N) their rows of the keypoint x joint ancestor mask.
+    """
+    links = tree._joint_links
+    axes = (rot[:, links] @ tree._joint_axes[:, :, None])[..., 0]             # (B, N, 3)
+    arms = points[:, :, None, :] - pos[:, None, links]                       # (B, K, N, 3)
+    cols = np.where(mask[:, :, None], cross(axes[:, None], arms), 0.0)
+    # C order, so each (3, N) Jacobian has the layout of a freshly built one
+    # and the solver's products with it round as they always have.
+    return np.ascontiguousarray(np.swapaxes(cols, -1, -2))
+
+
 def keypoint_jacobians(
     tree: KinematicTree, q: np.ndarray, names: list[str] | tuple[str, ...]
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
@@ -525,13 +540,7 @@ def keypoint_jacobians(
     qb, single = _as_batch(tree, q)
     rot, pos = _link_poses(tree, qb)
     points = _keypoint_positions(tree, rot, pos, rows)                        # (B, K, 3)
-    links = tree._joint_links
-    axes = (rot[:, links] @ tree._joint_axes[:, :, None])[..., 0]             # (B, N, 3)
-    arms = points[:, :, None, :] - pos[:, None, links]                       # (B, K, N, 3)
-    cols = np.where(tree._kp_joint_mask[rows, :, None], cross(axes[:, None], arms), 0.0)
-    # C order, so each (3, N) Jacobian has the layout of a freshly built one
-    # and the solver's products with it round as they always have.
-    jac = np.ascontiguousarray(np.swapaxes(cols, -1, -2))                    # (B, K, 3, N)
+    jac = _keypoint_jacobian_stack(tree, rot, pos, points, tree._kp_joint_mask[rows])
     if single:
         points, jac = points[0], jac[0]
     positions = {name: points[..., k, :] for k, name in enumerate(names)}

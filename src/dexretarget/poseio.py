@@ -8,6 +8,8 @@ them reproduces the bytes exactly.
 """
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,6 +76,11 @@ class HandPoseStream:
 
     def pose_matrix(self) -> np.ndarray:
         return np.stack([f.pose for f in self.frames])
+
+    @functools.cached_property
+    def sha256(self) -> str:
+        """Hex SHA-256 of the canonical `dexstream/1` text, serialized once per stream."""
+        return hashlib.sha256(stream_to_text(self).encode()).hexdigest()
 
 
 def calibrate(frames) -> tuple[HandShapeParams, np.ndarray]:

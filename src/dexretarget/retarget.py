@@ -11,6 +11,11 @@ steps on the free coordinates (bound-pinned coordinates with an outward
 gradient stay fixed each iteration), accepted under a monotone Armijo test
 after projection onto the joint-limit box. It is deterministic and never
 returns an iterate whose objective exceeds the warm start's.
+
+Each point the solver visits costs one forward kinematics of the target: the
+link poses computed to probe a step are kept, and if the step is accepted the
+Jacobian at the new iterate is built from them. A trajectory's source
+keypoints come from one batched forward kinematics of the source hand.
 """
 from __future__ import annotations
 
@@ -20,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericalError
-from .kinematics import KinematicTree, forward_kinematics, keypoint_jacobians
+from . import kinematics
+from .errors import DataError, DescriptionError, NumericalError
+from .kinematics import KinematicTree
 
 log = logging.getLogger(__name__)
 
@@ -89,15 +95,33 @@ class RetargetProblem:
     keypoint_map: KeypointMap
     alpha: float = DEFAULT_ALPHA
     settings: SolverSettings = field(default_factory=SolverSettings)
+    # Read-only caches, filled by __post_init__: the mapped keypoints' rows on
+    # each tree, in map order, and the target's keypoint x joint ancestor
+    # mask restricted to those rows.
+    _source_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _target_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _target_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha < 0:
             raise DataError("alpha must be nonnegative")
         self.keypoint_map.validate_against(self.source, self.target)
+        pairs = self.keypoint_map.pairs
+        source_rows = np.array(kinematics._keypoint_rows(self.source, [s for s, _ in pairs]))
+        target_rows = np.array(kinematics._keypoint_rows(self.target, [t for _, t in pairs]))
+        target_mask = self.target._kp_joint_mask[target_rows]
+        for arr in (source_rows, target_rows, target_mask):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_source_rows", source_rows)
+        object.__setattr__(self, "_target_rows", target_rows)
+        object.__setattr__(self, "_target_mask", target_mask)
 
     def source_points(self, q_source: np.ndarray) -> np.ndarray:
-        kp = forward_kinematics(self.source, q_source)
-        return np.stack([kp[s] for s, _ in self.keypoint_map.pairs])
+        """Mapped source keypoints: (K, 3) for one joint vector, (T, K, 3) for a (T, n) stack."""
+        qb, single = kinematics._as_batch(self.source, q_source)
+        rot, pos = kinematics._link_poses(self.source, qb)
+        points = kinematics._keypoint_positions(self.source, rot, pos, self._source_rows)
+        return points[0] if single else points
 
 
 @dataclass(frozen=True)
@@ -109,58 +133,56 @@ class RetargetResult:
     converged: bool
 
 
-def _evaluate(
-    problem: RetargetProblem, q: np.ndarray, targets: np.ndarray, q_prev: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Objective, gradient, stacked Jacobian and residual vector at q."""
-    names = [t for _, t in problem.keypoint_map.pairs]
-    positions, jacobians = keypoint_jacobians(problem.target, q, names)
-    res = np.concatenate([positions[n] - targets[i] for i, n in enumerate(names)])
-    jac = np.vstack([jacobians[n] for n in names])
+def _target_poses(problem: RetargetProblem, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Link poses and mapped keypoints of the target at q: the one FK of a point."""
+    rot, pos = kinematics._link_poses(problem.target, q[None])
+    return rot, pos, kinematics._keypoint_positions(problem.target, rot, pos, problem._target_rows)
+
+
+def _probe_value(
+    problem: RetargetProblem, points: np.ndarray, targets: np.ndarray, q: np.ndarray, q_prev: np.ndarray
+) -> tuple[float, float]:
+    """Objective value and RMS residual at a probed point, without the Jacobian."""
+    sq_sum = 0.0
+    for k, target in enumerate(targets):
+        diff = points[0, k] - target
+        sq_sum += float(diff @ diff)
+    value = sq_sum + problem.alpha * float(np.sum((q - q_prev) ** 2))
+    return value, float(np.sqrt(sq_sum / len(targets)))
+
+
+def _linearize(
+    problem: RetargetProblem, poses: tuple[np.ndarray, ...], q: np.ndarray,
+    targets: np.ndarray, q_prev: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Objective, gradient, stacked Jacobian and RMS residual from a point's poses."""
+    rot, pos, points = poses
+    res = (points[0] - targets).reshape(-1)
+    jac = kinematics._keypoint_jacobian_stack(problem.target, rot, pos, points, problem._target_mask)
+    jac = jac[0].reshape(res.size, -1)
     sq_sum = float(res @ res)
     value = sq_sum + problem.alpha * float(np.sum((q - q_prev) ** 2))
     grad = 2.0 * (jac.T @ res) + 2.0 * problem.alpha * (q - q_prev)
-    rms = float(np.sqrt(sq_sum / len(names)))
-    return value, grad, jac, res, rms
+    return value, grad, jac, float(np.sqrt(sq_sum / len(targets)))
 
 
-def _objective_only(
-    problem: RetargetProblem, q: np.ndarray, targets: np.ndarray, q_prev: np.ndarray
-) -> tuple[float, float]:
-    """Objective value and RMS residual without the Jacobian (cheap probe)."""
-    names = [t for _, t in problem.keypoint_map.pairs]
-    kp = forward_kinematics(problem.target, q)
-    sq_sum = 0.0
-    for i, n in enumerate(names):
-        diff = kp[n] - targets[i]
-        sq_sum += float(diff @ diff)
-    value = sq_sum + problem.alpha * float(np.sum((q - q_prev) ** 2))
-    return value, float(np.sqrt(sq_sum / len(names)))
-
-
-def _objective_and_gradient(
-    problem: RetargetProblem, q: np.ndarray, targets: np.ndarray, q_prev: np.ndarray
-) -> tuple[float, np.ndarray, float]:
-    value, grad, _, _, rms = _evaluate(problem, q, targets, q_prev)
-    return value, grad, rms
+def _linearize_at(
+    problem: RetargetProblem, q, q_source, q_prev
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Validate one source frame and one target joint vector, then _linearize there."""
+    targets = problem.source_points(q_source)
+    q = problem.target.check_q(q, batch=False)
+    return _linearize(problem, _target_poses(problem, q), q, targets, np.asarray(q_prev, dtype=float))
 
 
 def retarget_objective(problem: RetargetProblem, q, q_source, q_prev) -> float:
     """The per-frame objective value (used by tests and diagnostics)."""
-    targets = problem.source_points(np.asarray(q_source, dtype=float))
-    value, _, _ = _objective_and_gradient(
-        problem, np.asarray(q, dtype=float), targets, np.asarray(q_prev, dtype=float)
-    )
-    return value
+    return _linearize_at(problem, q, q_source, q_prev)[0]
 
 
 def retarget_gradient(problem: RetargetProblem, q, q_source, q_prev) -> np.ndarray:
     """Analytic gradient of the per-frame objective."""
-    targets = problem.source_points(np.asarray(q_source, dtype=float))
-    _, grad, _ = _objective_and_gradient(
-        problem, np.asarray(q, dtype=float), targets, np.asarray(q_prev, dtype=float)
-    )
-    return grad
+    return _linearize_at(problem, q, q_source, q_prev)[1]
 
 
 def retarget_frame(
@@ -172,21 +194,21 @@ def retarget_frame(
     lower, upper = problem.target.joint_limits()
     if np.any(q_prev < lower - 1e-9) or np.any(q_prev > upper + 1e-9):
         raise DataError("warm start lies outside the target joint limits")
-
-    targets = problem.source_points(q_source)
-    return _solve(problem, targets, np.clip(q_prev, lower, upper))
+    return _solve(problem, problem.source_points(q_source), np.clip(q_prev, lower, upper), lower, upper)
 
 
-def _solve(problem: RetargetProblem, targets: np.ndarray, q_prev: np.ndarray) -> RetargetResult:
+def _solve(
+    problem: RetargetProblem, targets: np.ndarray, q_prev: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> RetargetResult:
+    """Damped GN from q_prev (inside the box); each point costs one target FK."""
     cfg = problem.settings
     n = problem.target.num_actuated
-    lower, upper = problem.target.joint_limits()
 
     def project(x):
         return np.clip(x, lower, upper)
 
     x = q_prev.copy()
-    f, g, jac, _, rms = _evaluate(problem, x, targets, q_prev)
+    f, g, jac, rms = _linearize(problem, _target_poses(problem, x), x, targets, q_prev)
     if not np.isfinite(f):
         raise NumericalError("non-finite retargeting objective at warm start")
 
@@ -211,8 +233,9 @@ def _solve(problem: RetargetProblem, targets: np.ndarray, q_prev: np.ndarray) ->
         scale = max(1.0, float(np.trace(normal)) / max(nf, 1))
         diag = np.diag_indices(nf)
 
-        # Damped Gauss-Newton probes: a rejected step only costs one cheap
-        # objective evaluation plus a reduced solve at a stiffer damping.
+        # Damped Gauss-Newton probes: a rejected step costs one target FK
+        # plus a reduced solve at a stiffer damping; an accepted one keeps
+        # its poses for the next Jacobian.
         accepted = None
         for _ in range(cfg.max_backtracks):
             normal_d = normal.copy()
@@ -231,9 +254,11 @@ def _solve(problem: RetargetProblem, targets: np.ndarray, q_prev: np.ndarray) ->
                 if lam > 1e14:
                     break
                 continue
-            f_cand, rms_cand = _objective_only(problem, cand, targets, q_prev)
+            problem.target.check_q(cand, batch=False)  # a non-finite step is a DescriptionError
+            poses = _target_poses(problem, cand)
+            f_cand, rms_cand = _probe_value(problem, poses[2], targets, cand, q_prev)
             if np.isfinite(f_cand) and f_cand <= f + cfg.armijo_c * float(g @ delta):
-                accepted = (cand, f_cand, rms_cand)
+                accepted = (cand, f_cand, rms_cand, poses)
                 lam = max(lam / 3.0, 1e-12)
                 break
             lam *= 10.0
@@ -244,28 +269,44 @@ def _solve(problem: RetargetProblem, targets: np.ndarray, q_prev: np.ndarray) ->
             # No acceptable descent step: numerical stationarity.
             converged = np.abs(project(x - g) - x).max() <= cfg.grad_tol
             break
-        x, f, rms = accepted
-        _, g, jac, _, _ = _evaluate(problem, x, targets, q_prev)
+        x, f, rms, poses = accepted
+        _, g, jac, _ = _linearize(problem, poses, x, targets, q_prev)
     else:
         iterations = cfg.max_iterations
 
     return RetargetResult(q=x, residual=rms, objective=f, iterations=iterations, converged=converged)
 
 
+def _check_trajectory(tree: KinematicTree, traj) -> np.ndarray:
+    """A (T, n)-shaped trajectory whose first non-finite frame, if any, is named by index."""
+    traj = np.asarray(traj, dtype=float)
+    if traj.ndim != 2:
+        raise DescriptionError(f"trajectory has shape {traj.shape}, expected (T, {tree.num_actuated})")
+    bad = np.flatnonzero(~np.all(np.isfinite(traj), axis=1))
+    if bad.size:
+        raise DescriptionError(f"frame {bad[0]}: joint vector contains non-finite entries")
+    return traj
+
+
 def retarget_trajectory(
     problem: RetargetProblem, source_traj: np.ndarray, q0: np.ndarray
 ) -> list[RetargetResult]:
-    """Retarget a whole source trajectory, warm starting frame to frame."""
+    """Retarget a whole source trajectory, warm starting frame to frame.
+
+    Every frame's source keypoints come from one batched FK up front; each
+    frame then gives the same result as retarget_frame from the last one.
+    """
     q0 = problem.target.check_q(q0, batch=False)
     lower, upper = problem.target.joint_limits()
     if np.any(q0 < lower - 1e-9) or np.any(q0 > upper + 1e-9):
         raise DataError("initial guess lies outside the target joint limits")
+    targets = problem.source_points(_check_trajectory(problem.source, source_traj))
 
     results: list[RetargetResult] = []
-    q_prev = q0
-    for t, q_source in enumerate(np.asarray(source_traj, dtype=float)):
+    q_prev = np.clip(q0, lower, upper)
+    for t, frame_targets in enumerate(targets):
         try:
-            result = retarget_frame(problem, q_source, q_prev)
+            result = _solve(problem, frame_targets, q_prev, lower, upper)
         except (DataError, NumericalError) as exc:
             raise type(exc)(f"frame {t}: {exc}") from exc
         results.append(result)

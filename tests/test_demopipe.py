@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,9 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text('{"robot": "x.robot", "workers": 4}')
     with pytest.raises(DataError, match="workers"):
         PipelineConfig.from_file(path)
+    path.write_text('{"robot": "x.robot", "kp": 2.0, "kd": 0.1}')  # removed PD gains
+    with pytest.raises(DataError, match="unknown config keys: \\['kd', 'kp'\\]"):
+        PipelineConfig.from_file(path)
 
 
 def test_demo_round_trip(short_stream, tmp_path):
@@ -212,6 +217,53 @@ def test_provenance_hashes_present(short_stream):
     assert len(demo.provenance["stream_sha256"]) == 64
     assert len(demo.provenance["config_sha256"]) == 64
     assert demo.provenance["object_fields"] == "zero-filled"
+
+
+def test_provenance_counts_gauss_newton_iterations(short_stream, monkeypatch):
+    import dexretarget.demopipe as demopipe
+
+    solved = []
+    real = demopipe.retarget_trajectory
+
+    def recording(*args):
+        solved.append(real(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(demopipe, "retarget_trajectory", recording)
+    demo = translate(short_stream, make_config("allegro"))
+    assert demo.provenance["gn_iterations"] == sum(r.iterations for r in solved[0]) > 0
+
+
+def test_translate_all_serializes_the_stream_once(sample_stream, monkeypatch):
+    from dexretarget import poseio
+    from dexretarget.poseio import HandPoseStream
+
+    stream = HandPoseStream(sample_stream.frames[:40], sample_stream.rate_hz)
+    calls = []
+    real = poseio.stream_to_text
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(poseio, "stream_to_text", counting)
+    demos, errors = translate_all(stream, {n: make_config(n) for n in ("schunk", "adroit", "allegro")})
+    assert errors == {} and len(calls) == 1
+    digest = hashlib.sha256(real(stream).encode()).hexdigest()
+    assert {d.provenance["stream_sha256"] for d in demos.values()} == {digest}
+
+
+def test_nonfinite_source_frame_is_named_by_the_retarget_stage(sample_stream):
+    from dataclasses import replace
+
+    from dexretarget.poseio import HandPoseStream
+
+    frames = [replace(f, pose=f.pose.copy()) for f in sample_stream.frames[:40]]
+    # Frames reject non-finite poses when built; changing the array afterwards
+    # reaches the retarget stage's own check of the whole trajectory.
+    frames[17].pose[3] = np.nan
+    with pytest.raises(DataError, match="^retarget stage: frame 17: .*non-finite"):
+        translate(HandPoseStream(tuple(frames), sample_stream.rate_hz), make_config("allegro"))
 
 
 def test_demonstration_validates_shapes():

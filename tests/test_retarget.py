@@ -3,9 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dexretarget.errors import DataError
+from dexretarget import kinematics, retarget
+from dexretarget.assets import asset_path, robot_path, sample_stream_path
+from dexretarget.errors import DataError, DescriptionError
 from dexretarget.handgen import HandShapeParams, build_custom_hand
 from dexretarget.kinematics import load_robot
+from dexretarget.poseio import read_stream
 from dexretarget.retarget import (
     KeypointMap,
     RetargetProblem,
@@ -308,3 +311,85 @@ def test_self_retarget_trajectory_tracks_source_keypoints(custom_hand):
     results = retarget_trajectory(problem, traj, q0=np.zeros(45))
     residuals = np.array([r.residual for r in results])
     assert residuals.max() < 1e-6
+
+
+def bundled_problem(robot, source):
+    return RetargetProblem(
+        source=source,
+        target=load_robot(robot_path(robot)),
+        keypoint_map=read_keypoint_map(asset_path(f"maps/custom_to_{robot}.map")),
+    )
+
+
+@pytest.fixture(scope="module")
+def sample_poses():
+    return read_stream(sample_stream_path()).pose_matrix()[:40]
+
+
+@pytest.mark.parametrize("robot", ["allegro", "schunk", "adroit"])
+def test_trajectory_equals_chained_frames_bitwise(robot, custom_hand, sample_poses):
+    problem = bundled_problem(robot, custom_hand)
+    q0 = np.clip(np.zeros(problem.target.num_actuated), *problem.target.joint_limits())
+    results = retarget_trajectory(problem, sample_poses, q0)
+    q_prev = q0
+    for t, result in enumerate(results):
+        expected = retarget_frame(problem, sample_poses[t], q_prev)
+        assert result.q.tobytes() == expected.q.tobytes(), t
+        assert (result.residual, result.objective, result.iterations, result.converged) == (
+            expected.residual, expected.objective, expected.iterations, expected.converged), t
+        q_prev = expected.q
+
+
+def test_one_target_fk_per_point_and_one_source_fk_per_trajectory(custom_hand, sample_poses, monkeypatch):
+    problem = bundled_problem("allegro", custom_hand)
+    q0 = np.clip(np.zeros(16), *problem.target.joint_limits())
+    events = []
+    real_poses, real_solve, real_probe = kinematics._link_poses, retarget._solve, retarget._probe_value
+
+    def poses(tree, q):
+        events.append(("fk", tree, np.array(q)))
+        return real_poses(tree, q)
+
+    def solve(*args):
+        events.append(("frame",))
+        return real_solve(*args)
+
+    def probe(*args):
+        events.append(("probe",))
+        return real_probe(*args)
+
+    monkeypatch.setattr(kinematics, "_link_poses", poses)
+    monkeypatch.setattr(retarget, "_solve", solve)
+    monkeypatch.setattr(retarget, "_probe_value", probe)
+    results = retarget_trajectory(problem, sample_poses, q0)
+
+    source = [e[2] for e in events if e[0] == "fk" and e[1] is custom_hand]
+    assert len(source) == 1 and np.array_equal(source[0], sample_poses)
+    starts = [i for i, e in enumerate(events) if e[0] == "frame"] + [len(events)]
+    assert len(starts) == len(results) + 1
+    q_prev = q0
+    for result, a, b in zip(results, starts, starts[1:]):
+        frame = events[a + 1:b]
+        points = [e[2][0] for e in frame if e[0] == "fk"]
+        assert all(e[0] == "probe" or e[1] is problem.target for e in frame)
+        # One target FK at the warm start plus one per objective probe; the
+        # accepted iterates reuse their probe's poses, so no point repeats.
+        assert len(points) == 1 + sum(e[0] == "probe" for e in frame)
+        assert np.array_equal(points[0], q_prev)
+        assert len({q.tobytes() for q in points}) == len(points)
+        assert len(points) >= 1 + result.iterations
+        q_prev = result.q
+
+
+def test_nonfinite_source_frame_is_named(self_problem):
+    traj = np.zeros((6, 45))
+    traj[4, 7] = np.nan
+    with pytest.raises(DataError, match="^frame 4: .*non-finite"):
+        retarget_trajectory(self_problem, traj, q0=np.zeros(45))
+
+
+def test_nonfinite_candidate_step_raises_not_rejects(self_problem, monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+    q_source = np.full(45, 0.2)
+    with pytest.raises(DescriptionError, match="^frame 0: .*non-finite"):
+        retarget_trajectory(self_problem, q_source[None], q0=np.zeros(45))
