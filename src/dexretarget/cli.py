@@ -152,12 +152,19 @@ def cmd_train(args) -> int:
     if args.env != "toy-relocate":
         raise DataError(f"unknown environment '{args.env}'")
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise DataError(f"cannot parse training config: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DataError("training config must be a JSON object")
         known = set(DapgConfig.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
             raise DataError(f"unknown training config keys: {sorted(unknown)}")
         if "hidden" in doc:
+            if not isinstance(doc["hidden"], list):
+                raise DataError("hidden must be a list of layer widths")
             doc["hidden"] = tuple(doc["hidden"])
     else:
         doc = {}
@@ -252,7 +259,7 @@ def build_parser() -> _Parser:
         p.add_argument("--alpha", type=float, default=None, help="override smoothness weight")
         p.add_argument("--gamma", type=float, default=None, help="override filter factor")
         p.add_argument("--action-mode", dest="action_mode", default=None,
-                       choices=("torque", "position", "both"), help="override action mode")
+                       choices=("torque", "position"), help="override action mode")
         p.add_argument("--calibration-frames", dest="calibration_frames", type=int, default=None)
         p.add_argument("--task", default=None, help="override task tag")
         p.add_argument("--max-unconverged", type=float, default=0.05,

@@ -104,7 +104,7 @@ def _observation(q, tip, obj, tgt):
 
 
 class ToyRelocateEnv:
-    """Single-episode environment with the reset/step contract."""
+    """Single-episode reset/step view over a one-episode BatchedRelocate."""
 
     horizon = HORIZON
     dt = DT
@@ -112,46 +112,28 @@ class ToyRelocateEnv:
     act_dim = ACT_DIM
 
     def __init__(self):
-        self.tree = arm_tree()
-        self._steps = 0
-        self._done = True
+        self._episode: BatchedRelocate | None = None
 
     def reset(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        self.q, self.obj, self.tgt = _spawn(rng)
-        self.grasped = False
-        self._steps = 0
-        self._done = False
-        return _observation(self.q, tip_position(self.q), self.obj, self.tgt)
+        self._episode = BatchedRelocate([seed])
+        return self._episode.observe()[0]
 
     def step(self, action: np.ndarray):
-        if self._done:
-            raise RuntimeError("step() called on a finished episode; call reset()")
+        if self._episode is None:
+            raise RuntimeError("step() called before reset()")
         action = np.asarray(action, dtype=float)
         if action.shape != (ACT_DIM,):
             raise DataError(f"action must have shape ({ACT_DIM},)")
-        a = np.clip(action, -MAX_JOINT_SPEED, MAX_JOINT_SPEED)
-        self.q = np.clip(self.q + a * DT, -JOINT_LIMIT, JOINT_LIMIT)
-        tip = tip_position(self.q)
-        if not self.grasped and np.sqrt(np.sum((tip - self.obj) ** 2)) < GRASP_RADIUS:
-            self.grasped = True
-        if self.grasped:
-            self.obj = tip.copy()
-            dist = np.sqrt(np.sum((self.obj - self.tgt) ** 2))
-            reward = -dist + (1.0 if dist < SUCCESS_RADIUS else 0.0)
-        else:
-            reward = -np.sqrt(np.sum((tip - self.obj) ** 2))
-        self._steps += 1
-        self._done = self._steps >= HORIZON
-        return _observation(self.q, tip, self.obj, self.tgt), float(reward), self._done
+        reward = self._episode.step(action[None])[0]
+        return self._episode.observe()[0], float(reward), self._episode.done
 
     @property
     def success(self) -> bool:
-        return bool(self.grasped and np.sqrt(np.sum((self.obj - self.tgt) ** 2)) < SUCCESS_RADIUS)
+        return bool(self._episode.successes[0])
 
 
 class BatchedRelocate:
-    """Lockstep batch of episodes; same update rules as ToyRelocateEnv."""
+    """Lockstep batch of episodes: the one implementation of the step rules."""
 
     def __init__(self, seeds):
         self.n = len(seeds)
@@ -168,10 +150,17 @@ class BatchedRelocate:
         self.grasped = np.zeros(self.n, dtype=bool)
         self._steps = 0
 
+    @property
+    def done(self) -> bool:
+        """Every episode of the batch has run the full horizon."""
+        return self._steps >= HORIZON
+
     def observe(self) -> np.ndarray:
         return _observation(self.q, tip_position(self.q), self.obj, self.tgt)
 
     def step(self, actions: np.ndarray) -> np.ndarray:
+        if self.done:
+            raise RuntimeError("step() called on a finished episode")
         a = np.clip(actions, -MAX_JOINT_SPEED, MAX_JOINT_SPEED)
         self.q = np.clip(self.q + a * DT, -JOINT_LIMIT, JOINT_LIMIT)
         tip = tip_position(self.q)

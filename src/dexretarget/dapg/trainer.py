@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from ..demopipe import Demonstration
-from ..errors import DataError, NumericalError
+from ..errors import DataError, NumericalError, check_number_fields
 from .env import ACT_DIM, HORIZON, OBS_DIM, BatchedRelocate
 from .nets import Adam, GaussianPolicy, ValueFunction
 
@@ -38,12 +39,20 @@ class DapgConfig:
     bc_epochs: int = 50
     bc_learning_rate: float = 1e-2
     value_epochs: int = 5
-    clamp_demo_weight: bool = True  # formula-literal mode when False
     hidden: tuple[int, ...] = (32, 32)
     log_std_init: float = -0.5
     checkpoint_every: int = 0
 
     def __post_init__(self):
+        check_number_fields(
+            self,
+            reals=("lambda0", "lambda1", "learning_rate", "value_learning_rate", "discount",
+                   "bc_learning_rate", "log_std_init"),
+            integers=("batch_trajectories", "iterations", "seed", "bc_epochs", "value_epochs",
+                      "checkpoint_every"),
+        )
+        if not all(isinstance(w, Integral) and not isinstance(w, bool) and w > 0 for w in self.hidden):
+            raise DataError(f"hidden layer widths must be positive integers, got {self.hidden!r}")
         if not (0.0 <= self.lambda0 <= 1.0 and 0.0 <= self.lambda1 < 1.0):
             raise DataError("need 0 <= lambda0 <= 1 and 0 <= lambda1 < 1")
         if self.learning_rate <= 0:
@@ -256,7 +265,6 @@ def train(
         grad, weight = dapg_gradient(
             policy, batch, advantages, demo_states, demo_actions,
             config.lambda0 if demos else 0.0, config.lambda1, k,
-            clamp_demo_weight=config.clamp_demo_weight,
         )
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {k}")

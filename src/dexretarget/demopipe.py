@@ -2,7 +2,7 @@
 
 translate() turns one recorded hand-pose stream into a robot demonstration:
 calibrate the shape, build the customized hand, retarget its joint trajectory
-onto the target robot, compute actions (filtered position targets and/or
+onto the target robot, compute actions (filtered position targets or
 torques), and derive palm velocity commands by finite-differencing the wrist
 transform recovered from the observed keypoints.
 
@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .control import gamma_from_cutoff
-from .dynamics import BOTH, POSITION, TORQUE, compute_actions
-from .errors import DataError, DemoFormatError, NumericalError
+from .dynamics import POSITION, TORQUE, compute_actions
+from .errors import DataError, DemoFormatError, NumericalError, check_number_fields
 from .handgen import build_custom_hand, default_template, load_template
 from .kinematics import KinematicTree, forward_kinematics, load_robot
 from .poseio import HandPoseStream, calibrate, solve_wrists
@@ -60,7 +60,12 @@ class PipelineConfig:
     template: str | Path | None = None    # customized-hand template override
 
     def __post_init__(self):
-        if self.action_mode not in (TORQUE, POSITION, BOTH):
+        check_number_fields(
+            self,
+            reals=("alpha", "cutoff_hz", "grad_tol") + (("gamma",) if self.gamma is not None else ()),
+            integers=("calibration_frames", "max_iterations"),
+        )
+        if self.action_mode not in (TORQUE, POSITION):
             raise DataError(f"unknown action mode '{self.action_mode}'")
         if self.alpha < 0:
             raise DataError("alpha must be nonnegative")
@@ -74,12 +79,16 @@ class PipelineConfig:
             doc = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read pipeline config: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DataError("pipeline config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
         for key in ("robot", "keypoint_map", "template"):
             if doc.get(key):
+                if not isinstance(doc[key], str):
+                    raise DataError(f"{key} must be a path, got {doc[key]!r}")
                 doc[key] = str((base / doc[key]) if not Path(doc[key]).is_absolute() else Path(doc[key]))
         return cls(**doc)
 
@@ -114,10 +123,6 @@ class Demonstration:
             raise DemoFormatError("action width does not match action_layout")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
-
-    @property
-    def num_steps(self) -> int:
-        return self.actions.shape[0]
 
 
 def _sha256(text: str) -> str:
@@ -202,10 +207,8 @@ def translate_timed(
     t0 = time.perf_counter()
 
     gamma = config.gamma if config.gamma is not None else gamma_from_cutoff(config.cutoff_hz, dt)
-    # The demo keeps torques only in torque mode, so "both" needs no RNEA here.
-    mode = TORQUE if config.action_mode == TORQUE else POSITION
     try:
-        action_frames = compute_actions(target, q_traj, dt, gamma, mode=mode)
+        finger_track = compute_actions(target, q_traj, dt, gamma, mode=config.action_mode)
     except (DataError, NumericalError) as exc:
         raise type(exc)(f"action stage: {exc}") from exc
     timings["actions"] = time.perf_counter() - t0
@@ -215,12 +218,7 @@ def translate_timed(
     palm_vel = _palm_velocities(wrist_rotation, wrist_translation, dt)
 
     finger_width = target.num_actuated
-    if config.action_mode == TORQUE:
-        finger_track = np.stack([f.torque for f in action_frames])
-        finger_field = "finger_torque"
-    else:
-        finger_track = np.stack([f.position_target for f in action_frames])
-        finger_field = "finger_position_target"
+    finger_field = "finger_torque" if config.action_mode == TORQUE else "finger_position_target"
 
     n_frames = len(stream.frames)
     object_pose = np.asarray(stream.metadata.get("object_pose", [1, 0, 0, 0, 0, 0, 0]), dtype=float)

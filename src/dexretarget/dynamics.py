@@ -21,7 +21,6 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 
 TORQUE = "torque"
 POSITION = "position"
-BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -47,13 +46,6 @@ class DynamicsInput:
         object.__setattr__(self, "qd", qd)
         object.__setattr__(self, "qdd", qdd)
         object.__setattr__(self, "gravity", g)
-
-
-@dataclass(frozen=True)
-class ActionFrame:
-    timestamp: float
-    torque: np.ndarray | None
-    position_target: np.ndarray | None
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -172,33 +164,22 @@ def compute_actions(
     qtraj: np.ndarray,
     dt: float,
     gamma: float,
-    mode: str = BOTH,
+    mode: str,
     gravity: np.ndarray = GRAVITY,
-) -> list[ActionFrame]:
-    """Filter, differentiate and evaluate inverse dynamics over a trajectory.
+) -> np.ndarray:
+    """(T, n) actions for a (T, n) joint trajectory, one row per frame.
 
-    Position targets are the filtered trajectory itself (the PD setpoints);
-    torques come from RNEA on the filtered, differentiated signal.
+    Position mode returns the low-pass filtered trajectory itself (the PD
+    setpoints); torque mode returns RNEA torques on the filtered,
+    differentiated signal.
     """
-    if mode not in (TORQUE, POSITION, BOTH):
+    if mode not in (TORQUE, POSITION):
         raise DataError(f"unknown action mode '{mode}'")
     q = np.asarray(qtraj, dtype=float)
     if q.ndim != 2 or q.shape[1] != tree.num_actuated:
         raise DataError("trajectory must be (T, num_actuated)")
     filtered = low_pass_trajectory(q, gamma)
-
-    torques = None
-    if mode in (TORQUE, BOTH):
-        qd, qdd = differentiate_trajectory(filtered, dt)
-        torques = inverse_dynamics(tree, DynamicsInput(filtered, qd, qdd, gravity))
-
-    frames = []
-    for t in range(filtered.shape[0]):
-        frames.append(
-            ActionFrame(
-                timestamp=t * dt,
-                torque=torques[t] if torques is not None else None,
-                position_target=filtered[t].copy() if mode in (POSITION, BOTH) else None,
-            )
-        )
-    return frames
+    if mode == POSITION:
+        return filtered
+    qd, qdd = differentiate_trajectory(filtered, dt)
+    return inverse_dynamics(tree, DynamicsInput(filtered, qd, qdd, gravity))

@@ -5,6 +5,7 @@ mismatches, violated invariants); NumericalError covers failures that occur
 with well-formed inputs (solver divergence, NaN parameters). The CLI maps
 these onto exit codes 2 and 3 respectively.
 """
+from numbers import Integral, Real
 
 
 class DexError(Exception):
@@ -35,3 +36,13 @@ class DemoFormatError(DataError):
 
 class NumericalError(DexError, RuntimeError):
     """Numerical failure on otherwise valid input."""
+
+
+def check_number_fields(config, reals=(), integers=()):
+    """Raise DataError unless each named attribute of config holds a real
+    number (`reals`) or an integer (`integers`); booleans count as neither."""
+    for names, kind, what in ((reals, Real, "a number"), (integers, Integral, "an integer")):
+        for name in names:
+            value = getattr(config, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise DataError(f"{name} must be {what}, got {value!r}")

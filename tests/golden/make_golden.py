@@ -7,7 +7,10 @@ change float bits but not results. It holds:
   and adroit, in position and torque mode;
 - customized-hand forward kinematics and keypoint Jacobians at seeded poses;
 - inverse dynamics and the joint-space mass matrix at seeded states for each
-  bundled robot.
+  bundled robot;
+- the toy-relocate simulator: states, actions and returns of the scripted
+  expert's demonstrations, and a lockstep rollout over fixed seeds driven by
+  seeded random actions (observations, rewards, final successes).
 
 Regenerate only for an intended change of behaviour, from the repo root:
 
@@ -21,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from dexretarget import assets
+from dexretarget.dapg.env import HORIZON, BatchedRelocate, demos_from_expert, scripted_expert_action
 from dexretarget.demopipe import PipelineConfig, translate
 from dexretarget.dynamics import DynamicsInput, inverse_dynamics, mass_matrix
 from dexretarget.handgen import HandShapeParams, build_custom_hand, default_template
@@ -34,6 +38,8 @@ SEED = 20220425
 HAND_POSES = 6
 DYNAMICS_STATES = 6
 MASS_MATRIX_POSES = 3
+EXPERT_DEMOS = 5
+RELOCATE_SEEDS = tuple(range(16))
 
 
 def hand_cases(rng: np.random.Generator):
@@ -54,6 +60,26 @@ def dynamics_cases(rng: np.random.Generator, tree):
     qdd = rng.normal(scale=20.0, size=(DYNAMICS_STATES, n))
     q_mass = rng.uniform(lower, upper, size=(MASS_MATRIX_POSES, n))
     return q, qd, qdd, q_mass
+
+
+def relocate_rollout(rng: np.random.Generator):
+    """Step a batch through a full horizon with seeded random actions.
+
+    The first four episodes drift towards the joint limits, the last eight
+    follow the scripted expert under noise so that they grasp and most of
+    them succeed, and the rest only wander.
+    """
+    env = BatchedRelocate(RELOCATE_SEEDS)
+    n = len(RELOCATE_SEEDS)
+    observations = [env.observe()]
+    rewards = []
+    for _ in range(HORIZON):
+        actions = rng.normal(scale=1.5, size=(n, 3))
+        actions[:4] += 1.0
+        actions[8:] += np.stack([scripted_expert_action(obs) for obs in observations[-1][8:]])
+        rewards.append(env.step(actions))
+        observations.append(env.observe())
+    return np.stack(observations), np.stack(rewards), env.successes.copy()
 
 
 def compute() -> dict[str, np.ndarray]:
@@ -89,6 +115,15 @@ def compute() -> dict[str, np.ndarray]:
         )
         out[f"mass/{robot}/q"] = q_mass
         out[f"mass/{robot}/m"] = np.stack([mass_matrix(tree, qm) for qm in q_mass])
+
+    demos = demos_from_expert(EXPERT_DEMOS, seed=0)
+    out["expert/states"] = np.stack([d.states for d in demos])
+    out["expert/actions"] = np.stack([d.actions for d in demos])
+    out["expert/returns"] = np.array([d.provenance["return"] for d in demos])
+    obs, rewards, successes = relocate_rollout(rng)
+    out["relocate/observations"] = obs
+    out["relocate/rewards"] = rewards
+    out["relocate/successes"] = successes
     return out
 
 

@@ -184,6 +184,33 @@ def test_expert_then_train_both_modes(tmp_path, capsys):
         assert len(table) == 3
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("train", "not json"),
+        ("train", json.dumps({"learning_rate": "x"})),
+        ("train", json.dumps([1, 2])),
+        ("train", json.dumps({"clamp_demo_weight": False})),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "alpha": "x"})),
+        ("translate", json.dumps(["robot"])),
+    ],
+    ids=["train-not-json", "train-learning-rate-str", "train-not-object", "train-removed-key",
+         "translate-alpha-str", "translate-not-object"],
+)
+def test_bad_config_value_exit_2(command, text, short_stream_file, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    if command == "train":
+        argv = ["train", "--config", str(config), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["translate", "--stream", str(short_stream_file), "--config", str(config),
+                "--out", str(tmp_path / "o.demo")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "Traceback" not in err
+
+
 def test_train_rejects_unknown_env(tmp_path):
     assert main(["train", "--env", "warehouse", "--out", str(tmp_path)]) == 2
 

@@ -14,7 +14,7 @@ from dexretarget.dapg import (
     demos_from_expert,
     train,
 )
-from dexretarget.dapg.env import BatchedRelocate, arm_tree, run_expert_episode, tip_position
+from dexretarget.dapg.env import HORIZON, BatchedRelocate, arm_tree, run_expert_episode, tip_position
 from dexretarget.dapg.trainer import Batch, demo_arrays, discounted_to_go, rollout_batch
 from dexretarget.demopipe import read_demo, write_demo
 from dexretarget.errors import DataError
@@ -59,6 +59,18 @@ def test_step_after_done_raises():
     assert done
     with pytest.raises(RuntimeError):
         env.step(np.zeros(3))
+
+
+def test_step_before_reset_and_past_horizon_raise():
+    with pytest.raises(RuntimeError):
+        ToyRelocateEnv().step(np.zeros(3))
+    batch = BatchedRelocate([1, 2])
+    for _ in range(HORIZON):
+        assert not batch.done
+        batch.step(np.zeros((2, 3)))
+    assert batch.done
+    with pytest.raises(RuntimeError):
+        batch.step(np.zeros((2, 3)))
 
 
 def test_env_tip_matches_kinematics_chain():

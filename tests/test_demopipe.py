@@ -355,27 +355,18 @@ def test_torque_action_mode_emits_torques(short_stream):
     assert not np.array_equal(torques, position_demo.actions[:, 6:])
 
 
-def test_both_action_mode_uses_position_targets(short_stream):
-    both = translate(short_stream, make_config("allegro", action_mode="both"))
-    position = translate(short_stream, make_config("allegro", action_mode="position"))
-    assert dict(both.action_layout)["finger_position_target"] == 16
-    assert np.array_equal(both.actions, position.actions)
+def test_both_action_mode_rejected():
+    with pytest.raises(DataError, match="unknown action mode 'both'"):
+        make_config("allegro", action_mode="both")
 
 
-def test_both_action_mode_skips_inverse_dynamics(short_stream, monkeypatch):
-    import dexretarget.demopipe as demopipe
+def test_both_action_mode_flag_is_usage_error(tmp_path, capsys):
+    from dexretarget.cli import main
 
-    modes = []
-    real = demopipe.compute_actions
-
-    def recording(*args, mode, **kwargs):
-        modes.append(mode)
-        return real(*args, mode=mode, **kwargs)
-
-    monkeypatch.setattr(demopipe, "compute_actions", recording)
-    translate(short_stream, make_config("allegro", action_mode="both"))
-    translate(short_stream, make_config("allegro", action_mode="torque"))
-    assert modes == ["position", "torque"]
+    code = main(["translate", "--stream", "s.jsonl", "--config", "c.json",
+                 "--out", str(tmp_path / "o.demo"), "--action-mode", "both"])
+    assert code == 1
+    assert "invalid choice: 'both'" in capsys.readouterr().err
 
 
 def test_tree_and_problem_share_safely_across_threads():

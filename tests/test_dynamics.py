@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dexretarget.control import low_pass_trajectory
 from dexretarget.dynamics import (
     DynamicsInput,
     compute_actions,
@@ -202,10 +203,10 @@ def test_actions_static_zero_gravity():
     tree = load_robot(random_chain_doc(rng, 3))
     q = rng.uniform(-1, 1, size=3)
     traj = np.tile(q, (15, 1))
-    frames = compute_actions(tree, traj, 0.01, gamma=1.0, mode="both", gravity=np.zeros(3))
-    for frame in frames:
-        assert frame.torque == pytest.approx(np.zeros(3), abs=1e-12)
-        assert frame.position_target == pytest.approx(q, abs=1e-15)
+    torques = compute_actions(tree, traj, 0.01, gamma=1.0, mode="torque", gravity=np.zeros(3))
+    targets = compute_actions(tree, traj, 0.01, gamma=1.0, mode="position", gravity=np.zeros(3))
+    assert np.abs(torques).max() < 1e-12
+    assert np.abs(targets - q).max() < 1e-15
 
 
 def test_actions_pendulum_swing_matches_analytic():
@@ -213,22 +214,28 @@ def test_actions_pendulum_swing_matches_analytic():
     dt = 1e-3
     ts = np.arange(0.0, 1.0, dt)
     theta = 0.5 * np.sin(2 * np.pi * ts)
-    frames = compute_actions(tree, theta[:, None], dt, gamma=1.0, mode="torque")
-    got = np.array([f.torque[0] for f in frames])
+    got = compute_actions(tree, theta[:, None], dt, gamma=1.0, mode="torque")[:, 0]
     expected = pendulum_torque(theta, -0.5 * (2 * np.pi) ** 2 * np.sin(2 * np.pi * ts))
     assert np.abs(got - expected).max() < 1e-3
 
 
-@pytest.mark.parametrize("mode", ["torque", "position", "both"])
+@pytest.mark.parametrize("mode", ["torque", "position"])
 def test_actions_length_matches_input(mode):
     rng = np.random.default_rng(6)
     tree = load_robot(random_chain_doc(rng, 2))
     traj = rng.normal(scale=0.2, size=(9, 2))
-    frames = compute_actions(tree, traj, 0.05, gamma=0.6, mode=mode)
-    assert len(frames) == 9
-    for frame in frames:
-        assert (frame.torque is not None) == (mode in ("torque", "both"))
-        assert (frame.position_target is not None) == (mode in ("position", "both"))
+    actions = compute_actions(tree, traj, 0.05, gamma=0.6, mode=mode)
+    assert isinstance(actions, np.ndarray)
+    assert actions.shape == (9, 2)
+    assert np.all(np.isfinite(actions))
+    if mode == "position":
+        assert np.array_equal(actions, low_pass_trajectory(traj, 0.6))
+
+
+def test_actions_reject_unknown_mode():
+    tree = load_robot(pendulum_doc())
+    with pytest.raises(DataError, match="unknown action mode 'both'"):
+        compute_actions(tree, np.zeros((5, 1)), 0.05, gamma=0.6, mode="both")
 
 
 def test_missing_inertials_rejected():

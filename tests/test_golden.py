@@ -4,7 +4,9 @@ The fixture (tests/golden/golden.npz) was generated by
 tests/golden/make_golden.py; this test reruns the same computations on the
 current code. Tolerances: joint angles, states and non-torque actions 1e-9
 absolute; torques and mass-matrix entries 1e-9 relative plus 1e-12
-absolute; forward kinematics and Jacobians 1e-12 absolute.
+absolute; forward kinematics and Jacobians 1e-12 absolute; toy-relocate
+states, actions, returns, observations and rewards 1e-9 absolute, and episode
+successes exactly.
 """
 from __future__ import annotations
 
@@ -68,3 +70,14 @@ def test_golden_hand_kinematics(golden, current):
 def test_golden_dynamics(golden, current, robot):
     assert_torques_close(current[f"rnea/{robot}/tau"], golden[f"rnea/{robot}/tau"])
     assert_torques_close(current[f"mass/{robot}/m"], golden[f"mass/{robot}/m"])
+
+
+def test_golden_expert_demos(golden, current):
+    for key in ("expert/states", "expert/actions", "expert/returns"):
+        np.testing.assert_allclose(current[key], golden[key], rtol=0, atol=ABS_TOL, err_msg=key)
+
+
+def test_golden_relocate_rollout(golden, current):
+    for key in ("relocate/observations", "relocate/rewards"):
+        np.testing.assert_allclose(current[key], golden[key], rtol=0, atol=ABS_TOL, err_msg=key)
+    np.testing.assert_array_equal(current["relocate/successes"], golden["relocate/successes"])
