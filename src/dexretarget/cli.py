@@ -154,8 +154,10 @@ def cmd_train(args) -> int:
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise DataError(f"cannot parse training config: {exc}") from exc
+        except FileNotFoundError:
+            raise  # a usage error, as for the pipeline config
+        except (OSError, json.JSONDecodeError) as exc:
+            raise DataError(f"cannot read training config: {exc}") from exc
         if not isinstance(doc, dict):
             raise DataError("training config must be a JSON object")
         known = set(DapgConfig.__dataclass_fields__)

@@ -51,6 +51,9 @@ class DapgConfig:
             integers=("batch_trajectories", "iterations", "seed", "bc_epochs", "value_epochs",
                       "checkpoint_every"),
         )
+        for name in ("batch_trajectories", "iterations"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not all(isinstance(w, Integral) and not isinstance(w, bool) and w > 0 for w in self.hidden):
             raise DataError(f"hidden layer widths must be positive integers, got {self.hidden!r}")
         if not (0.0 <= self.lambda0 <= 1.0 and 0.0 <= self.lambda1 < 1.0):

@@ -26,15 +26,16 @@ from .control import gamma_from_cutoff
 from .dynamics import POSITION, TORQUE, compute_actions
 from .errors import DataError, DemoFormatError, NumericalError, check_number_fields
 from .handgen import build_custom_hand, default_template, load_template
-from .kinematics import KinematicTree, forward_kinematics, load_robot
+from .kinematics import _keypoint_positions, load_robot
 from .poseio import HandPoseStream, calibrate, solve_wrists
 from .retarget import (
     DEFAULT_ALPHA,
     KeypointMap,
     RetargetProblem,
     SolverSettings,
+    _source_poses,
     read_keypoint_map,
-    retarget_trajectory,
+    retarget_keypoints,
 )
 from .transforms import quat_conjugate, quat_multiply, quat_to_rotvec
 
@@ -77,6 +78,8 @@ class PipelineConfig:
         base = Path(path).parent
         try:
             doc = json.loads(Path(path).read_text())
+        except FileNotFoundError:
+            raise  # a missing file is a usage error, as for every other input file
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read pipeline config: {exc}") from exc
         if not isinstance(doc, dict):
@@ -129,16 +132,19 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _wrist_trajectory(stream: HandPoseStream, hand: KinematicTree) -> tuple[np.ndarray, np.ndarray]:
+def _wrist_trajectory(
+    stream: HandPoseStream, names: tuple[str, ...], keypoints: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame wrist rotation (T, 4) and translation (T, 3) from observed
-    keypoints; frames without keypoints get the identity."""
+    keypoints, given the customized hand's (T, K, 3) keypoints `names` at
+    the stream's poses; frames without keypoints get the identity."""
     frames = stream.frames
     rotation = np.tile([1.0, 0.0, 0.0, 0.0], (len(frames), 1))
     translation = np.zeros((len(frames), 3))
     seen = [i for i, frame in enumerate(frames) if frame.observed_keypoints]
     if not seen:
         return rotation, translation
-    canonical = forward_kinematics(hand, stream.pose_matrix()[seen])
+    canonical = {name: keypoints[seen, k] for k, name in enumerate(names)}
     results, _ = solve_wrists(canonical, [frames[i].observed_keypoints for i in seen])
     for i, result in zip(seen, results):
         if isinstance(result, DataError):
@@ -197,9 +203,11 @@ def translate_timed(
     )
     lower, upper = target.joint_limits()
     q0 = np.clip(np.zeros(target.num_actuated), lower, upper)
-    source_traj = stream.pose_matrix()
     try:
-        results = retarget_trajectory(problem, source_traj, q0)
+        # The customized hand's one FK: it gives the source keypoints here
+        # and the canonical keypoints of the wrist solve below.
+        hand_poses = _source_poses(problem, stream.pose_matrix())
+        results = retarget_keypoints(problem, problem._source_points(*hand_poses), q0)
     except (DataError, NumericalError) as exc:
         raise type(exc)(f"retarget stage: {exc}") from exc
     q_traj = np.stack([r.q for r in results])
@@ -214,7 +222,8 @@ def translate_timed(
     timings["actions"] = time.perf_counter() - t0
     t0 = time.perf_counter()
 
-    wrist_rotation, wrist_translation = _wrist_trajectory(stream, hand)
+    hand_keypoints = _keypoint_positions(hand, *hand_poses, slice(None))
+    wrist_rotation, wrist_translation = _wrist_trajectory(stream, hand.keypoint_names, hand_keypoints)
     palm_vel = _palm_velocities(wrist_rotation, wrist_translation, dt)
 
     finger_width = target.num_actuated

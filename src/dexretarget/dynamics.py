@@ -65,9 +65,10 @@ def inverse_dynamics(tree: KinematicTree, inp: DynamicsInput) -> np.ndarray:
     single = q.ndim == 1
     q = np.atleast_2d(q)
     qd, qdd = np.atleast_2d(inp.qd), np.atleast_2d(inp.qdd)
+    # Everything per link runs in the tree's slot order (root = slot 0).
     n_links = len(tree.links)
-    joints = tree._joint_links
-    inertials = [tree.inertials[link.id] for link in tree.links]
+    joints = tree._joint_slots
+    inertials = [tree.inertials[tree.links[i].id] for i in tree._order]
     mass = np.array([i.mass for i in inertials])[:, None]
     com = np.array([i.com for i in inertials])
     inertia = np.array([i.inertia for i in inertials])
@@ -80,8 +81,11 @@ def inverse_dynamics(tree: KinematicTree, inp: DynamicsInput) -> np.ndarray:
     qdd_l = np.zeros_like(qd_l)
     qd_l[:, joints, 0] = qd
     qdd_l[:, joints, 0] = qdd
-    # child <- parent rotation of every link
-    rot_cp = np.swapaxes(tree._origin_rot @ _joint_rotations(tree, q), -1, -2)
+    # child <- parent rotation of every link; the root's joint is the identity
+    joint = np.empty(q.shape[:1] + (n_links, 3, 3))
+    joint[:, 0] = np.eye(3)
+    joint[:, 1:] = _joint_rotations(tree, q)
+    rot_cp = np.swapaxes(tree._origin_rot @ joint, -1, -2)
 
     w = np.empty(qd_l.shape[:2] + (3,))
     wd = np.empty_like(w)
@@ -97,17 +101,19 @@ def inverse_dynamics(tree: KinematicTree, inp: DynamicsInput) -> np.ndarray:
 
     # The root's parent is at rest; gravity enters as a base acceleration.
     rest = np.zeros(q.shape[:1] + (1, 3))
-    forward([tree._index[tree.root]], rest, rest, rest - inp.gravity)
+    forward(slice(0, 1), rest, rest, rest - inp.gravity)
     for links, parents, *_ in tree._levels:
         forward(links, w[:, parents], wd[:, parents], a[:, parents])
 
     a_com = a + cross(wd, com) + cross(w, cross(w, com))
     f = mass * a_com
     nt = _matvec(inertia, wd) + cross(w, _matvec(inertia, w)) + cross(com, f)
-    for links, parents, *_ in reversed(tree._levels):
+    for links, *_ in reversed(tree._levels):
         r_pc = np.swapaxes(rot_cp[:, links], -1, -2)
         fc = _matvec(r_pc, f[:, links])
         nc = _matvec(r_pc, nt[:, links]) + cross(off[links], fc)
+        # Siblings add into a shared parent one by one, in slot order.
+        parents = tree._parent_slots[links]
         np.add.at(f, (slice(None), parents), fc)
         np.add.at(nt, (slice(None), parents), nc)
 

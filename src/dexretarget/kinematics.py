@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DescriptionError
-from .transforms import RigidTransform, axis_angle_matrix, cross, quat_from_rpy
+from .transforms import RigidTransform, _axis_terms, _rodrigues, cross, quat_from_rpy
 
 _AXIS_TOL = 1e-9
 _PSD_TOL = -1e-9
@@ -60,6 +61,25 @@ class Keypoint:
     offset: np.ndarray
 
 
+class _Level(NamedTuple):
+    """One tree depth of the slot layout.
+
+    The level's links fill the slots `links`, and their joint rotations the
+    entries `joints` (slot - 1: the root has none). `parents` is a slice of
+    parent slots when it can be one: a single shared parent (a length-1
+    slice that broadcasts) or a run of consecutive parents (a chain); it is
+    an index array only where the level branches or skips a chain that has
+    ended. `origin_rot` (k, 3, 3) and
+    `origin_trans` (k, 3, 1) are views of the tree's slot-ordered origins.
+    """
+
+    links: slice
+    parents: slice | np.ndarray
+    joints: slice
+    origin_rot: np.ndarray
+    origin_trans: np.ndarray
+
+
 @dataclass(frozen=True)
 class KinematicTree:
     """Immutable articulated chain; safe to share across threads."""
@@ -70,19 +90,26 @@ class KinematicTree:
     inertials: dict[str, Inertial]
     keypoints: tuple[Keypoint, ...]
     geometry: tuple[dict, ...] = ()
-    # Derived read-only caches, filled by _finalize.
+    # Derived read-only caches, filled by _finalize. Link poses are computed
+    # in slot order: the root is slot 0, then the links level by level, each
+    # level ordered by its links' parent slots (siblings in description order).
     root: str = field(default="", repr=False)
-    _index: dict[str, int] = field(default_factory=dict, repr=False)
-    # Per tree depth 1, 2, ... (the root alone is depth 0): the links, their
-    # parents, origin rotations (k, 3, 3) and origin translations (k, 3, 1).
-    _levels: tuple[tuple[np.ndarray, ...], ...] = field(default=(), repr=False)
-    _origin_rot: np.ndarray = field(default=None, repr=False)
-    _origin_trans: np.ndarray = field(default=None, repr=False)
+    _index: dict[str, int] = field(default_factory=dict, repr=False)  # description order
+    _order: np.ndarray = field(default=None, repr=False)          # link index per slot
+    _parent_slots: np.ndarray = field(default=None, repr=False)   # -1 for the root
+    _origin_rot: np.ndarray = field(default=None, repr=False)     # (n_links, 3, 3)
+    _origin_trans: np.ndarray = field(default=None, repr=False)   # (n_links, 3)
+    # Per non-root slot: the q column of its joint (num_actuated for a fixed
+    # joint) and the Rodrigues terms of its axis (zero for a fixed joint).
+    _joint_cols: np.ndarray = field(default=None, repr=False)
+    _joint_outer: np.ndarray = field(default=None, repr=False)
+    _joint_skew: np.ndarray = field(default=None, repr=False)
+    _levels: tuple[_Level, ...] = field(default=(), repr=False)
     _actuated: tuple[str, ...] = field(default=(), repr=False)
-    _joint_links: np.ndarray = field(default=None, repr=False)  # link index per q column
+    _joint_slots: np.ndarray = field(default=None, repr=False)  # slot per q column
     _joint_axes: np.ndarray = field(default=None, repr=False)   # (num_actuated, 3)
     _kp_row: dict[str, int] = field(default_factory=dict, repr=False)
-    _kp_links: np.ndarray = field(default=None, repr=False)
+    _kp_slots: np.ndarray = field(default=None, repr=False)
     _kp_offsets: np.ndarray = field(default=None, repr=False)
     # [k, j]: joint column j lies on the root-to-keypoint-k chain.
     _kp_joint_mask: np.ndarray = field(default=None, repr=False)
@@ -139,15 +166,18 @@ def _finalize(tree: KinematicTree) -> KinematicTree:
             raise DescriptionError("link references missing parent", element=link.id)
         children[link.parent].append(link.id)
 
-    # Depth-first order from the root; anything unreached is a cycle or orphan.
-    topo: list[int] = []
-    stack = [root]
-    while stack:
-        lid = stack.pop()
-        topo.append(index[lid])
-        stack.extend(reversed(children[lid]))
-    if len(topo) != len(tree.links):
-        missing = sorted(set(index) - {tree.links[i].id for i in topo})
+    # Slot order: the root, then depth by depth each link's children in
+    # description order, so a level's links follow their parents' slots.
+    # Anything unreached is a cycle or orphan.
+    slot_ids = [root]
+    bounds = []  # slot range of each depth 1, 2, ...
+    start = 0
+    while level := [c for lid in slot_ids[start:] for c in children[lid]]:
+        start = len(slot_ids)
+        slot_ids.extend(level)
+        bounds.append((start, len(slot_ids)))
+    if len(slot_ids) != len(tree.links):
+        missing = sorted(set(index) - set(slot_ids))
         raise DescriptionError("cycle in parent graph", element=missing[0])
 
     for link in tree.links:
@@ -190,51 +220,65 @@ def _finalize(tree: KinematicTree) -> KinematicTree:
         if kp.link not in index:
             raise DescriptionError("keypoint references missing link", element=kp.name)
 
-    n = len(tree.links)
-    parent_idx = np.full(n, -1, dtype=int)
-    depth = np.zeros(n, dtype=int)
-    origin_rot = np.zeros((n, 3, 3))
-    origin_trans = np.zeros((n, 3))
-    for i in topo:
-        link = tree.links[i]
-        if link.parent is not None:
-            parent_idx[i] = index[link.parent]
-            depth[i] = depth[parent_idx[i]] + 1
-        origin_rot[i] = link.origin.matrix()
-        origin_trans[i] = link.origin.translation
-    levels = []
-    for d in range(1, int(depth.max()) + 1):
-        links = np.flatnonzero(depth == d)
-        levels.append((links, parent_idx[links], origin_rot[links], origin_trans[links, :, None]))
+    n = len(slot_ids)
+    slot = {lid: s for s, lid in enumerate(slot_ids)}
+    links = [tree.links[index[lid]] for lid in slot_ids]
+    order = np.array([index[lid] for lid in slot_ids], dtype=int)
+    parent_slots = np.array([-1] + [slot[link.parent] for link in links[1:]], dtype=int)
+    origin_rot = np.array([link.origin.matrix() for link in links]).reshape(n, 3, 3)
+    origin_trans = np.array([link.origin.translation for link in links]).reshape(n, 3)
 
     actuated = tuple(c for c, j in tree.joints.items() if j.type == REVOLUTE)
-    joint_links = np.array([index[c] for c in actuated], dtype=int)
+    column = {c: col for col, c in enumerate(actuated)}  # link id -> q column
+    joint_slots = np.array([slot[c] for c in actuated], dtype=int)
     joint_axes = np.array([tree.joints[c].axis for c in actuated], dtype=float).reshape(-1, 3)
-    column = {int(i): col for col, i in enumerate(joint_links)}
+    # Computed on the column-ordered axes, exactly as axis_angle_matrix would.
+    outer, skew = _axis_terms(joint_axes)
+    joint_cols = np.array([column.get(link.id, len(actuated)) for link in links[1:]], dtype=int)
+    revolute = joint_cols < len(actuated)
+    joint_outer = np.zeros((n - 1, 3, 3))
+    joint_skew = np.zeros((n - 1, 3, 3))
+    joint_outer[revolute] = outer[joint_cols[revolute]]
+    joint_skew[revolute] = skew[joint_cols[revolute]]
 
-    kp_links = np.array([index[kp.link] for kp in tree.keypoints], dtype=int)
+    kp_slots = np.array([slot[kp.link] for kp in tree.keypoints], dtype=int)
     kp_offsets = np.array([kp.offset for kp in tree.keypoints], dtype=float).reshape(-1, 3)
     kp_joint_mask = np.zeros((len(tree.keypoints), len(actuated)), dtype=bool)
-    for k, i in enumerate(kp_links):
-        while i >= 0:
-            if i in column:
-                kp_joint_mask[k, column[i]] = True
-            i = parent_idx[i]
+    for k, s in enumerate(kp_slots):
+        while s >= 0:
+            if links[s].id in column:
+                kp_joint_mask[k, column[links[s].id]] = True
+            s = parent_slots[s]
 
-    for arr in (origin_rot, origin_trans, joint_links, joint_axes,
-                kp_links, kp_offsets, kp_joint_mask, *(a for level in levels for a in level)):
+    for arr in (order, parent_slots, origin_rot, origin_trans, joint_cols, joint_outer, joint_skew,
+                joint_slots, joint_axes, kp_slots, kp_offsets, kp_joint_mask):
         arr.flags.writeable = False
+
+    levels = []
+    for start, stop in bounds:
+        parents = parent_slots[start:stop]
+        if parents[0] == parents[-1]:
+            parents = slice(int(parents[0]), int(parents[0]) + 1)
+        elif np.all(np.diff(parents) == 1):
+            parents = slice(int(parents[0]), int(parents[-1]) + 1)
+        levels.append(_Level(slice(start, stop), parents, slice(start - 1, stop - 1),
+                            origin_rot[start:stop], origin_trans[start:stop, :, None]))
 
     object.__setattr__(tree, "root", root)
     object.__setattr__(tree, "_index", index)
-    object.__setattr__(tree, "_levels", tuple(levels))
+    object.__setattr__(tree, "_order", order)
+    object.__setattr__(tree, "_parent_slots", parent_slots)
     object.__setattr__(tree, "_origin_rot", origin_rot)
     object.__setattr__(tree, "_origin_trans", origin_trans)
+    object.__setattr__(tree, "_joint_cols", joint_cols)
+    object.__setattr__(tree, "_joint_outer", joint_outer)
+    object.__setattr__(tree, "_joint_skew", joint_skew)
+    object.__setattr__(tree, "_levels", tuple(levels))
     object.__setattr__(tree, "_actuated", actuated)
-    object.__setattr__(tree, "_joint_links", joint_links)
+    object.__setattr__(tree, "_joint_slots", joint_slots)
     object.__setattr__(tree, "_joint_axes", joint_axes)
     object.__setattr__(tree, "_kp_row", {kp.name: k for k, kp in enumerate(tree.keypoints)})
-    object.__setattr__(tree, "_kp_links", kp_links)
+    object.__setattr__(tree, "_kp_slots", kp_slots)
     object.__setattr__(tree, "_kp_offsets", kp_offsets)
     object.__setattr__(tree, "_kp_joint_mask", kp_joint_mask)
     return tree
@@ -445,29 +489,30 @@ def write_robot(tree: KinematicTree, path: str | Path):
 # ---------------------------------------------------------------------------
 
 def _joint_rotations(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
-    """Rotation (B, n_links, 3, 3) of every link's joint for a (B, n) stack.
+    """Joint rotations (B, n_links - 1, 3, 3) of the non-root slots for a (B, n) stack.
 
-    Revolute joints rotate by q about their axis; fixed joints (and the root)
-    get the identity. One Rodrigues evaluation covers all joints and frames.
+    One Rodrigues evaluation from the tree's axis terms covers all joints and
+    frames. A fixed joint reads angle 0 from an appended zero column, which
+    with its zero axis terms gives exactly the identity.
     """
-    rot = np.empty((q.shape[0], len(tree.links), 3, 3))
-    rot[:] = np.eye(3)
-    rot[:, tree._joint_links] = axis_angle_matrix(tree._joint_axes, q)
-    return rot
+    if len(tree.links) - 1 > tree.num_actuated:
+        q = np.concatenate((q, np.zeros((len(q), 1))), axis=1)
+    return _rodrigues(tree._joint_outer, tree._joint_skew, q[:, tree._joint_cols][..., None, None])
 
 
 def _link_poses(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World rotations (B, n_links, 3, 3) and origins (B, n_links, 3) for a (B, n) stack."""
+    """World rotations (B, n_links, 3, 3) and origins (B, n_links, 3), in slot
+    order, for a (B, n) stack. Each level reads its parents through a slice
+    where it can and writes one contiguous block."""
     joint = _joint_rotations(tree, q)
-    rot = np.empty_like(joint)
-    pos = np.empty(joint.shape[:-1])
-    root = tree._index[tree.root]
-    rot[:, root] = tree._origin_rot[root]
-    pos[:, root] = tree._origin_trans[root]
-    for links, parents, origin_rot, origin_trans in tree._levels:
+    rot = np.empty((len(q), len(tree.links), 3, 3))
+    pos = np.empty(rot.shape[:-1])
+    rot[:, 0] = tree._origin_rot[0]
+    pos[:, 0] = tree._origin_trans[0]
+    for links, parents, joints, origin_rot, origin_trans in tree._levels:
         rot_p = rot[:, parents]
         pos[:, links] = (rot_p @ origin_trans)[..., 0] + pos[:, parents]
-        rot[:, links] = (rot_p @ origin_rot) @ joint[:, links]
+        rot[:, links] = (rot_p @ origin_rot) @ joint[:, joints]
     return rot, pos
 
 
@@ -483,13 +528,16 @@ def link_poses(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     A (B, n) stack of joint vectors gives (B, n_links, 3, 3) and (B, n_links, 3).
     """
     qb, single = _as_batch(tree, q)
-    rot, pos = _link_poses(tree, qb)
+    slot_rot, slot_pos = _link_poses(tree, qb)
+    rot, pos = np.empty_like(slot_rot), np.empty_like(slot_pos)
+    rot[:, tree._order] = slot_rot
+    pos[:, tree._order] = slot_pos
     return (rot[0], pos[0]) if single else (rot, pos)
 
 
 def _keypoint_positions(tree, rot, pos, rows) -> np.ndarray:
-    links = tree._kp_links[rows]
-    return (rot[:, links] @ tree._kp_offsets[rows, :, None])[..., 0] + pos[:, links]
+    slots = tree._kp_slots[rows]
+    return (rot[:, slots] @ tree._kp_offsets[rows, :, None])[..., 0] + pos[:, slots]
 
 
 def forward_kinematics(tree: KinematicTree, q: np.ndarray) -> dict[str, np.ndarray]:
@@ -518,9 +566,9 @@ def _keypoint_jacobian_stack(tree, rot, pos, points, mask) -> np.ndarray:
     `points` (B, K, 3) are the keypoints' positions under the poses `rot`,
     `pos`, and `mask` (K, N) their rows of the keypoint x joint ancestor mask.
     """
-    links = tree._joint_links
-    axes = (rot[:, links] @ tree._joint_axes[:, :, None])[..., 0]             # (B, N, 3)
-    arms = points[:, :, None, :] - pos[:, None, links]                       # (B, K, N, 3)
+    slots = tree._joint_slots
+    axes = (rot[:, slots] @ tree._joint_axes[:, :, None])[..., 0]             # (B, N, 3)
+    arms = points[:, :, None, :] - pos[:, None, slots]                       # (B, K, N, 3)
     cols = np.where(mask[:, :, None], cross(axes[:, None], arms), 0.0)
     # C order, so each (3, N) Jacobian has the layout of a freshly built one
     # and the solver's products with it round as they always have.

@@ -15,7 +15,9 @@ returns an iterate whose objective exceeds the warm start's.
 Each point the solver visits costs one forward kinematics of the target: the
 link poses computed to probe a step are kept, and if the step is accepted the
 Jacobian at the new iterate is built from them. A trajectory's source
-keypoints come from one batched forward kinematics of the source hand.
+keypoints come from one batched forward kinematics of the source hand, and
+each frame after the first starts from the previous frame's final point,
+whose keypoints and Jacobian it reuses.
 """
 from __future__ import annotations
 
@@ -119,9 +121,12 @@ class RetargetProblem:
     def source_points(self, q_source: np.ndarray) -> np.ndarray:
         """Mapped source keypoints: (K, 3) for one joint vector, (T, K, 3) for a (T, n) stack."""
         qb, single = kinematics._as_batch(self.source, q_source)
-        rot, pos = kinematics._link_poses(self.source, qb)
-        points = kinematics._keypoint_positions(self.source, rot, pos, self._source_rows)
+        points = self._source_points(*kinematics._link_poses(self.source, qb))
         return points[0] if single else points
+
+    def _source_points(self, rot: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Mapped source keypoints (T, K, 3) from the source's link poses."""
+        return kinematics._keypoint_positions(self.source, rot, pos, self._source_rows)
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,13 @@ def _target_poses(problem: RetargetProblem, q: np.ndarray) -> tuple[np.ndarray, 
     return rot, pos, kinematics._keypoint_positions(problem.target, rot, pos, problem._target_rows)
 
 
+def _point(problem: RetargetProblem, poses: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Mapped keypoints (K, 3) and stacked Jacobian (3K, N) of a point from its poses."""
+    rot, pos, points = poses
+    jac = kinematics._keypoint_jacobian_stack(problem.target, rot, pos, points, problem._target_mask)
+    return points[0], jac[0].reshape(points[0].size, -1)
+
+
 def _probe_value(
     problem: RetargetProblem, points: np.ndarray, targets: np.ndarray, q: np.ndarray, q_prev: np.ndarray
 ) -> tuple[float, float]:
@@ -152,27 +164,24 @@ def _probe_value(
 
 
 def _linearize(
-    problem: RetargetProblem, poses: tuple[np.ndarray, ...], q: np.ndarray,
+    problem: RetargetProblem, point: tuple[np.ndarray, np.ndarray], q: np.ndarray,
     targets: np.ndarray, q_prev: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Objective, gradient, stacked Jacobian and RMS residual from a point's poses."""
-    rot, pos, points = poses
-    res = (points[0] - targets).reshape(-1)
-    jac = kinematics._keypoint_jacobian_stack(problem.target, rot, pos, points, problem._target_mask)
-    jac = jac[0].reshape(res.size, -1)
+) -> tuple[float, np.ndarray, float]:
+    """Objective, gradient and RMS residual at a point from its keypoints and Jacobian."""
+    points, jac = point
+    res = (points - targets).reshape(-1)
     sq_sum = float(res @ res)
     value = sq_sum + problem.alpha * float(np.sum((q - q_prev) ** 2))
     grad = 2.0 * (jac.T @ res) + 2.0 * problem.alpha * (q - q_prev)
-    return value, grad, jac, float(np.sqrt(sq_sum / len(targets)))
+    return value, grad, float(np.sqrt(sq_sum / len(targets)))
 
 
-def _linearize_at(
-    problem: RetargetProblem, q, q_source, q_prev
-) -> tuple[float, np.ndarray, np.ndarray, float]:
+def _linearize_at(problem: RetargetProblem, q, q_source, q_prev) -> tuple[float, np.ndarray, float]:
     """Validate one source frame and one target joint vector, then _linearize there."""
     targets = problem.source_points(q_source)
     q = problem.target.check_q(q, batch=False)
-    return _linearize(problem, _target_poses(problem, q), q, targets, np.asarray(q_prev, dtype=float))
+    point = _point(problem, _target_poses(problem, q))
+    return _linearize(problem, point, q, targets, np.asarray(q_prev, dtype=float))
 
 
 def retarget_objective(problem: RetargetProblem, q, q_source, q_prev) -> float:
@@ -194,13 +203,19 @@ def retarget_frame(
     lower, upper = problem.target.joint_limits()
     if np.any(q_prev < lower - 1e-9) or np.any(q_prev > upper + 1e-9):
         raise DataError("warm start lies outside the target joint limits")
-    return _solve(problem, problem.source_points(q_source), np.clip(q_prev, lower, upper), lower, upper)
+    targets = problem.source_points(q_source)
+    return _solve(problem, targets, np.clip(q_prev, lower, upper), lower, upper)[0]
 
 
 def _solve(
-    problem: RetargetProblem, targets: np.ndarray, q_prev: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> RetargetResult:
-    """Damped GN from q_prev (inside the box); each point costs one target FK."""
+    problem: RetargetProblem, targets: np.ndarray, q_prev: np.ndarray, lower: np.ndarray,
+    upper: np.ndarray, start: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[RetargetResult, tuple[np.ndarray, np.ndarray]]:
+    """Damped GN from q_prev (inside the box); each point costs one target FK.
+
+    `start`, if given, is the keypoints and Jacobian at q_prev (from _point),
+    which then costs no FK. Returns the result and the same pair at its q.
+    """
     cfg = problem.settings
     n = problem.target.num_actuated
 
@@ -208,7 +223,8 @@ def _solve(
         return np.clip(x, lower, upper)
 
     x = q_prev.copy()
-    f, g, jac, rms = _linearize(problem, _target_poses(problem, x), x, targets, q_prev)
+    point = start if start is not None else _point(problem, _target_poses(problem, x))
+    f, g, rms = _linearize(problem, point, x, targets, q_prev)
     if not np.isfinite(f):
         raise NumericalError("non-finite retargeting objective at warm start")
 
@@ -226,7 +242,7 @@ def _solve(
         # stay fixed this iteration; solving the damped system on the free
         # subspace keeps the step from being clipped into uselessness.
         free = ~(((x == lower) & (g > 0)) | ((x == upper) & (g < 0)))
-        jac_f = jac[:, free]
+        jac_f = point[1][:, free]
         g_f = g[free]
         nf = int(free.sum())
         normal = jac_f.T @ jac_f
@@ -270,11 +286,13 @@ def _solve(
             converged = np.abs(project(x - g) - x).max() <= cfg.grad_tol
             break
         x, f, rms, poses = accepted
-        _, g, jac, _ = _linearize(problem, poses, x, targets, q_prev)
+        point = _point(problem, poses)
+        _, g, _ = _linearize(problem, point, x, targets, q_prev)
     else:
         iterations = cfg.max_iterations
 
-    return RetargetResult(q=x, residual=rms, objective=f, iterations=iterations, converged=converged)
+    result = RetargetResult(q=x, residual=rms, objective=f, iterations=iterations, converged=converged)
+    return result, point
 
 
 def _check_trajectory(tree: KinematicTree, traj) -> np.ndarray:
@@ -288,6 +306,12 @@ def _check_trajectory(tree: KinematicTree, traj) -> np.ndarray:
     return traj
 
 
+def _source_poses(problem: RetargetProblem, source_traj) -> tuple[np.ndarray, np.ndarray]:
+    """Link poses of a (T, n) source trajectory: the source's one batched FK."""
+    source_traj = _check_trajectory(problem.source, source_traj)
+    return kinematics._link_poses(problem.source, problem.source.check_q(source_traj))
+
+
 def retarget_trajectory(
     problem: RetargetProblem, source_traj: np.ndarray, q0: np.ndarray
 ) -> list[RetargetResult]:
@@ -296,17 +320,35 @@ def retarget_trajectory(
     Every frame's source keypoints come from one batched FK up front; each
     frame then gives the same result as retarget_frame from the last one.
     """
+    targets = problem._source_points(*_source_poses(problem, source_traj))
+    return retarget_keypoints(problem, targets, q0)
+
+
+def retarget_keypoints(
+    problem: RetargetProblem, source_points: np.ndarray, q0: np.ndarray
+) -> list[RetargetResult]:
+    """retarget_trajectory for a trajectory given as its mapped source
+    keypoints (T, K, 3), in keypoint-map order.
+
+    A frame's warm start is the previous frame's final point, so that
+    point's keypoints and Jacobian carry over instead of being computed again.
+    """
     q0 = problem.target.check_q(q0, batch=False)
     lower, upper = problem.target.joint_limits()
     if np.any(q0 < lower - 1e-9) or np.any(q0 > upper + 1e-9):
         raise DataError("initial guess lies outside the target joint limits")
-    targets = problem.source_points(_check_trajectory(problem.source, source_traj))
+    targets = np.asarray(source_points, dtype=float)
+    if targets.ndim != 3 or targets.shape[1:] != (len(problem.keypoint_map.pairs), 3):
+        raise DataError(f"source keypoints have shape {targets.shape}, expected "
+                        f"(T, {len(problem.keypoint_map.pairs)}, 3)")
+    if not np.all(np.isfinite(targets)):
+        raise DataError("source keypoints contain non-finite values")
 
     results: list[RetargetResult] = []
-    q_prev = np.clip(q0, lower, upper)
+    q_prev, point = np.clip(q0, lower, upper), None
     for t, frame_targets in enumerate(targets):
         try:
-            result = _solve(problem, frame_targets, q_prev, lower, upper)
+            result, point = _solve(problem, frame_targets, q_prev, lower, upper, point)
         except (DataError, NumericalError) as exc:
             raise type(exc)(f"frame {t}: {exc}") from exc
         results.append(result)

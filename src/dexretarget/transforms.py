@@ -128,6 +128,7 @@ _SKEW_BASIS = np.array(
     ],
     dtype=float,
 )
+_EYE3 = np.eye(3)
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,6 +139,22 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
+def _axis_terms(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outer products a a^T and cross-product matrices [a]x (..., 3, 3) of axes (..., 3)."""
+    outer = axis[..., :, None] * axis[..., None, :]
+    skew = (axis @ _SKEW_BASIS).reshape(axis.shape[:-1] + (3, 3))
+    return outer, skew
+
+
+def _rodrigues(outer: np.ndarray, skew: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Rotations from an axis's precomputed terms and angles shaped (..., 1, 1)."""
+    c = np.cos(angle)
+    s = np.sin(angle)
+    # Summed in this order, each entry rounds exactly like the written-out
+    # formula, e.g. c + x*x*(1-c) and x*y*(1-c) - z*s.
+    return (outer * (1.0 - c) + c * _EYE3) + s * skew
+
+
 def axis_angle_matrix(axis: np.ndarray, angle) -> np.ndarray:
     """Rodrigues rotation matrix about a unit axis.
 
@@ -145,13 +162,7 @@ def axis_angle_matrix(axis: np.ndarray, angle) -> np.ndarray:
     """
     axis = np.asarray(axis, dtype=float)
     angle = np.asarray(angle, dtype=float)[..., None, None]
-    c = np.cos(angle)
-    s = np.sin(angle)
-    outer = axis[..., :, None] * axis[..., None, :]
-    skew = (axis @ _SKEW_BASIS).reshape(axis.shape[:-1] + (3, 3))
-    # Summed in this order, each entry rounds exactly like the written-out
-    # formula, e.g. c + x*x*(1-c) and x*y*(1-c) - z*s.
-    return (outer * (1.0 - c) + c * np.eye(3)) + s * skew
+    return _rodrigues(*_axis_terms(axis), angle)
 
 
 @dataclass(frozen=True)

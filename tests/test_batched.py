@@ -13,6 +13,10 @@ from dexretarget.dynamics import DynamicsInput, inverse_dynamics, mass_matrix
 from dexretarget.errors import DataError, DescriptionError
 from dexretarget.handgen import HandShapeParams, build_custom_hand
 from dexretarget.kinematics import (
+    Joint,
+    Keypoint,
+    Link,
+    build_tree,
     forward_kinematics,
     keypoint_jacobians,
     link_poses,
@@ -36,10 +40,12 @@ BATCH = 5
 def make_tree(name: str):
     if name == "custom":
         return build_custom_hand(HandShapeParams(np.random.default_rng(3).normal(size=10)))
+    if name == "layout":
+        return layout_tree()
     return load_robot(robot_path(name))
 
 
-@pytest.fixture(scope="module", params=ROBOTS + ("custom",))
+@pytest.fixture(scope="module", params=ROBOTS + ("custom", "layout"))
 def tree(request):
     return make_tree(request.param)
 
@@ -170,10 +176,99 @@ def test_single_frame_entry_points_reject_stacks(robot):
         mass_matrix(robot, np.zeros((2, robot.num_actuated)))
 
 
+def layout_tree():
+    """A tree whose levels mix every case of the slot layout.
+
+    Depth 1: four links on the shared root. Depth 2: four plain chains.
+    Depth 3: chain `b` has ended and `c` branches in two. Depth 4: two
+    links whose parents sit in adjacent slots. Depth 5: one chain goes on.
+    The description lists links and joints in neither slot nor depth order
+    (the root's children come as a, c, d, b), and `b2` hangs on a fixed joint.
+    """
+    rng = np.random.default_rng(11)
+    parents = {"a1": "base", "b1": "base", "c1": "base", "d1": "base",
+               "a2": "a1", "b2": "b1", "c2": "c1", "d2": "d1",
+               "a3": "a2", "c3": "c2", "c3x": "c2", "d3": "d2",
+               "a4": "a3", "c4": "c3x", "a5": "a4"}
+    order = ["d3", "a1", "c3x", "b2", "a5", "c1", "a3", "d1", "c4", "b1", "a2", "d2", "c2", "a4", "c3"]
+    origin = RigidTransform(quat_from_rpy(0.3, -0.2, 0.5), np.array([0.1, -0.05, 0.2]))
+    links = [Link("base", None, origin)]
+    joints = []
+    for lid in order:
+        rpy = rng.uniform(-1.0, 1.0, size=3)
+        links.append(Link(lid, parents[lid], RigidTransform(quat_from_rpy(*rpy), rng.uniform(-0.1, 0.1, 3))))
+        axis = rng.normal(size=3)
+        kind = "fixed" if lid == "b2" else "revolute"
+        joints.append(Joint(lid, kind, axis / np.linalg.norm(axis) if kind == "revolute" else None,
+                            -2.0, 2.0, 0.0))
+    joints.reverse()
+    keypoints = [Keypoint(f"{lid}_tip", lid, rng.uniform(-0.05, 0.05, 3)) for lid in ("a5", "b2", "c3x", "c4", "d3")]
+    return build_tree("layout", links, joints, keypoints=keypoints)
+
+
+def per_link_fk(tree, q):
+    """Each link from its parent, one at a time, in topological order."""
+    rot = np.empty((len(q), len(tree.links), 3, 3))
+    pos = np.empty((len(q), len(tree.links), 3))
+    column = {child: j for j, child in enumerate(tree.actuated_joints)}
+    done = set()
+    while len(done) < len(tree.links):
+        for i, link in enumerate(tree.links):
+            if i in done or (link.parent is not None and tree._index[link.parent] not in done):
+                continue
+            origin_rot, origin_trans = link.origin.matrix(), link.origin.translation
+            if link.parent is None:
+                rot[:, i], pos[:, i] = origin_rot, origin_trans
+            else:
+                p = tree._index[link.parent]
+                joint = tree.joints[link.id]
+                turn = (axis_angle_matrix(joint.axis, q[:, column[link.id]])
+                        if joint.type == "revolute" else np.broadcast_to(np.eye(3), (len(q), 3, 3)))
+                pos[:, i] = (rot[:, p] @ origin_trans[:, None])[..., 0] + pos[:, p]
+                rot[:, i] = (rot[:, p] @ origin_rot) @ turn
+            done.add(i)
+    return rot, pos
+
+
+def test_slot_layout_levels():
+    tree = layout_tree()
+    levels = tree._levels
+    assert [(lv.links.start, lv.links.stop) for lv in levels] == [(1, 5), (5, 9), (9, 13), (13, 15), (15, 16)]
+    kinds = [lv.parents if isinstance(lv.parents, slice) else tuple(lv.parents) for lv in levels]
+    assert kinds == [slice(0, 1), slice(1, 5), (5, 6, 6, 7), slice(9, 11), slice(13, 14)]
+    ids = [tree.links[i].id for i in tree._order]
+    assert ids == ["base", "a1", "c1", "d1", "b1", "a2", "c2", "d2", "b2",
+                   "a3", "c3x", "c3", "d3", "a4", "c4", "a5"]
+    for s, i in enumerate(tree._order[1:], start=1):
+        assert ids[tree._parent_slots[s]] == tree.links[i].parent
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_slot_layout_fk_equals_per_link_fk_bitwise(batch):
+    tree = layout_tree()
+    q = joint_stack(tree, np.random.default_rng(12), batch=batch)
+    expected_rot, expected_pos = per_link_fk(tree, q)
+    rot, pos = link_poses(tree, q)
+    assert rot.tobytes() == expected_rot.tobytes()
+    assert pos.tobytes() == expected_pos.tobytes()
+    rot1, pos1 = link_poses(tree, q[0])
+    assert rot1.tobytes() == expected_rot[0].tobytes()
+    assert pos1.tobytes() == expected_pos[0].tobytes()
+    points = forward_kinematics(tree, q)
+    for kp in tree.keypoints:
+        i = tree._index[kp.link]
+        expected = (expected_rot[:, i] @ kp.offset[:, None])[..., 0] + expected_pos[:, i]
+        assert points[kp.name].tobytes() == expected.tobytes()
+
+
 def test_tree_caches_are_read_only(tree):
     arrays = [v for v in vars(tree).values() if isinstance(v, np.ndarray)]
-    arrays += [a for level in tree._levels for a in level]
-    assert len(arrays) >= 9
+    assert len(arrays) >= 12
+    for level in tree._levels:
+        assert isinstance(level.links, slice) and isinstance(level.joints, slice)
+        arrays += [level.origin_rot, level.origin_trans]
+        if not isinstance(level.parents, slice):
+            arrays.append(level.parents)
     for arr in arrays:
         assert arr.flags.writeable is False
 

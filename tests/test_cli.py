@@ -191,10 +191,13 @@ def test_expert_then_train_both_modes(tmp_path, capsys):
         ("train", json.dumps({"learning_rate": "x"})),
         ("train", json.dumps([1, 2])),
         ("train", json.dumps({"clamp_demo_weight": False})),
+        ("train", json.dumps({"batch_trajectories": 0})),
+        ("train", json.dumps({"iterations": 0})),
         ("translate", json.dumps({"robot": str(robot_path("allegro")), "alpha": "x"})),
         ("translate", json.dumps(["robot"])),
     ],
     ids=["train-not-json", "train-learning-rate-str", "train-not-object", "train-removed-key",
+         "train-batch-trajectories-0", "train-iterations-0",
          "translate-alpha-str", "translate-not-object"],
 )
 def test_bad_config_value_exit_2(command, text, short_stream_file, tmp_path, capsys):
@@ -209,6 +212,24 @@ def test_bad_config_value_exit_2(command, text, short_stream_file, tmp_path, cap
     err = capsys.readouterr().err
     assert "data error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["translate", "train"])
+def test_missing_config_file_exit_1(command, short_stream_file, tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    if command == "train":
+        argv = ["train", "--config", missing, "--out", str(tmp_path / "out")]
+    else:
+        argv = ["translate", "--stream", str(short_stream_file), "--config", missing,
+                "--out", str(tmp_path / "o.demo")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "nope.json" in err and "--help" in err
+    assert "Traceback" not in err
+    # A path that exists but cannot be read as a file is a data error.
+    argv[argv.index(missing)] = str(tmp_path)
+    assert main(argv) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_train_rejects_unknown_env(tmp_path):

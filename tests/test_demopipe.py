@@ -223,15 +223,35 @@ def test_provenance_counts_gauss_newton_iterations(short_stream, monkeypatch):
     import dexretarget.demopipe as demopipe
 
     solved = []
-    real = demopipe.retarget_trajectory
+    real = demopipe.retarget_keypoints
 
     def recording(*args):
         solved.append(real(*args))
         return solved[-1]
 
-    monkeypatch.setattr(demopipe, "retarget_trajectory", recording)
+    monkeypatch.setattr(demopipe, "retarget_keypoints", recording)
     demo = translate(short_stream, make_config("allegro"))
     assert demo.provenance["gn_iterations"] == sum(r.iterations for r in solved[0]) > 0
+
+
+def test_one_customized_hand_fk_per_translate(short_stream, monkeypatch):
+    from dexretarget import kinematics
+
+    assert all(frame.observed_keypoints for frame in short_stream.frames)
+    calls = []
+    real = kinematics._link_poses
+
+    def counting(tree, q):
+        calls.append((tree.name, q.shape))
+        return real(tree, q)
+
+    monkeypatch.setattr(kinematics, "_link_poses", counting)
+    demo = translate(short_stream, make_config("allegro"))
+    # The same poses give the retarget stage its source keypoints and the
+    # wrist solve its canonical keypoints.
+    assert [c for c in calls if c[0] == "customized"] == [("customized", (40, 45))]
+    assert all(name == "allegro" for name, _ in calls[1:])
+    assert np.any(demo.states[:, 16:20] != [1.0, 0.0, 0.0, 0.0])
 
 
 def test_translate_all_serializes_the_stream_once(sample_stream, monkeypatch):

@@ -16,6 +16,7 @@ from dexretarget.retarget import (
     read_keypoint_map,
     retarget_frame,
     retarget_gradient,
+    retarget_keypoints,
     retarget_objective,
     retarget_trajectory,
     write_keypoint_map,
@@ -367,18 +368,40 @@ def test_one_target_fk_per_point_and_one_source_fk_per_trajectory(custom_hand, s
     assert len(source) == 1 and np.array_equal(source[0], sample_poses)
     starts = [i for i, e in enumerate(events) if e[0] == "frame"] + [len(events)]
     assert len(starts) == len(results) + 1
-    q_prev = q0
-    for result, a, b in zip(results, starts, starts[1:]):
+    evaluated = []
+    for t, (result, a, b) in enumerate(zip(results, starts, starts[1:])):
         frame = events[a + 1:b]
         points = [e[2][0] for e in frame if e[0] == "fk"]
         assert all(e[0] == "probe" or e[1] is problem.target for e in frame)
-        # One target FK at the warm start plus one per objective probe; the
-        # accepted iterates reuse their probe's poses, so no point repeats.
-        assert len(points) == 1 + sum(e[0] == "probe" for e in frame)
-        assert np.array_equal(points[0], q_prev)
-        assert len({q.tobytes() for q in points}) == len(points)
-        assert len(points) >= 1 + result.iterations
-        q_prev = result.q
+        # Frame 0 evaluates its warm start; every later frame starts from the
+        # previous frame's final point and reuses its keypoints and Jacobian.
+        # Each objective probe costs one target FK, and accepted iterates
+        # reuse their probe's poses.
+        warm = 1 if t == 0 else 0
+        assert len(points) == warm + sum(e[0] == "probe" for e in frame)
+        if t == 0:
+            assert np.array_equal(points[0], q0)
+        assert len(points) >= warm + result.iterations
+        evaluated += points
+    # No point is evaluated twice across the whole trajectory.
+    assert len({q.tobytes() for q in evaluated}) == len(evaluated)
+
+
+def test_retarget_keypoints_matches_trajectory_and_checks_points(custom_hand, sample_poses):
+    problem = bundled_problem("allegro", custom_hand)
+    q0 = np.clip(np.zeros(16), *problem.target.joint_limits())
+    points = problem.source_points(sample_poses[:10])
+    expected = retarget_trajectory(problem, sample_poses[:10], q0)
+    results = retarget_keypoints(problem, points, q0)
+    assert [r.q.tobytes() for r in results] == [r.q.tobytes() for r in expected]
+    with pytest.raises(DataError, match="shape"):
+        retarget_keypoints(problem, points[:, :-1], q0)
+    bad = points.copy()
+    bad[3, 0, 1] = np.inf
+    with pytest.raises(DataError, match="non-finite"):
+        retarget_keypoints(problem, bad, q0)
+    with pytest.raises(DataError, match="initial guess"):
+        retarget_keypoints(problem, points, q0 + 10.0)
 
 
 def test_nonfinite_source_frame_is_named(self_problem):
