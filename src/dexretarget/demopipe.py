@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from .control import gamma_from_cutoff
 from .dynamics import POSITION, TORQUE, compute_actions
 from .errors import DataError, DemoFormatError, NumericalError, check_number_fields
 from .handgen import build_custom_hand, default_template, load_template
-from .kinematics import _keypoint_positions, load_robot
+from .kinematics import _keypoint_frames, _keypoint_positions, load_robot
 from .poseio import HandPoseStream, calibrate, solve_wrists
 from .retarget import (
     DEFAULT_ALPHA,
@@ -68,8 +69,16 @@ class PipelineConfig:
         )
         if self.action_mode not in (TORQUE, POSITION):
             raise DataError(f"unknown action mode '{self.action_mode}'")
-        if self.alpha < 0:
-            raise DataError("alpha must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise DataError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
+        if not (math.isfinite(self.cutoff_hz) and self.cutoff_hz > 0):
+            raise DataError(f"cutoff_hz must be finite and positive, got {self.cutoff_hz!r}")
+        if self.gamma is not None and not 0.0 < self.gamma <= 1.0:
+            raise DataError(f"gamma must be in (0, 1], got {self.gamma!r}")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise DataError(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
+        if self.max_iterations < 1:
+            raise DataError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if self.calibration_frames < 10:
             raise DataError("calibration needs at least 10 frames")
 
@@ -222,7 +231,7 @@ def translate_timed(
     timings["actions"] = time.perf_counter() - t0
     t0 = time.perf_counter()
 
-    hand_keypoints = _keypoint_positions(hand, *hand_poses, slice(None))
+    hand_keypoints = _keypoint_positions(*hand_poses, _keypoint_frames(hand, slice(None)))
     wrist_rotation, wrist_translation = _wrist_trajectory(stream, hand.keypoint_names, hand_keypoints)
     palm_vel = _palm_velocities(wrist_rotation, wrist_translation, dt)
 
@@ -264,6 +273,7 @@ def translate_timed(
         "mean_keypoint_residual": mean_residual,
         "unconverged_frames": unconverged,
         "gn_iterations": int(sum(r.iterations for r in results)),
+        "gn_probes": int(sum(r.probes for r in results)),
         "object_fields": "stream" if "object_pose" in stream.metadata else "zero-filled",
     }
     timings["wrist_and_assembly"] = time.perf_counter() - t0

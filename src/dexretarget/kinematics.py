@@ -19,10 +19,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DescriptionError
-from .transforms import RigidTransform, _axis_terms, _rodrigues, cross, quat_from_rpy
+from .transforms import RigidTransform, _axis_terms, _rodrigues, quat_from_rpy
 
 _AXIS_TOL = 1e-9
 _PSD_TOL = -1e-9
+
+# Vector components x, y, z, x, y: slices [1:4] and [2:5] are the cyclic
+# shifts (y, z, x) and (z, x, y) of a cross product.
+_XYZXY = np.array([0, 1, 2, 0, 1])
 
 REVOLUTE = "revolute"
 FIXED = "fixed"
@@ -503,7 +507,7 @@ def _joint_rotations(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
 def _link_poses(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """World rotations (B, n_links, 3, 3) and origins (B, n_links, 3), in slot
     order, for a (B, n) stack. Each level reads its parents through a slice
-    where it can and writes one contiguous block."""
+    where it can and writes one contiguous block, in place."""
     joint = _joint_rotations(tree, q)
     rot = np.empty((len(q), len(tree.links), 3, 3))
     pos = np.empty(rot.shape[:-1])
@@ -511,8 +515,8 @@ def _link_poses(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndar
     pos[:, 0] = tree._origin_trans[0]
     for links, parents, joints, origin_rot, origin_trans in tree._levels:
         rot_p = rot[:, parents]
-        pos[:, links] = (rot_p @ origin_trans)[..., 0] + pos[:, parents]
-        rot[:, links] = (rot_p @ origin_rot) @ joint[:, joints]
+        np.add((rot_p @ origin_trans)[..., 0], pos[:, parents], out=pos[:, links])
+        np.matmul(rot_p @ origin_rot, joint[:, joints], out=rot[:, links])
     return rot, pos
 
 
@@ -535,9 +539,15 @@ def link_poses(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return (rot[0], pos[0]) if single else (rot, pos)
 
 
-def _keypoint_positions(tree, rot, pos, rows) -> np.ndarray:
-    slots = tree._kp_slots[rows]
-    return (rot[:, slots] @ tree._kp_offsets[rows, :, None])[..., 0] + pos[:, slots]
+def _keypoint_frames(tree: KinematicTree, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Link slots (K,) and offsets (K, 3, 1) of the keypoints in `rows`."""
+    return tree._kp_slots[rows], tree._kp_offsets[rows, :, None]
+
+
+def _keypoint_positions(rot, pos, frames) -> np.ndarray:
+    """Positions (B, K, 3) under link poses of the keypoints given by their _keypoint_frames."""
+    slots, offsets = frames
+    return (rot[:, slots] @ offsets)[..., 0] + pos[:, slots]
 
 
 def forward_kinematics(tree: KinematicTree, q: np.ndarray) -> dict[str, np.ndarray]:
@@ -547,7 +557,7 @@ def forward_kinematics(tree: KinematicTree, q: np.ndarray) -> dict[str, np.ndarr
     """
     qb, single = _as_batch(tree, q)
     rot, pos = _link_poses(tree, qb)
-    points = _keypoint_positions(tree, rot, pos, slice(None))
+    points = _keypoint_positions(rot, pos, _keypoint_frames(tree, slice(None)))
     if single:
         points = points[0]
     return {kp.name: points[..., k, :] for k, kp in enumerate(tree.keypoints)}
@@ -565,14 +575,18 @@ def _keypoint_jacobian_stack(tree, rot, pos, points, mask) -> np.ndarray:
 
     `points` (B, K, 3) are the keypoints' positions under the poses `rot`,
     `pos`, and `mask` (K, N) their rows of the keypoint x joint ancestor mask.
+    Column j of keypoint k is axis_j x (point_k - origin_j), the cross
+    product of transforms.cross. Its operands are laid out components first
+    and extended to (x, y, z, x, y), so that the cyclic shifts of the cross
+    product are slices and the columns come out C-ordered in the (3, N)
+    layout of a Jacobian.
     """
     slots = tree._joint_slots
     axes = (rot[:, slots] @ tree._joint_axes[:, :, None])[..., 0]             # (B, N, 3)
-    arms = points[:, :, None, :] - pos[:, None, slots]                       # (B, K, N, 3)
-    cols = np.where(mask[:, :, None], cross(axes[:, None], arms), 0.0)
-    # C order, so each (3, N) Jacobian has the layout of a freshly built one
-    # and the solver's products with it round as they always have.
-    return np.ascontiguousarray(np.swapaxes(cols, -1, -2))
+    axes = axes.swapaxes(-1, -2)[:, None, _XYZXY]                             # (B, 1, 5, N)
+    arms = points[..., _XYZXY, None] - pos[:, slots, _XYZXY[:, None]][:, None]  # (B, K, 5, N)
+    cols = axes[..., 1:4, :] * arms[..., 2:5, :] - axes[..., 2:5, :] * arms[..., 1:4, :]
+    return np.where(mask[:, None, :], cols, 0.0)
 
 
 def keypoint_jacobians(
@@ -587,7 +601,7 @@ def keypoint_jacobians(
     rows = _keypoint_rows(tree, names)
     qb, single = _as_batch(tree, q)
     rot, pos = _link_poses(tree, qb)
-    points = _keypoint_positions(tree, rot, pos, rows)                        # (B, K, 3)
+    points = _keypoint_positions(rot, pos, _keypoint_frames(tree, rows))      # (B, K, 3)
     jac = _keypoint_jacobian_stack(tree, rot, pos, points, tree._kp_joint_mask[rows])
     if single:
         points, jac = points[0], jac[0]

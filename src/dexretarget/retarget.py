@@ -14,7 +14,8 @@ returns an iterate whose objective exceeds the warm start's.
 
 Each point the solver visits costs one forward kinematics of the target: the
 link poses computed to probe a step are kept, and if the step is accepted the
-Jacobian at the new iterate is built from them. A trajectory's source
+Jacobian at the new iterate is built from them and the gradient from the
+probe's residuals; the probe's value is the new objective. A trajectory's source
 keypoints come from one batched forward kinematics of the source hand, and
 each frame after the first starts from the previous frame's final point,
 whose keypoints and Jacobian it reuses.
@@ -22,6 +23,7 @@ whose keypoints and Jacobian it reuses.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,11 +99,12 @@ class RetargetProblem:
     keypoint_map: KeypointMap
     alpha: float = DEFAULT_ALPHA
     settings: SolverSettings = field(default_factory=SolverSettings)
-    # Read-only caches, filled by __post_init__: the mapped keypoints' rows on
-    # each tree, in map order, and the target's keypoint x joint ancestor
-    # mask restricted to those rows.
-    _source_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _target_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    # Read-only caches, filled by __post_init__: the mapped keypoints' link
+    # slots and offsets on each tree (kinematics._keypoint_frames), in map
+    # order, and the target's keypoint x joint ancestor mask restricted to
+    # the mapped keypoints.
+    _source_frames: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _target_frames: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _target_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -111,11 +114,13 @@ class RetargetProblem:
         pairs = self.keypoint_map.pairs
         source_rows = np.array(kinematics._keypoint_rows(self.source, [s for s, _ in pairs]))
         target_rows = np.array(kinematics._keypoint_rows(self.target, [t for _, t in pairs]))
+        source_frames = kinematics._keypoint_frames(self.source, source_rows)
+        target_frames = kinematics._keypoint_frames(self.target, target_rows)
         target_mask = self.target._kp_joint_mask[target_rows]
-        for arr in (source_rows, target_rows, target_mask):
+        for arr in (*source_frames, *target_frames, target_mask):
             arr.flags.writeable = False
-        object.__setattr__(self, "_source_rows", source_rows)
-        object.__setattr__(self, "_target_rows", target_rows)
+        object.__setattr__(self, "_source_frames", source_frames)
+        object.__setattr__(self, "_target_frames", target_frames)
         object.__setattr__(self, "_target_mask", target_mask)
 
     def source_points(self, q_source: np.ndarray) -> np.ndarray:
@@ -126,7 +131,7 @@ class RetargetProblem:
 
     def _source_points(self, rot: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Mapped source keypoints (T, K, 3) from the source's link poses."""
-        return kinematics._keypoint_positions(self.source, rot, pos, self._source_rows)
+        return kinematics._keypoint_positions(rot, pos, self._source_frames)
 
 
 @dataclass(frozen=True)
@@ -136,52 +141,65 @@ class RetargetResult:
     objective: float
     iterations: int
     converged: bool
+    probes: int              # objective probes: target FKs, not counting the warm start's
 
 
 def _target_poses(problem: RetargetProblem, q: np.ndarray) -> tuple[np.ndarray, ...]:
     """Link poses and mapped keypoints of the target at q: the one FK of a point."""
     rot, pos = kinematics._link_poses(problem.target, q[None])
-    return rot, pos, kinematics._keypoint_positions(problem.target, rot, pos, problem._target_rows)
+    return rot, pos, kinematics._keypoint_positions(rot, pos, problem._target_frames)
 
 
 def _point(problem: RetargetProblem, poses: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Mapped keypoints (K, 3) and stacked Jacobian (3K, N) of a point from its poses."""
     rot, pos, points = poses
     jac = kinematics._keypoint_jacobian_stack(problem.target, rot, pos, points, problem._target_mask)
-    return points[0], jac[0].reshape(points[0].size, -1)
+    return points[0], jac.reshape(-1, jac.shape[-1])
 
 
 def _probe_value(
     problem: RetargetProblem, points: np.ndarray, targets: np.ndarray, q: np.ndarray, q_prev: np.ndarray
-) -> tuple[float, float]:
-    """Objective value and RMS residual at a probed point, without the Jacobian."""
-    sq_sum = 0.0
-    for k, target in enumerate(targets):
-        diff = points[0, k] - target
-        sq_sum += float(diff @ diff)
-    value = sq_sum + problem.alpha * float(np.sum((q - q_prev) ** 2))
-    return value, float(np.sqrt(sq_sum / len(targets)))
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Objective value at a probed point, without the Jacobian.
+
+    Also returns what the point's gradient needs if it is accepted: the
+    residual sum of squares, the keypoint residuals (3K,) and the step
+    q - q_prev. Each keypoint's squared distance is the dot product
+    diff[k] @ diff[k] (a stacked matmul of (1, 3) rows by (3, 1) columns
+    makes the same dot call), and the distances are added in keypoint order.
+    """
+    diff = points[0] - targets
+    sq_sum = float(np.add.accumulate(np.matmul(diff[:, None], diff[:, :, None]).reshape(-1))[-1])
+    step = q - q_prev
+    value = sq_sum + problem.alpha * float(np.add.reduce(step * step))
+    return value, sq_sum, diff.reshape(-1), step
+
+
+def _gradient(problem: RetargetProblem, jac: np.ndarray, res: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Objective gradient from the Jacobian, keypoint residuals (3K,) and step q - q_prev."""
+    return 2.0 * (jac.T @ res) + 2.0 * problem.alpha * step
 
 
 def _linearize(
     problem: RetargetProblem, point: tuple[np.ndarray, np.ndarray], q: np.ndarray,
     targets: np.ndarray, q_prev: np.ndarray,
 ) -> tuple[float, np.ndarray, float]:
-    """Objective, gradient and RMS residual at a point from its keypoints and Jacobian."""
+    """Objective, gradient and residual sum of squares at a point from its keypoints and Jacobian."""
     points, jac = point
     res = (points - targets).reshape(-1)
     sq_sum = float(res @ res)
-    value = sq_sum + problem.alpha * float(np.sum((q - q_prev) ** 2))
-    grad = 2.0 * (jac.T @ res) + 2.0 * problem.alpha * (q - q_prev)
-    return value, grad, float(np.sqrt(sq_sum / len(targets)))
+    step = q - q_prev
+    value = sq_sum + problem.alpha * float(np.add.reduce(step * step))
+    return value, _gradient(problem, jac, res, step), sq_sum
 
 
 def _linearize_at(problem: RetargetProblem, q, q_source, q_prev) -> tuple[float, np.ndarray, float]:
-    """Validate one source frame and one target joint vector, then _linearize there."""
+    """Validate one source frame and the target joint vectors q and q_prev, then _linearize at q."""
     targets = problem.source_points(q_source)
     q = problem.target.check_q(q, batch=False)
+    q_prev = problem.target.check_q(q_prev, batch=False)
     point = _point(problem, _target_poses(problem, q))
-    return _linearize(problem, point, q, targets, np.asarray(q_prev, dtype=float))
+    return _linearize(problem, point, q, targets, q_prev)
 
 
 def retarget_objective(problem: RetargetProblem, q, q_source, q_prev) -> float:
@@ -220,20 +238,20 @@ def _solve(
     n = problem.target.num_actuated
 
     def project(x):
-        return np.clip(x, lower, upper)
+        return np.minimum(np.maximum(x, lower), upper)
 
     x = q_prev.copy()
     point = start if start is not None else _point(problem, _target_poses(problem, x))
-    f, g, rms = _linearize(problem, point, x, targets, q_prev)
-    if not np.isfinite(f):
+    f, g, sq_sum = _linearize(problem, point, x, targets, q_prev)
+    if not math.isfinite(f):
         raise NumericalError("non-finite retargeting objective at warm start")
 
     lam = 1e-6  # adaptive Levenberg damping, carried across iterations
     converged = False
-    iterations = 0
+    iterations = probes = 0
     for iterations in range(1, cfg.max_iterations + 1):
         # Optimality measure: how far the projected gradient step moves us.
-        if np.abs(project(x - g) - x).max() <= cfg.grad_tol:
+        if np.maximum.reduce(np.abs(project(x - g) - x)) <= cfg.grad_tol:
             converged = True
             iterations -= 1
             break
@@ -241,40 +259,49 @@ def _solve(
         # Coordinates pinned at a bound with the gradient pushing outward
         # stay fixed this iteration; solving the damped system on the free
         # subspace keeps the step from being clipped into uselessness.
-        free = ~(((x == lower) & (g > 0)) | ((x == upper) & (g < 0)))
-        jac_f = point[1][:, free]
-        g_f = g[free]
-        nf = int(free.sum())
+        pinned = ((x == lower) & (g > 0)) | ((x == upper) & (g < 0))
+        free = ~pinned if pinned.any() else None
+        jac_f, g_f = (point[1], g) if free is None else (point[1][:, free], g[free])
+        nf = len(g_f)
         normal = jac_f.T @ jac_f
-        scale = max(1.0, float(np.trace(normal)) / max(nf, 1))
-        diag = np.diag_indices(nf)
+        scale = max(1.0, float(normal.trace()) / max(nf, 1))
+        rhs = -0.5 * g_f
+        normal_d = normal.copy()
+        undamped, damped = normal.diagonal(), normal_d.reshape(-1)[::nf + 1]  # views
 
         # Damped Gauss-Newton probes: a rejected step costs one target FK
         # plus a reduced solve at a stiffer damping; an accepted one keeps
         # its poses for the next Jacobian.
         accepted = None
         for _ in range(cfg.max_backtracks):
-            normal_d = normal.copy()
-            normal_d[diag] += problem.alpha + lam * scale
+            np.add(undamped, problem.alpha + lam * scale, out=damped)
             try:
-                d_f = np.linalg.solve(normal_d, -0.5 * g_f)
+                d_f = np.linalg.solve(normal_d, rhs)
             except np.linalg.LinAlgError:
                 lam = max(lam * 10.0, 1e-12)
                 continue
-            d = np.zeros(n)
-            d[free] = d_f
+            if free is None:
+                d = d_f
+            else:
+                d = np.zeros(n)
+                d[free] = d_f
             cand = project(x + d)
             delta = cand - x
-            if np.abs(delta).max() == 0.0:
+            size = np.maximum.reduce(np.abs(delta))
+            if size == 0.0:
                 lam *= 10.0
                 if lam > 1e14:
                     break
                 continue
-            problem.target.check_q(cand, batch=False)  # a non-finite step is a DescriptionError
+            # x is finite, so a non-finite candidate shows as a non-finite
+            # step; it is a DescriptionError, as check_q would raise.
+            if not math.isfinite(size):
+                raise DescriptionError("joint vector contains non-finite entries")
             poses = _target_poses(problem, cand)
-            f_cand, rms_cand = _probe_value(problem, poses[2], targets, cand, q_prev)
-            if np.isfinite(f_cand) and f_cand <= f + cfg.armijo_c * float(g @ delta):
-                accepted = (cand, f_cand, rms_cand, poses)
+            probes += 1
+            f_cand, sq_cand, res, step = _probe_value(problem, poses[2], targets, cand, q_prev)
+            if math.isfinite(f_cand) and f_cand <= f + cfg.armijo_c * float(g @ delta):
+                accepted = (cand, f_cand, sq_cand, res, step, poses)
                 lam = max(lam / 3.0, 1e-12)
                 break
             lam *= 10.0
@@ -283,15 +310,19 @@ def _solve(
 
         if accepted is None:
             # No acceptable descent step: numerical stationarity.
-            converged = np.abs(project(x - g) - x).max() <= cfg.grad_tol
+            converged = np.maximum.reduce(np.abs(project(x - g) - x)) <= cfg.grad_tol
             break
-        x, f, rms, poses = accepted
+        # The probe's value is the objective at the new iterate; only its
+        # gradient needs the Jacobian.
+        x, f, sq_sum, res, step, poses = accepted
         point = _point(problem, poses)
-        _, g, _ = _linearize(problem, point, x, targets, q_prev)
+        g = _gradient(problem, point[1], res, step)
     else:
         iterations = cfg.max_iterations
 
-    result = RetargetResult(q=x, residual=rms, objective=f, iterations=iterations, converged=converged)
+    rms = float(np.sqrt(sq_sum / len(targets)))
+    result = RetargetResult(q=x, residual=rms, objective=f, iterations=iterations,
+                            converged=bool(converged), probes=probes)
     return result, point
 
 

@@ -195,10 +195,24 @@ def test_expert_then_train_both_modes(tmp_path, capsys):
         ("train", json.dumps({"iterations": 0})),
         ("translate", json.dumps({"robot": str(robot_path("allegro")), "alpha": "x"})),
         ("translate", json.dumps(["robot"])),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "max_iterations": 0})),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "max_iterations": -3})),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "grad_tol": -1})),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "grad_tol": 0})),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "grad_tol": float("nan")})),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "alpha": float("inf")})),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "alpha": float("nan")})),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "cutoff_hz": 0})),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "cutoff_hz": float("inf")})),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "gamma": 1.5})),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "gamma": 0})),
     ],
     ids=["train-not-json", "train-learning-rate-str", "train-not-object", "train-removed-key",
          "train-batch-trajectories-0", "train-iterations-0",
-         "translate-alpha-str", "translate-not-object"],
+         "translate-alpha-str", "translate-not-object",
+         "translate-max-iterations-0", "translate-max-iterations-negative", "translate-grad-tol-negative",
+         "translate-grad-tol-0", "translate-grad-tol-nan", "translate-alpha-inf", "translate-alpha-nan",
+         "translate-cutoff-0", "translate-cutoff-inf", "translate-gamma-1.5", "translate-gamma-0"],
 )
 def test_bad_config_value_exit_2(command, text, short_stream_file, tmp_path, capsys):
     config = tmp_path / "config.json"

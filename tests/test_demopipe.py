@@ -212,6 +212,19 @@ def test_finger_targets_respect_limits(short_stream):
     assert np.all(targets <= upper + 1e-9)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iterations", 0), ("max_iterations", -3), ("grad_tol", -1.0), ("grad_tol", 0.0),
+     ("grad_tol", float("inf")), ("alpha", float("inf")), ("alpha", float("nan")), ("alpha", -1.0),
+     ("cutoff_hz", 0.0), ("cutoff_hz", float("nan")), ("gamma", 1.5), ("gamma", 0.0),
+     ("gamma", float("nan"))],
+)
+def test_config_rejects_out_of_range_values_when_built(field, value):
+    # Rejected before any stage runs, naming the field.
+    with pytest.raises(DataError, match=field):
+        make_config("allegro", **{field: value})
+
+
 def test_provenance_hashes_present(short_stream):
     demo = translate(short_stream, make_config("allegro"))
     assert len(demo.provenance["stream_sha256"]) == 64
@@ -232,6 +245,7 @@ def test_provenance_counts_gauss_newton_iterations(short_stream, monkeypatch):
     monkeypatch.setattr(demopipe, "retarget_keypoints", recording)
     demo = translate(short_stream, make_config("allegro"))
     assert demo.provenance["gn_iterations"] == sum(r.iterations for r in solved[0]) > 0
+    assert demo.provenance["gn_probes"] == sum(r.probes for r in solved[0]) >= demo.provenance["gn_iterations"]
 
 
 def test_one_customized_hand_fk_per_translate(short_stream, monkeypatch):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dexretarget import kinematics, retarget
-from dexretarget.assets import asset_path, robot_path, sample_stream_path
+from dexretarget.assets import asset_path, config_path, robot_path, sample_stream_path
+from dexretarget.demopipe import PipelineConfig, translate
 from dexretarget.errors import DataError, DescriptionError
 from dexretarget.handgen import HandShapeParams, build_custom_hand
 from dexretarget.kinematics import load_robot
@@ -162,6 +165,22 @@ def test_analytic_gradient_matches_finite_differences(custom_hand):
             ) / (2 * h)
         denom = max(np.abs(fd).max(), 1e-9)
         assert np.abs(grad - fd).max() / denom < 1e-5
+
+
+def test_objective_helpers_validate_q_prev(custom_hand):
+    target = load_robot(allegro_doc())
+    problem = RetargetProblem(
+        source=custom_hand,
+        target=target,
+        keypoint_map=KeypointMap(tuple((f"{f}_tip", f"{f}_tip") for f in ("thumb", "index"))),
+    )
+    q = np.clip(np.zeros(16), *target.joint_limits())
+    q_source = np.zeros(45)
+    for helper in (retarget_objective, retarget_gradient):
+        with pytest.raises(DescriptionError, match="shape"):
+            helper(problem, q, q_source, np.zeros(15))
+        with pytest.raises(DescriptionError, match="non-finite"):
+            helper(problem, q, q_source, np.full(16, np.nan))
 
 
 def test_constant_source_trajectory_reaches_fixed_point(self_problem):
@@ -379,12 +398,53 @@ def test_one_target_fk_per_point_and_one_source_fk_per_trajectory(custom_hand, s
         # reuse their probe's poses.
         warm = 1 if t == 0 else 0
         assert len(points) == warm + sum(e[0] == "probe" for e in frame)
+        assert len(points) == warm + result.probes
         if t == 0:
             assert np.array_equal(points[0], q0)
         assert len(points) >= warm + result.iterations
         evaluated += points
     # No point is evaluated twice across the whole trajectory.
     assert len({q.tobytes() for q in evaluated}) == len(evaluated)
+
+
+# Gauss-Newton iterations and objective probes summed over the 200 frames of
+# the bundled sample stream, recorded with the solver whose probe summed the
+# keypoint distances in a Python loop. A change in how a probe's value or a
+# gradient rounds, or in the step rules, moves these counts.
+SAMPLE_STREAM_SOLVER_WORK = {"allegro": (655, 655), "schunk": (410, 410), "adroit": (389, 389)}
+
+
+@pytest.mark.parametrize("robot, mode", [("allegro", "position"), ("schunk", "torque"), ("adroit", "position")])
+def test_sample_stream_solver_work_is_unchanged(robot, mode):
+    stream = read_stream(sample_stream_path())
+    config = replace(PipelineConfig.from_file(config_path(robot)), action_mode=mode)
+    demo = translate(stream, config)
+    work = (demo.provenance["gn_iterations"], demo.provenance["gn_probes"])
+    assert work == SAMPLE_STREAM_SOLVER_WORK[robot]
+
+
+@pytest.mark.parametrize("robot", ["allegro", "schunk", "adroit"])
+def test_reported_objective_rounds_as_a_keypoint_loop(robot, custom_hand, sample_poses):
+    # A frame that took a step reports its last probe's value: each squared
+    # keypoint distance is a 3-vector dot product, added in map order.
+    problem = bundled_problem(robot, custom_hand)
+    names = [t for _, t in problem.keypoint_map.pairs]
+    q_prev = np.clip(np.zeros(problem.target.num_actuated), *problem.target.joint_limits())
+    targets = problem.source_points(sample_poses)
+    results = retarget_trajectory(problem, sample_poses, q_prev)
+    stepped = 0
+    for t, result in enumerate(results):
+        if result.iterations:
+            positions, _ = kinematics.keypoint_jacobians(problem.target, result.q, names)
+            sq_sum = 0.0
+            for k, name in enumerate(names):
+                diff = positions[name] - targets[t, k]
+                sq_sum += float(diff @ diff)
+            value = sq_sum + problem.alpha * float(np.sum((result.q - q_prev) ** 2))
+            assert (result.objective, result.residual) == (value, float(np.sqrt(sq_sum / len(names)))), t
+            stepped += 1
+        q_prev = result.q
+    assert stepped > len(results) // 2
 
 
 def test_retarget_keypoints_matches_trajectory_and_checks_points(custom_hand, sample_poses):
