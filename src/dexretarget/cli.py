@@ -20,7 +20,14 @@ import numpy as np
 
 from . import assets
 from .dapg import DapgConfig, demos_from_expert, train
-from .demopipe import PipelineConfig, atomic_write_text, read_demo, translate_timed, write_demo
+from .demopipe import (
+    PipelineConfig,
+    atomic_write_text,
+    read_config_object,
+    read_demo,
+    translate_timed,
+    write_demo,
+)
 from .dynamics import DynamicsInput, inverse_dynamics
 from .errors import DataError, NumericalError
 from .handgen import HandShapeParams, build_custom_hand, load_template
@@ -151,25 +158,11 @@ def cmd_translate_all(args) -> int:
 def cmd_train(args) -> int:
     if args.env != "toy-relocate":
         raise DataError(f"unknown environment '{args.env}'")
-    if args.config:
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise  # a usage error, as for the pipeline config
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read training config: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise DataError("training config must be a JSON object")
-        known = set(DapgConfig.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise DataError(f"unknown training config keys: {sorted(unknown)}")
-        if "hidden" in doc:
-            if not isinstance(doc["hidden"], list):
-                raise DataError("hidden must be a list of layer widths")
-            doc["hidden"] = tuple(doc["hidden"])
-    else:
-        doc = {}
+    doc = read_config_object(args.config, DapgConfig, "training config") if args.config else {}
+    if "hidden" in doc:
+        if not isinstance(doc["hidden"], list):
+            raise DataError("hidden must be a list of layer widths")
+        doc["hidden"] = tuple(doc["hidden"])
     if args.iterations is not None:
         doc["iterations"] = args.iterations
     if args.seed is not None:

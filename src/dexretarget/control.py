@@ -73,30 +73,17 @@ def gamma_from_cutoff(cutoff_hz: float, dt: float) -> float:
     return 1.0 - float(np.exp(-2.0 * np.pi * cutoff_hz * dt))
 
 
-class LowPassFilter:
-    """First-order filter y = gamma*x + (1-gamma)*y_prev.
-
-    Single-owner mutable state: use one instance per trajectory.
-    """
-
-    def __init__(self, gamma: float, initial: np.ndarray):
-        if not 0.0 < gamma <= 1.0:
-            raise DataError(f"gamma must be in (0, 1], got {gamma}")
-        self.gamma = float(gamma)
-        self.y = np.array(initial, dtype=float)
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.y.shape:
-            raise DataError("filter input length mismatch")
-        self.y = self.gamma * x + (1.0 - self.gamma) * self.y
-        return self.y.copy()
-
-
 def low_pass_trajectory(traj: np.ndarray, gamma: float) -> np.ndarray:
-    """Filter a (T, n) trajectory, seeding the state with the first sample."""
+    """First-order filter y_t = gamma*x_t + (1-gamma)*y_{t-1} over a (T, n)
+    trajectory, seeding the state with the first sample."""
     traj = np.asarray(traj, dtype=float)
     if traj.ndim != 2 or traj.shape[0] < 1:
         raise DataError("trajectory must be a nonempty (T, n) array")
-    filt = LowPassFilter(gamma, traj[0])
-    return np.stack([filt.step(x) for x in traj])
+    if not 0.0 < gamma <= 1.0:
+        raise DataError(f"gamma must be in (0, 1], got {gamma}")
+    gamma = float(gamma)
+    out = np.empty(traj.shape)
+    y = traj[0]
+    for t, x in enumerate(traj):
+        y = out[t] = gamma * x + (1.0 - gamma) * y
+    return out

@@ -1,6 +1,6 @@
 """Demo-augmented policy gradient on the toy relocate task."""
 
-from .env import ToyRelocateEnv, demos_from_expert, scripted_expert_action
+from .env import demos_from_expert, scripted_expert_action
 from .nets import GaussianPolicy, ValueFunction
 from .trainer import (
     DapgConfig,
@@ -13,7 +13,6 @@ from .trainer import (
 __all__ = [
     "DapgConfig",
     "GaussianPolicy",
-    "ToyRelocateEnv",
     "ValueFunction",
     "bc_pretrain",
     "compute_advantages",

@@ -26,6 +26,8 @@ STATE_LAYOUT = (("joints", 3), ("tip", 2), ("object", 2), ("target", 2))
 ACTION_LAYOUT = (("joint_velocity", 3),)
 OBS_DIM = 9
 ACT_DIM = 3
+EXPERT_GAIN = 6.0
+ACTION_NOISE = 0.3  # std of the expert's execution noise
 
 
 def arm_tree() -> KinematicTree:
@@ -69,19 +71,19 @@ def tip_position(q: np.ndarray) -> np.ndarray:
 
 
 def tip_jacobian(q: np.ndarray) -> np.ndarray:
-    """2x3 planar Jacobian of the tip."""
+    """Planar tip Jacobian: (2, 3) for q of shape (3,), (N, 2, 3) for (N, 3)."""
     q = np.asarray(q, dtype=float)
-    a1 = q[0]
-    a2 = q[0] + q[1]
-    a3 = a2 + q[2]
+    a1 = q[..., 0]
+    a2 = q[..., 0] + q[..., 1]
+    a3 = a2 + q[..., 2]
     l1, l2, l3 = LINK_LENGTHS
-    s = np.array([l1 * np.sin(a1) + l2 * np.sin(a2) + l3 * np.sin(a3),
+    s = np.stack([l1 * np.sin(a1) + l2 * np.sin(a2) + l3 * np.sin(a3),
                   l2 * np.sin(a2) + l3 * np.sin(a3),
-                  l3 * np.sin(a3)])
-    c = np.array([l1 * np.cos(a1) + l2 * np.cos(a2) + l3 * np.cos(a3),
+                  l3 * np.sin(a3)], axis=-1)
+    c = np.stack([l1 * np.cos(a1) + l2 * np.cos(a2) + l3 * np.cos(a3),
                   l2 * np.cos(a2) + l3 * np.cos(a3),
-                  l3 * np.cos(a3)])
-    return np.stack([-s, c])
+                  l3 * np.cos(a3)], axis=-1)
+    return np.stack([-s, c], axis=-2)
 
 
 def _spawn(rng: np.random.Generator):
@@ -101,35 +103,6 @@ def _spawn(rng: np.random.Generator):
 
 def _observation(q, tip, obj, tgt):
     return np.concatenate([q, tip, obj, tgt], axis=-1)
-
-
-class ToyRelocateEnv:
-    """Single-episode reset/step view over a one-episode BatchedRelocate."""
-
-    horizon = HORIZON
-    dt = DT
-    obs_dim = OBS_DIM
-    act_dim = ACT_DIM
-
-    def __init__(self):
-        self._episode: BatchedRelocate | None = None
-
-    def reset(self, seed: int) -> np.ndarray:
-        self._episode = BatchedRelocate([seed])
-        return self._episode.observe()[0]
-
-    def step(self, action: np.ndarray):
-        if self._episode is None:
-            raise RuntimeError("step() called before reset()")
-        action = np.asarray(action, dtype=float)
-        if action.shape != (ACT_DIM,):
-            raise DataError(f"action must have shape ({ACT_DIM},)")
-        reward = self._episode.step(action[None])[0]
-        return self._episode.observe()[0], float(reward), self._episode.done
-
-    @property
-    def success(self) -> bool:
-        return bool(self._episode.successes[0])
 
 
 class BatchedRelocate:
@@ -182,71 +155,67 @@ class BatchedRelocate:
         return self.grasped & (obj_tgt < SUCCESS_RADIUS)
 
 
-def scripted_expert_action(obs: np.ndarray, gain: float = 6.0) -> np.ndarray:
-    """Resolved-rate controller: reach the object, then carry it to the target."""
-    q, tip, obj, tgt = obs[:3], obs[3:5], obs[5:7], obs[7:9]
-    goal = tgt if np.linalg.norm(tip - obj) < GRASP_RADIUS * 0.9 else obj
+def scripted_expert_action(obs: np.ndarray) -> np.ndarray:
+    """Resolved-rate controller: reach the object, then carry it to the target.
+
+    `obs` is one observation (9,) or a stack (N, 9); the action has shape (3,)
+    or (N, 3).
+    """
+    obs = np.asarray(obs, dtype=float)
+    q, tip, obj, tgt = obs[..., :3], obs[..., 3:5], obs[..., 5:7], obs[..., 7:9]
+    carrying = np.linalg.norm(tip - obj, axis=-1) < GRASP_RADIUS * 0.9
+    goal = np.where(carrying[..., None], tgt, obj)
     jac = tip_jacobian(q)
+    jac_t = np.swapaxes(jac, -1, -2)
     # damped least-squares to stay stable near singular stretches
-    jjt = jac @ jac.T + 1e-4 * np.eye(2)
-    qd = jac.T @ np.linalg.solve(jjt, gain * (goal - tip))
+    jjt = jac @ jac_t + 1e-4 * np.eye(2)
+    rate = np.linalg.solve(jjt, (EXPERT_GAIN * (goal - tip))[..., None])
+    qd = (jac_t @ rate)[..., 0]
     return np.clip(qd, -MAX_JOINT_SPEED, MAX_JOINT_SPEED)
 
 
-def run_expert_episode(env: ToyRelocateEnv, seed: int, action_noise: float = 0.0):
-    """One expert rollout; returns (states, actions, rewards, success).
-
-    With action_noise > 0 the executed commands are perturbed while the
-    recorded action stays the expert's feedback response to the perturbed
-    state, so cloning the data teaches recovery behavior.
-    """
-    rng = np.random.default_rng(seed)
-    obs = env.reset(seed)
-    states = [obs]
-    actions = []
-    rewards = []
-    done = False
-    while not done:
-        action = scripted_expert_action(obs)
-        executed = action
-        if action_noise > 0.0:
-            executed = action + rng.normal(scale=action_noise, size=ACT_DIM)
-        obs, reward, done = env.step(executed)
-        states.append(obs)
-        actions.append(action)
-        rewards.append(reward)
-    return np.stack(states), np.stack(actions), np.array(rewards), env.success
-
-
-def demos_from_expert(n: int, seed: int = 0, action_noise: float = 0.3) -> list[Demonstration]:
+def demos_from_expert(n: int, seed: int = 0) -> list[Demonstration]:
     """Successful expert episodes packaged as dexdemo demonstrations.
 
-    The default execution noise widens the demonstrated state distribution,
-    which makes the data far more clonable than noise-free rollouts.
+    Episode seeds run seed, seed + 1, ...; the first n successful ones are
+    kept, in seed order, out of at most 20 * n attempts. Each round steps the
+    next n - found episodes in lockstep. The executed commands carry Gaussian
+    noise from the episode's own default_rng(seed) while the recorded action
+    stays the expert's feedback response to the perturbed state: the wider
+    state distribution makes the data far more clonable than noise-free
+    rollouts, and cloning it teaches recovery behavior.
     """
-    env = ToyRelocateEnv()
     demos = []
-    episode_seed = int(seed)
     attempts = 0
     while len(demos) < n and attempts < 20 * n:
-        attempts += 1
-        states, actions, rewards, success = run_expert_episode(env, episode_seed, action_noise)
-        episode_seed += 1
-        if not success:
-            continue
-        demos.append(
-            Demonstration(
-                robot="toy-relocate",
-                task="relocate",
-                dt=DT,
-                state_layout=STATE_LAYOUT,
-                action_layout=ACTION_LAYOUT,
-                states=states,
-                actions=actions,
-                provenance={"source": "scripted-expert", "seed": episode_seed - 1,
-                            "return": float(rewards.sum())},
+        first = int(seed) + attempts
+        seeds = range(first, first + min(n - len(demos), 20 * n - attempts))
+        attempts += len(seeds)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        env = BatchedRelocate(seeds)
+        states = [env.observe()]
+        actions, rewards = [], []
+        while not env.done:
+            action = scripted_expert_action(states[-1])
+            noise = np.stack([rng.normal(scale=ACTION_NOISE, size=ACT_DIM) for rng in rngs])
+            rewards.append(env.step(action + noise))
+            states.append(env.observe())
+            actions.append(action)
+        states, actions, rewards = np.stack(states, axis=1), np.stack(actions, axis=1), np.stack(rewards, axis=1)
+        for i in np.flatnonzero(env.successes):
+            demos.append(
+                Demonstration(
+                    robot="toy-relocate",
+                    task="relocate",
+                    dt=DT,
+                    state_layout=STATE_LAYOUT,
+                    action_layout=ACTION_LAYOUT,
+                    states=states[i],
+                    actions=actions[i],
+                    provenance={"source": "scripted-expert", "seed": seeds[i],
+                                "return": float(rewards[i].sum())},
+                )
             )
-        )
     if len(demos) < n:
         raise DataError(f"expert produced only {len(demos)}/{n} successful episodes")
     return demos

@@ -47,6 +47,27 @@ DEFAULT_CUTOFF_HZ = 5.0  # chosen, not from any published source
 PALM_VELOCITY_WIDTH = 6
 
 
+def read_config_object(path: str | Path, cls, what: str) -> dict:
+    """The JSON object of a config file whose keys must be fields of dataclass `cls`.
+
+    A missing file raises FileNotFoundError, a usage error as for every other
+    input file; an unreadable file, bad JSON, a document that is not an
+    object and unknown keys raise DataError.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} must be a JSON object")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise DataError(f"unknown config keys: {sorted(unknown)}")
+    return doc
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     robot: str | Path                     # target robot description path
@@ -85,18 +106,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         base = Path(path).parent
-        try:
-            doc = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise  # a missing file is a usage error, as for every other input file
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read pipeline config: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise DataError("pipeline config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise DataError(f"unknown config keys: {sorted(unknown)}")
+        doc = read_config_object(path, cls, "pipeline config")
         for key in ("robot", "keypoint_map", "template"):
             if doc.get(key):
                 if not isinstance(doc[key], str):
@@ -349,21 +359,25 @@ def read_demo(path: str | Path) -> Demonstration:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise DemoFormatError(f"bad demonstration header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DemoFormatError("demonstration header must be a JSON object")
     if header.get("format") != DEMO_FORMAT:
         raise DemoFormatError(
             f"unsupported demo format {header.get('format')!r}, expected {DEMO_FORMAT!r}"
         )
     states, actions = [], []
-    for line in lines[1:]:
+    for i, line in enumerate(lines[1:]):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            states.append(rec["state"])
-            if "action" in rec:
-                actions.append(rec["action"])
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise DemoFormatError(f"bad demonstration record: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise DemoFormatError(f"bad demonstration record {i}: {exc}") from exc
+        if not isinstance(rec, dict) or "state" not in rec:
+            raise DemoFormatError(f"bad demonstration record {i}: not a JSON object with a state")
+        states.append(rec["state"])
+        if "action" in rec:
+            actions.append(rec["action"])
     try:
         return Demonstration(
             robot=header["robot"],
@@ -377,3 +391,7 @@ def read_demo(path: str | Path) -> Demonstration:
         )
     except KeyError as exc:
         raise DemoFormatError(f"demonstration header missing {exc}") from exc
+    except DataError:
+        raise
+    except (IndexError, TypeError, ValueError) as exc:
+        raise DemoFormatError(f"bad demonstration: {exc}") from exc

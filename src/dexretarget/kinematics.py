@@ -137,15 +137,20 @@ class KinematicTree:
         return lower, upper
 
     def check_q(self, q: np.ndarray, batch: bool = True) -> np.ndarray:
-        """Validate one joint vector (n,) or, with `batch`, a stack of them (B, n)."""
+        """Validate one joint vector (n,) or, with `batch`, a stack of them (B, n).
+
+        A stack's first non-finite frame is named by its index.
+        """
         q = np.asarray(q, dtype=float)
         if q.ndim not in ((1, 2) if batch else (1,)) or q.shape[-1] != self.num_actuated:
             raise DescriptionError(
                 f"joint vector has shape {q.shape}, tree '{self.name}' has "
                 f"{self.num_actuated} actuated joints"
             )
-        if not np.all(np.isfinite(q)):
-            raise DescriptionError("joint vector contains non-finite entries")
+        finite = np.isfinite(q).all(axis=-1)
+        if not finite.all():
+            frame = "" if q.ndim == 1 else f"frame {np.argmin(finite)}: "
+            raise DescriptionError(f"{frame}joint vector contains non-finite entries")
         return q
 
 

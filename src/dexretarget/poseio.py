@@ -24,6 +24,7 @@ FORMAT_VERSION = "dexstream/1"
 POSE_DIM = 45
 SHAPE_DIM = 10
 VARIANCE_FLOOR = 1e-6
+CONDITIONING_TOL = 1e-8  # second-to-first singular value ratio below which keypoints are collinear
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,8 @@ def read_stream(path: str | Path) -> HandPoseStream:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise StreamFormatError(f"bad stream header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise StreamFormatError("stream header must be a JSON object")
     if header.get("format") != FORMAT_VERSION:
         raise StreamFormatError(
             f"unsupported stream format {header.get('format')!r}, expected {FORMAT_VERSION!r}"
@@ -128,6 +131,8 @@ def read_stream(path: str | Path) -> HandPoseStream:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise StreamFormatError(f"bad record at frame {i}: {exc}") from exc
+        if not isinstance(rec, dict) or not isinstance(rec.get("kp") or {}, dict):
+            raise StreamFormatError(f"frame {i}: record and its kp field must be JSON objects")
         try:
             kp = rec.get("kp")
             frames.append(
@@ -140,19 +145,18 @@ def read_stream(path: str | Path) -> HandPoseStream:
             )
         except KeyError as exc:
             raise StreamFormatError(f"frame {i} missing field {exc}") from exc
-        except DataError as exc:
+        except (TypeError, ValueError) as exc:  # DataError included
             raise StreamFormatError(f"frame {i}: {exc}") from exc
 
-    s0 = header.get("s0")
-    sigma = header.get("sigma")
+    try:
+        rate_hz = float(header["rate_hz"])
+        s0, sigma = header.get("s0"), header.get("sigma")
+        s0 = HandShapeParams(np.asarray(s0, dtype=float)) if s0 is not None else None
+        sigma = np.asarray(sigma, dtype=float) if sigma is not None else None
+    except (TypeError, ValueError) as exc:  # DataError included
+        raise StreamFormatError(f"bad stream header: {exc}") from exc
     metadata = {k: v for k, v in header.items() if k not in ("format", "rate_hz", "s0", "sigma")}
-    return HandPoseStream(
-        frames=tuple(frames),
-        rate_hz=float(header["rate_hz"]),
-        s0=HandShapeParams(np.asarray(s0, dtype=float)) if s0 is not None else None,
-        sigma=np.asarray(sigma, dtype=float) if sigma is not None else None,
-        metadata=metadata,
-    )
+    return HandPoseStream(frames=tuple(frames), rate_hz=rate_hz, s0=s0, sigma=sigma, metadata=metadata)
 
 
 def stream_to_text(stream: HandPoseStream) -> str:
@@ -184,9 +188,7 @@ def write_stream(stream: HandPoseStream, path: str | Path):
 # Wrist solving: 3D-3D rigid alignment (orthogonal Procrustes)
 # ---------------------------------------------------------------------------
 
-def _align(
-    src: np.ndarray, dst: np.ndarray, conditioning_tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _align(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rotations, translations, RMS residuals and collinearity flags aligning
     each (K, 3) point set of a (B, K, 3) stack onto its observed counterpart,
     with one stacked SVD."""
@@ -196,7 +198,7 @@ def _align(
     u, s, vt = np.linalg.svd(cross)
     # Points spanning a plane give rank 2; a line gives rank 1, which leaves
     # the rotation about that line free.
-    collinear = s[:, 1] <= conditioning_tol * np.maximum(s[:, 0], 1e-300)
+    collinear = s[:, 1] <= CONDITIONING_TOL * np.maximum(s[:, 0], 1e-300)
     v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
     # v @ diag(1, 1, d) @ u.T with d = +-1 gives a proper rotation.
     diag = np.ones((len(v), 1, 3))
@@ -211,7 +213,6 @@ def _align(
 def solve_wrists(
     canonical_keypoints: dict[str, np.ndarray],
     observed_keypoints: list[dict[str, np.ndarray]],
-    conditioning_tol: float = 1e-8,
 ) -> tuple[list[RigidTransform | DataError], np.ndarray]:
     """solve_wrist for B frames at once.
 
@@ -234,7 +235,7 @@ def solve_wrists(
             continue
         src = np.stack([np.asarray(canonical_keypoints[n], dtype=float)[rows] for n in names], axis=1)
         dst = np.array([[observed_keypoints[b][n] for n in names] for b in rows], dtype=float)
-        rot, trans, residual, collinear = _align(src, dst, conditioning_tol)
+        rot, trans, residual, collinear = _align(src, dst)
         for j, b in enumerate(rows):
             if collinear[j]:
                 results[b] = DataError("keypoint configuration is collinear; wrist rotation is ambiguous")
@@ -247,7 +248,6 @@ def solve_wrists(
 def solve_wrist(
     canonical_keypoints: dict[str, np.ndarray],
     observed_keypoints: dict[str, np.ndarray],
-    conditioning_tol: float = 1e-8,
 ) -> tuple[RigidTransform, float]:
     """Least-squares rigid transform T with T(canonical) ~ observed.
 
@@ -256,7 +256,7 @@ def solve_wrist(
     residual in meters.
     """
     canonical = {k: np.asarray(v, dtype=float)[None] for k, v in canonical_keypoints.items()}
-    (result,), (residual,) = solve_wrists(canonical, [observed_keypoints], conditioning_tol)
+    (result,), (residual,) = solve_wrists(canonical, [observed_keypoints])
     if isinstance(result, DataError):
         raise result
     return result, float(residual)

@@ -36,6 +36,8 @@ from .kinematics import KinematicTree
 log = logging.getLogger(__name__)
 
 DEFAULT_ALPHA = 4e-3
+ARMIJO_C = 1e-4
+MAX_BACKTRACKS = 40  # damping escalations per iteration
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,6 @@ def write_keypoint_map(keypoint_map: KeypointMap, path: str | Path):
 class SolverSettings:
     max_iterations: int = 100
     grad_tol: float = 1e-6       # infinity norm of the projected gradient step
-    armijo_c: float = 1e-4
-    max_backtracks: int = 40     # damping escalations per iteration
 
 
 @dataclass(frozen=True)
@@ -215,14 +215,9 @@ def retarget_gradient(problem: RetargetProblem, q, q_source, q_prev) -> np.ndarr
 def retarget_frame(
     problem: RetargetProblem, q_source: np.ndarray, q_prev: np.ndarray
 ) -> RetargetResult:
-    """Solve one frame of the retargeting objective from a warm start."""
-    q_source = problem.source.check_q(q_source, batch=False)
-    q_prev = problem.target.check_q(q_prev, batch=False)
-    lower, upper = problem.target.joint_limits()
-    if np.any(q_prev < lower - 1e-9) or np.any(q_prev > upper + 1e-9):
-        raise DataError("warm start lies outside the target joint limits")
-    targets = problem.source_points(q_source)
-    return _solve(problem, targets, np.clip(q_prev, lower, upper), lower, upper)[0]
+    """Solve one frame of the retargeting objective from a warm start: the
+    one-frame case of retarget_trajectory."""
+    return retarget_trajectory(problem, np.asarray(q_source, dtype=float)[None], q_prev)[0]
 
 
 def _solve(
@@ -273,7 +268,7 @@ def _solve(
         # plus a reduced solve at a stiffer damping; an accepted one keeps
         # its poses for the next Jacobian.
         accepted = None
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             np.add(undamped, problem.alpha + lam * scale, out=damped)
             try:
                 d_f = np.linalg.solve(normal_d, rhs)
@@ -300,7 +295,7 @@ def _solve(
             poses = _target_poses(problem, cand)
             probes += 1
             f_cand, sq_cand, res, step = _probe_value(problem, poses[2], targets, cand, q_prev)
-            if math.isfinite(f_cand) and f_cand <= f + cfg.armijo_c * float(g @ delta):
+            if math.isfinite(f_cand) and f_cand <= f + ARMIJO_C * float(g @ delta):
                 accepted = (cand, f_cand, sq_cand, res, step, poses)
                 lam = max(lam / 3.0, 1e-12)
                 break
@@ -326,21 +321,12 @@ def _solve(
     return result, point
 
 
-def _check_trajectory(tree: KinematicTree, traj) -> np.ndarray:
-    """A (T, n)-shaped trajectory whose first non-finite frame, if any, is named by index."""
-    traj = np.asarray(traj, dtype=float)
-    if traj.ndim != 2:
-        raise DescriptionError(f"trajectory has shape {traj.shape}, expected (T, {tree.num_actuated})")
-    bad = np.flatnonzero(~np.all(np.isfinite(traj), axis=1))
-    if bad.size:
-        raise DescriptionError(f"frame {bad[0]}: joint vector contains non-finite entries")
-    return traj
-
-
 def _source_poses(problem: RetargetProblem, source_traj) -> tuple[np.ndarray, np.ndarray]:
     """Link poses of a (T, n) source trajectory: the source's one batched FK."""
-    source_traj = _check_trajectory(problem.source, source_traj)
-    return kinematics._link_poses(problem.source, problem.source.check_q(source_traj))
+    q = problem.source.check_q(source_traj)
+    if q.ndim != 2:
+        raise DescriptionError(f"trajectory has shape {q.shape}, expected (T, {problem.source.num_actuated})")
+    return kinematics._link_poses(problem.source, q)
 
 
 def retarget_trajectory(
@@ -348,8 +334,7 @@ def retarget_trajectory(
 ) -> list[RetargetResult]:
     """Retarget a whole source trajectory, warm starting frame to frame.
 
-    Every frame's source keypoints come from one batched FK up front; each
-    frame then gives the same result as retarget_frame from the last one.
+    Every frame's source keypoints come from one batched FK up front.
     """
     targets = problem._source_points(*_source_poses(problem, source_traj))
     return retarget_keypoints(problem, targets, q0)

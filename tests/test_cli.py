@@ -228,6 +228,49 @@ def test_bad_config_value_exit_2(command, text, short_stream_file, tmp_path, cap
     assert "Traceback" not in err
 
 
+def _edit_record(line: str, **fields) -> str:
+    return json.dumps({**json.loads(line), **fields})
+
+
+@pytest.mark.parametrize(
+    "kind, line, edit",
+    [
+        ("stream", 0, lambda line: "[1, 2]"),
+        ("stream", 3, lambda line: "[1, 2]"),
+        ("stream", 3, lambda line: _edit_record(line, kp=[1, 2])),
+        ("stream", 3, lambda line: _edit_record(line, pose="abc")),
+        ("stream", 3, lambda line: _edit_record(line, t="abc")),
+        ("demo", 2, lambda line: "[1, 2]"),
+        ("demo", 0, lambda line: "[1, 2]"),
+        ("demo", 0, lambda line: _edit_record(line, dt="abc")),
+    ],
+    ids=["stream-header-list", "stream-record-list", "stream-kp-list", "stream-pose-str", "stream-t-str",
+         "demo-record-list", "demo-header-list", "demo-dt-str"],
+)
+def test_malformed_input_exit_2(kind, line, edit, short_stream_file, tmp_path, capsys):
+    from dexretarget.demopipe import Demonstration, write_demo
+
+    if kind == "stream":
+        path = short_stream_file
+        argv = ["translate", "--stream", str(path), "--config", str(asset_path("configs/allegro.json")),
+                "--out", str(tmp_path / "o.demo")]
+    else:
+        path = tmp_path / "demos" / "bad.jsonl"
+        path.parent.mkdir()
+        write_demo(Demonstration("toy-relocate", "relocate", 0.05, (("s", 9),), (("a", 3),),
+                                 np.zeros((3, 9)), np.zeros((2, 3))), path)
+        argv = ["train", "--demos", str(path.parent), "--out", str(tmp_path / "out")]
+    lines = path.read_text().splitlines()
+    lines[line] = edit(lines[line])
+    path.write_text("\n".join(lines) + "\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "Traceback" not in err
+    if line > 0:
+        assert ("frame 2" if kind == "stream" else "record 1") in err
+
+
 @pytest.mark.parametrize("command", ["translate", "train"])
 def test_missing_config_file_exit_1(command, short_stream_file, tmp_path, capsys):
     missing = str(tmp_path / "nope.json")

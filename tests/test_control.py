@@ -5,7 +5,6 @@ import pytest
 
 from dexretarget.control import (
     ConfidenceModel,
-    LowPassFilter,
     PDGains,
     confidence,
     gamma_from_cutoff,
@@ -91,16 +90,13 @@ def test_pd_length_mismatch():
 
 
 def test_low_pass_dc_gain_is_one():
-    filt = LowPassFilter(0.3, initial=np.array([2.0, -1.0]))
-    for _ in range(10):
-        out = filt.step(np.array([2.0, -1.0]))
-    assert out == pytest.approx([2.0, -1.0], abs=1e-15)
+    out = low_pass_trajectory(np.tile([2.0, -1.0], (10, 1)), 0.3)
+    assert out[-1] == pytest.approx([2.0, -1.0], abs=1e-15)
 
 
 def test_low_pass_unit_step_geometric_recursion():
-    filt = LowPassFilter(0.5, initial=np.zeros(1))
-    outs = [filt.step(np.ones(1))[0] for _ in range(3)]
-    assert outs == pytest.approx([0.5, 0.75, 0.875])
+    out = low_pass_trajectory(np.array([[0.0], [1.0], [1.0], [1.0]]), 0.5)
+    assert out[1:, 0] == pytest.approx([0.5, 0.75, 0.875])
 
 
 def test_low_pass_gamma_one_is_identity():
@@ -125,7 +121,6 @@ def test_gamma_from_cutoff():
 
 
 def test_gamma_out_of_range_rejected():
-    with pytest.raises(DataError):
-        LowPassFilter(0.0, initial=np.zeros(1))
-    with pytest.raises(DataError):
-        LowPassFilter(1.5, initial=np.zeros(1))
+    for gamma in (0.0, 1.5, float("nan")):
+        with pytest.raises(DataError, match="gamma must be in"):
+            low_pass_trajectory(np.zeros((3, 1)), gamma)

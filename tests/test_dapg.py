@@ -6,7 +6,6 @@ import pytest
 from dexretarget.dapg import (
     DapgConfig,
     GaussianPolicy,
-    ToyRelocateEnv,
     ValueFunction,
     bc_pretrain,
     compute_advantages,
@@ -14,7 +13,14 @@ from dexretarget.dapg import (
     demos_from_expert,
     train,
 )
-from dexretarget.dapg.env import HORIZON, BatchedRelocate, arm_tree, run_expert_episode, tip_position
+from dexretarget.dapg.env import (
+    HORIZON,
+    BatchedRelocate,
+    arm_tree,
+    scripted_expert_action,
+    tip_jacobian,
+    tip_position,
+)
 from dexretarget.dapg.trainer import Batch, demo_arrays, discounted_to_go, rollout_batch
 from dexretarget.demopipe import read_demo, write_demo
 from dexretarget.errors import DataError
@@ -23,47 +29,35 @@ from dexretarget.kinematics import forward_kinematics
 
 # --- environment ------------------------------------------------------------
 
+def run_to_horizon(env: BatchedRelocate, policy) -> list[np.ndarray]:
+    """Step every episode of env with policy(observations) until the horizon; returns the rewards."""
+    rewards = []
+    while not env.done:
+        rewards.append(env.step(policy(env.observe())))
+    return rewards
+
+
 def test_zero_actions_never_move_the_object():
-    env = ToyRelocateEnv()
-    obs = env.reset(seed=4)
-    obj0 = obs[5:7].copy()
-    done = False
-    while not done:
-        obs, reward, done = env.step(np.zeros(3))
-    assert np.array_equal(obs[5:7], obj0)
-    assert not env.success
+    env = BatchedRelocate([4])
+    obj0 = env.observe()[0, 5:7].copy()
+    run_to_horizon(env, lambda obs: np.zeros((1, 3)))
+    assert np.array_equal(env.observe()[0, 5:7], obj0)
+    assert not env.successes[0]
 
 
 def test_scripted_expert_succeeds():
-    env = ToyRelocateEnv()
-    successes = sum(run_expert_episode(env, seed)[3] for seed in range(100))
-    assert successes >= 95
+    env = BatchedRelocate(range(100))
+    run_to_horizon(env, scripted_expert_action)
+    assert env.successes.sum() >= 95
 
 
 def test_reward_per_step_bounded_by_one():
-    env = ToyRelocateEnv()
     rng = np.random.default_rng(0)
-    for seed in range(5):
-        obs = env.reset(seed)
-        done = False
-        while not done:
-            _, reward, done = env.step(rng.uniform(-2, 2, size=3))
-            assert reward <= 1.0
+    rewards = run_to_horizon(BatchedRelocate(range(5)), lambda obs: rng.uniform(-2, 2, size=(5, 3)))
+    assert np.max(rewards) <= 1.0
 
 
 def test_step_after_done_raises():
-    env = ToyRelocateEnv()
-    env.reset(seed=0)
-    for _ in range(env.horizon):
-        _, _, done = env.step(np.zeros(3))
-    assert done
-    with pytest.raises(RuntimeError):
-        env.step(np.zeros(3))
-
-
-def test_step_before_reset_and_past_horizon_raise():
-    with pytest.raises(RuntimeError):
-        ToyRelocateEnv().step(np.zeros(3))
     batch = BatchedRelocate([1, 2])
     for _ in range(HORIZON):
         assert not batch.done
@@ -86,26 +80,70 @@ def test_env_tip_matches_kinematics_chain():
 def test_batched_env_matches_single_env_bitwise():
     seeds = [5, 17, 254]
     batch = BatchedRelocate(seeds)
-    singles = [ToyRelocateEnv() for _ in seeds]
-    obs_single = np.stack([env.reset(seed) for env, seed in zip(singles, seeds)])
-    assert np.array_equal(batch.observe(), obs_single)
+    singles = [BatchedRelocate([seed]) for seed in seeds]
+    assert np.array_equal(batch.observe(), np.concatenate([env.observe() for env in singles]))
     rng = np.random.default_rng(3)
     for _ in range(100):
         actions = rng.uniform(-2.5, 2.5, size=(3, 3))
         rewards = batch.step(actions)
         for i, env in enumerate(singles):
-            obs, reward, _ = env.step(actions[i])
-            assert reward == rewards[i]
-            assert np.array_equal(obs, batch.observe()[i])
+            assert env.step(actions[i:i + 1])[0] == rewards[i]
+            assert np.array_equal(env.observe()[0], batch.observe()[i])
     for i, env in enumerate(singles):
-        assert env.success == batch.successes[i]
+        assert env.successes[0] == batch.successes[i]
+
+
+def test_scripted_expert_stack_matches_single_observations_bitwise():
+    obs = BatchedRelocate(range(6)).observe()
+    stacked = scripted_expert_action(obs)
+    for i, row in enumerate(obs):
+        assert scripted_expert_action(row).tobytes() == stacked[i].tobytes()
+        assert tip_jacobian(row[:3]).tobytes() == tip_jacobian(obs[:, :3])[i].tobytes()
 
 
 def test_reset_reproducible_from_seed():
-    env = ToyRelocateEnv()
-    a = env.reset(seed=123)
-    b = env.reset(seed=123)
-    assert np.array_equal(a, b)
+    assert np.array_equal(BatchedRelocate([123]).observe(), BatchedRelocate([123]).observe())
+
+
+def expert_fingerprint(demo):
+    return demo.states.tobytes(), demo.actions.tobytes(), demo.provenance
+
+
+def fail_expert_episodes(monkeypatch, fails) -> list[list[int]]:
+    """Make every episode whose seed satisfies fails(seed) unsuccessful; returns the seeds of each batch run."""
+    batches = []
+    real_init, real_successes = BatchedRelocate.__init__, BatchedRelocate.successes
+
+    def init(self, seeds):
+        batches.append(list(seeds))
+        self.failing = np.array([fails(s) for s in seeds], dtype=bool)
+        real_init(self, seeds)
+
+    monkeypatch.setattr(BatchedRelocate, "__init__", init)
+    monkeypatch.setattr(BatchedRelocate, "successes",
+                        property(lambda self: real_successes.fget(self) & ~self.failing))
+    return batches
+
+
+def test_expert_demos_are_a_prefix_of_a_longer_run():
+    for seed in (0, 41):
+        shorter = demos_from_expert(5, seed=seed)
+        longer = demos_from_expert(8, seed=seed)
+        assert [expert_fingerprint(d) for d in shorter] == [expert_fingerprint(d) for d in longer[:5]]
+
+
+def test_expert_keeps_the_first_successful_seeds_in_order(monkeypatch):
+    expected = [expert_fingerprint(demos_from_expert(1, seed=s)[0]) for s in (4, 6, 8, 10)]
+    batches = fail_expert_episodes(monkeypatch, lambda s: s % 2 == 1)
+    assert [expert_fingerprint(d) for d in demos_from_expert(4, seed=3)] == expected
+    assert batches == [[3, 4, 5, 6], [7, 8], [9], [10]]
+
+
+def test_expert_gives_up_at_the_attempt_cap(monkeypatch):
+    batches = fail_expert_episodes(monkeypatch, lambda s: True)
+    with pytest.raises(DataError, match="expert produced only 0/3 successful episodes"):
+        demos_from_expert(3, seed=7)
+    assert [s for seeds in batches for s in seeds] == list(range(7, 7 + 20 * 3))
 
 
 # --- advantages -------------------------------------------------------------

@@ -309,6 +309,9 @@ def test_warm_start_outside_bounds_rejected(custom_hand):
     bad = np.full(16, 3.0)
     with pytest.raises(DataError):
         retarget_frame(problem, np.zeros(45), bad)
+    # One frame at a time: a stack of source frames is not a joint vector.
+    with pytest.raises(DescriptionError, match="shape"):
+        retarget_frame(problem, np.zeros((2, 45)), np.clip(np.zeros(16), *target.joint_limits()))
 
 
 def test_self_retarget_trajectory_tracks_source_keypoints(custom_hand):
@@ -469,6 +472,8 @@ def test_nonfinite_source_frame_is_named(self_problem):
     traj[4, 7] = np.nan
     with pytest.raises(DataError, match="^frame 4: .*non-finite"):
         retarget_trajectory(self_problem, traj, q0=np.zeros(45))
+    with pytest.raises(DescriptionError, match="trajectory has shape"):
+        retarget_trajectory(self_problem, traj[0], q0=np.zeros(45))
 
 
 def test_nonfinite_candidate_step_raises_not_rejects(self_problem, monkeypatch):
