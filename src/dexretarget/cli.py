@@ -25,6 +25,7 @@ from .demopipe import (
     atomic_write_text,
     read_config_object,
     read_demo,
+    translate_all,
     translate_timed,
     write_demo,
 )
@@ -52,6 +53,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _say(message: str):
     print(message, file=sys.stderr)
+
+
+def _exit_code(exc: Exception, who: str = "") -> int:
+    """Report a failure on stderr and return its exit code; re-raise one that has none."""
+    for kind, what, code in ((FileNotFoundError, "error", USAGE_ERROR), (DataError, "data error", DATA_ERROR),
+                             (NumericalError, "numerical failure", NUMERICAL_ERROR)):
+        if isinstance(exc, kind):
+            _say(f"{who}{what}: {exc}")
+            return code
+    raise exc
 
 
 def _resolve_robot(spec: str) -> Path:
@@ -98,21 +109,16 @@ def cmd_gen_hand(args) -> int:
 
 
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    overrides = {}
-    for key in ("alpha", "gamma", "action_mode", "calibration_frames", "task"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    keys = ("alpha", "gamma", "action_mode", "calibration_frames", "task")
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     return replace(config, **overrides) if overrides else config
 
 
-def _translate_one(stream, config: PipelineConfig, out_path: Path, max_unconverged: float) -> int:
-    demo, timings = translate_timed(stream, config)
-    frames = len(stream.frames)
+def _report_and_write(demo, timings: dict[str, float], out_path: Path, max_unconverged: float) -> int:
+    frames = demo.states.shape[0]
     unconverged = demo.provenance["unconverged_frames"]
     fraction = unconverged / frames
-    stage_summary = "  ".join(f"{k}={v:.2f}s" for k, v in timings.items())
-    _say(f"{demo.robot}: {stage_summary}")
+    _say(f"{demo.robot}: " + "  ".join(f"{k}={v:.2f}s" for k, v in timings.items()))
     _say(f"{demo.robot}: mean keypoint residual "
          f"{demo.provenance['mean_keypoint_residual']:.4g} m, "
          f"{unconverged}/{frames} frames unconverged")
@@ -128,31 +134,28 @@ def _translate_one(stream, config: PipelineConfig, out_path: Path, max_unconverg
 def cmd_translate(args) -> int:
     stream = read_stream(args.stream)
     config = _apply_overrides(PipelineConfig.from_file(args.config), args)
-    return _translate_one(stream, config, Path(args.out), args.max_unconverged)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    return _report_and_write(*translate_timed(stream, config), Path(args.out), args.max_unconverged)
 
 
 def cmd_translate_all(args) -> int:
+    """Every robot is translated and reported; the exit code is the worst robot's."""
     stream = read_stream(args.stream)
     config_files = sorted(Path(args.configs).glob("*.json"))
     if not config_files:
         raise DataError(f"no *.json configs in {args.configs}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    worst = 0
+    configs, errors = {}, {}
     for config_file in config_files:
         try:
-            config = _apply_overrides(PipelineConfig.from_file(config_file), args)
-            code = _translate_one(
-                stream, config, out_dir / f"{config_file.stem}.demo", args.max_unconverged
-            )
-        except DataError as exc:
-            _say(f"{config_file.stem}: data error: {exc}")
-            code = DATA_ERROR
-        except NumericalError as exc:
-            _say(f"{config_file.stem}: numerical failure: {exc}")
-            code = NUMERICAL_ERROR
-        worst = max(worst, code)
-    return worst
+            configs[config_file.stem] = _apply_overrides(PipelineConfig.from_file(config_file), args)
+        except (FileNotFoundError, DataError) as exc:  # reported below with the translation failures
+            errors[config_file.stem] = exc
+    results, failed = translate_all(stream, configs)
+    codes = [_report_and_write(*result, out_dir / f"{name}.demo", args.max_unconverged)
+             for name, result in results.items()]
+    return max(codes + [_exit_code(exc, f"{name}: ") for name, exc in {**errors, **failed}.items()])
 
 
 def cmd_train(args) -> int:
@@ -304,16 +307,11 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        _say(f"error: {exc}")
-        _say(f"run 'dexretarget {args.command} --help' for usage")
-        return USAGE_ERROR
-    except DataError as exc:
-        _say(f"data error: {exc}")
-        return DATA_ERROR
-    except NumericalError as exc:
-        _say(f"numerical failure: {exc}")
-        return NUMERICAL_ERROR
+    except Exception as exc:  # noqa: BLE001 - _exit_code re-raises what has no exit code
+        code = _exit_code(exc)
+        if code == USAGE_ERROR:
+            _say(f"run 'dexretarget {args.command} --help' for usage")
+        return code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """End-to-end demonstration translation.
 
-translate() turns one recorded hand-pose stream into a robot demonstration:
-calibrate the shape, build the customized hand, retarget its joint trajectory
-onto the target robot, compute actions (filtered position targets or
-torques), and derive palm velocity commands by finite-differencing the wrist
-transform recovered from the observed keypoints.
+translate() turns one recorded hand-pose stream into a robot demonstration. A
+stream stage calibrates the shape, builds the customized hand, runs its FK and
+finite-differences the wrist transform recovered from the observed keypoints
+into palm velocity commands; a robot stage retargets onto the target robot,
+computes actions (filtered position targets or torques) and assembles them.
 
 Demonstration files are line-delimited JSON (`dexdemo/1`): a header with the
 layouts, then one record per step. The convention is one action per
@@ -23,18 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kinematics
 from .control import gamma_from_cutoff
 from .dynamics import POSITION, TORQUE, compute_actions
 from .errors import DataError, DemoFormatError, NumericalError, check_number_fields
 from .handgen import build_custom_hand, default_template, load_template
-from .kinematics import _keypoint_frames, _keypoint_positions, load_robot
+from .kinematics import KinematicTree, _keypoint_frames, _keypoint_positions, load_robot
 from .poseio import HandPoseStream, calibrate, solve_wrists
 from .retarget import (
     DEFAULT_ALPHA,
     KeypointMap,
     RetargetProblem,
     SolverSettings,
-    _source_poses,
     read_keypoint_map,
     retarget_keypoints,
 )
@@ -147,10 +147,6 @@ class Demonstration:
         object.__setattr__(self, "actions", actions)
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _wrist_trajectory(
     stream: HandPoseStream, names: tuple[str, ...], keypoints: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -190,133 +186,143 @@ def translate_timed(
     stream: HandPoseStream, config: PipelineConfig
 ) -> tuple[Demonstration, dict[str, float]]:
     """translate() plus wall-clock seconds per pipeline stage."""
-    timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    return _robot_stage(_StreamStage.build(stream, config), config, t0)
+
+
+def translate_all(
+    stream: HandPoseStream, configs: dict[str, PipelineConfig]
+) -> tuple[dict[str, tuple[Demonstration, dict[str, float]]], dict[str, Exception]]:
+    """translate_timed() for several robots; failures stay isolated.
+
+    Robots whose configs share calibration_frames and template share one
+    stream stage; its seconds count in the first such robot's timings.
+    """
+    stages: dict[tuple, _StreamStage] = {}
+    results, errors = {}, {}
+    for name, config in configs.items():
+        t0 = time.perf_counter()
+        key = (config.calibration_frames, config.template)
+        try:
+            if key not in stages:
+                stages[key] = _StreamStage.build(stream, config)
+            results[name] = _robot_stage(stages[key], config, t0)
+        except Exception as exc:  # noqa: BLE001 - per-robot isolation is the contract
+            # Logged, not warned: the caller gets the exception in `errors`.
+            log.info("translation for '%s' failed: %s", name, exc)
+            errors[name] = exc
+    return results, errors
+
+
+@dataclass(frozen=True)
+class _StreamStage:
+    """The robot-independent part of a translation, built once per stream
+    and (calibration_frames, template)."""
+
+    hand: KinematicTree
+    hand_poses: tuple[np.ndarray, np.ndarray]  # link poses over the stream: the hand's one FK
+    palm_velocity: np.ndarray  # (T-1, 6)
+    states: np.ndarray         # (T, 23): palm_pose, palm_velocity, object_pose, target_position
+    dt: float
+    provenance: dict           # stream_sha256 and object_fields
+
+    @classmethod
+    def build(cls, stream: HandPoseStream, config: PipelineConfig) -> "_StreamStage":
+        # Shape calibration: stored stream calibration wins over recomputation.
+        if stream.s0 is not None:
+            s0 = stream.s0
+        else:
+            k = min(config.calibration_frames, len(stream.frames))
+            s0, _ = calibrate(stream.frames[:k])
+        template = load_template(config.template) if config.template else default_template()
+        hand = build_custom_hand(s0, template)
+        try:
+            # The customized hand's one FK. It gives every robot's retarget
+            # its source keypoints and the wrist solve its canonical
+            # keypoints; a bad pose is reported as the retarget stage's input.
+            hand_poses = kinematics._link_poses(hand, hand.check_q(stream.pose_matrix()))
+        except DataError as exc:
+            raise type(exc)(f"retarget stage: {exc}") from exc
+        hand_keypoints = _keypoint_positions(*hand_poses, _keypoint_frames(hand, slice(None)))
+        rotation, translation = _wrist_trajectory(stream, hand.keypoint_names, hand_keypoints)
+        palm_vel = _palm_velocities(rotation, translation, stream.dt)
+
+        n_frames = len(stream.frames)
+        object_pose = np.asarray(stream.metadata.get("object_pose", [1, 0, 0, 0, 0, 0, 0]), dtype=float)
+        target_position = np.asarray(stream.metadata.get("target_position", [0, 0, 0]), dtype=float)
+        # The last state repeats the last palm velocity: there is no next frame.
+        states = np.concatenate([
+            rotation, translation, palm_vel[np.minimum(np.arange(n_frames), n_frames - 2)],
+            np.broadcast_to(object_pose, (n_frames, 7)), np.broadcast_to(target_position, (n_frames, 3)),
+        ], axis=1)
+        provenance = {
+            "stream_sha256": stream.sha256,
+            "object_fields": "stream" if "object_pose" in stream.metadata else "zero-filled",
+        }
+        return cls(hand, hand_poses, palm_vel, states, stream.dt, provenance)
+
+
+def _robot_stage(
+    stage: _StreamStage, config: PipelineConfig, t0: float
+) -> tuple[Demonstration, dict[str, float]]:
+    """One robot's demonstration from a stream stage; stage seconds count from t0."""
+    timings: dict[str, float] = {}
     target = load_robot(config.robot)
-    dt = stream.dt
-
-    # Shape calibration: stored stream calibration wins over recomputation.
-    if stream.s0 is not None:
-        s0 = stream.s0
-    else:
-        k = min(config.calibration_frames, len(stream.frames))
-        s0, _ = calibrate(stream.frames[:k])
-
-    template = load_template(config.template) if config.template else default_template()
-    hand = build_custom_hand(s0, template)
     timings["calibrate_and_build"] = time.perf_counter() - t0
     t0 = time.perf_counter()
 
     if config.keypoint_map:
         keypoint_map = read_keypoint_map(config.keypoint_map)
     else:
-        shared = [n for n in hand.keypoint_names if n in target.keypoint_names]
+        shared = [n for n in stage.hand.keypoint_names if n in target.keypoint_names]
         keypoint_map = KeypointMap(tuple((n, n) for n in shared))
 
-    problem = RetargetProblem(
-        source=hand,
-        target=target,
-        keypoint_map=keypoint_map,
-        alpha=config.alpha,
-        settings=SolverSettings(max_iterations=config.max_iterations, grad_tol=config.grad_tol),
-    )
+    settings = SolverSettings(max_iterations=config.max_iterations, grad_tol=config.grad_tol)
+    problem = RetargetProblem(stage.hand, target, keypoint_map, config.alpha, settings)
     lower, upper = target.joint_limits()
     q0 = np.clip(np.zeros(target.num_actuated), lower, upper)
     try:
-        # The customized hand's one FK: it gives the source keypoints here
-        # and the canonical keypoints of the wrist solve below.
-        hand_poses = _source_poses(problem, stream.pose_matrix())
-        results = retarget_keypoints(problem, problem._source_points(*hand_poses), q0)
+        results = retarget_keypoints(problem, problem._source_points(*stage.hand_poses), q0)
     except (DataError, NumericalError) as exc:
         raise type(exc)(f"retarget stage: {exc}") from exc
     q_traj = np.stack([r.q for r in results])
     timings["retarget"] = time.perf_counter() - t0
     t0 = time.perf_counter()
 
-    gamma = config.gamma if config.gamma is not None else gamma_from_cutoff(config.cutoff_hz, dt)
+    gamma = config.gamma if config.gamma is not None else gamma_from_cutoff(config.cutoff_hz, stage.dt)
     try:
-        finger_track = compute_actions(target, q_traj, dt, gamma, mode=config.action_mode)
+        finger_track = compute_actions(target, q_traj, stage.dt, gamma, mode=config.action_mode)
     except (DataError, NumericalError) as exc:
         raise type(exc)(f"action stage: {exc}") from exc
     timings["actions"] = time.perf_counter() - t0
     t0 = time.perf_counter()
 
-    hand_keypoints = _keypoint_positions(*hand_poses, _keypoint_frames(hand, slice(None)))
-    wrist_rotation, wrist_translation = _wrist_trajectory(stream, hand.keypoint_names, hand_keypoints)
-    palm_vel = _palm_velocities(wrist_rotation, wrist_translation, dt)
-
     finger_width = target.num_actuated
     finger_field = "finger_torque" if config.action_mode == TORQUE else "finger_position_target"
-
-    n_frames = len(stream.frames)
-    object_pose = np.asarray(stream.metadata.get("object_pose", [1, 0, 0, 0, 0, 0, 0]), dtype=float)
-    target_position = np.asarray(stream.metadata.get("target_position", [0, 0, 0]), dtype=float)
-
-    state_layout = (
-        ("joints", finger_width),
-        ("palm_pose", 7),
-        ("palm_velocity", 6),
-        ("object_pose", 7),
-        ("target_position", 3),
-    )
+    state_layout = (("joints", finger_width), ("palm_pose", 7), ("palm_velocity", 6),
+                    ("object_pose", 7), ("target_position", 3))
     action_layout = (("palm_velocity", PALM_VELOCITY_WIDTH), (finger_field, finger_width))
-
-    # The last state repeats the last palm velocity: there is no next frame.
-    states = np.concatenate(
-        [
-            q_traj,
-            wrist_rotation,
-            wrist_translation,
-            palm_vel[np.minimum(np.arange(n_frames), n_frames - 2)],
-            np.broadcast_to(object_pose, (n_frames, 7)),
-            np.broadcast_to(target_position, (n_frames, 3)),
-        ],
-        axis=1,
-    )
-    actions = np.concatenate([palm_vel, finger_track[:-1]], axis=1)
+    states = np.concatenate([q_traj, stage.states], axis=1)
+    actions = np.concatenate([stage.palm_velocity, finger_track[:-1]], axis=1)
 
     mean_residual = float(np.mean([r.residual for r in results]))
     unconverged = int(sum(not r.converged for r in results))
     provenance = {
-        "stream_sha256": stream.sha256,
-        "config_sha256": _sha256(config.canonical_json()),
+        **stage.provenance,
+        "config_sha256": hashlib.sha256(config.canonical_json().encode()).hexdigest(),
         "mean_keypoint_residual": mean_residual,
         "unconverged_frames": unconverged,
         "gn_iterations": int(sum(r.iterations for r in results)),
         "gn_probes": int(sum(r.probes for r in results)),
-        "object_fields": "stream" if "object_pose" in stream.metadata else "zero-filled",
     }
     timings["wrist_and_assembly"] = time.perf_counter() - t0
     log.info(
         "translated %d frames onto '%s': mean residual %.4g m, %d unconverged",
-        n_frames, target.name, mean_residual, unconverged,
+        len(states), target.name, mean_residual, unconverged,
     )
-    demo = Demonstration(
-        robot=target.name,
-        task=config.task,
-        dt=dt,
-        state_layout=state_layout,
-        action_layout=action_layout,
-        states=states,
-        actions=actions,
-        provenance=provenance,
-    )
+    demo = Demonstration(robot=target.name, task=config.task, dt=stage.dt, state_layout=state_layout,
+                         action_layout=action_layout, states=states, actions=actions, provenance=provenance)
     return demo, timings
-
-
-def translate_all(
-    stream: HandPoseStream, configs: dict[str, PipelineConfig]
-) -> tuple[dict[str, Demonstration], dict[str, Exception]]:
-    """Translate one stream for several robots; failures stay isolated."""
-    demos: dict[str, Demonstration] = {}
-    errors: dict[str, Exception] = {}
-    for name, config in configs.items():
-        try:
-            demos[name] = translate(stream, config)
-        except Exception as exc:  # noqa: BLE001 - per-robot isolation is the contract
-            log.warning("translation for '%s' failed: %s", name, exc)
-            errors[name] = exc
-    return demos, errors
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,41 @@ def test_translate_all_bundled_configs(short_stream_file, tmp_path, capsys):
     assert widths == {"schunk": 26, "adroit": 28, "allegro": 22}
 
 
+@pytest.mark.parametrize(
+    "bad_config, code",
+    [
+        ({"robot": "no_such.robot"}, 1),
+        ({"robot": "broken.robot"}, 2),
+        ({"robot": str(robot_path("allegro")), "max_iterations": 1, "grad_tol": 1e-30}, 3),
+    ],
+    ids=["missing-robot", "malformed-robot", "starved-solver"],
+)
+def test_translate_all_isolates_a_bad_config(bad_config, code, short_stream_file, tmp_path, capsys):
+    # The bad config sorts first, so every bundled robot comes after it.
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for config in asset_path("configs").glob("*.json"):
+        doc = json.loads(config.read_text())
+        doc.update({k: str((config.parent / doc[k]).resolve()) for k in ("robot", "keypoint_map")})
+        (configs / config.name).write_text(json.dumps(doc))
+    (configs / "broken.robot").write_text("{ not json")
+    (configs / "a_bad.json").write_text(json.dumps(bad_config))
+    out_dir = tmp_path / "demos"
+    assert main(["translate-all", "--stream", str(short_stream_file),
+                 "--configs", str(configs), "--out", str(out_dir)]) == code
+    assert sorted(p.name for p in out_dir.iterdir()) == ["adroit.demo", "allegro.demo", "schunk.demo"]
+    err = capsys.readouterr().err
+    assert ("unconverged fraction" if code == 3 else "a_bad: ") in err
+    assert "Traceback" not in err
+
+
+def test_translate_out_creates_its_directory(short_stream_file, allegro_config_file, tmp_path):
+    out = tmp_path / "nodir" / "deeper" / "a.demo"
+    assert main(["translate", "--stream", str(short_stream_file),
+                 "--config", str(allegro_config_file), "--out", str(out)]) == 0
+    assert read_demo(out).actions.shape[1] == 22
+
+
 def test_expert_then_train_both_modes(tmp_path, capsys):
     demo_dir = tmp_path / "demos"
     assert main(["expert", "--n", "4", "--out", str(demo_dir)]) == 0

@@ -66,18 +66,18 @@ def test_translate_is_deterministic(short_stream, tmp_path):
 
 def test_translate_all_three_robots(short_stream):
     configs = {name: make_config(name) for name in ("schunk", "adroit", "allegro")}
-    demos, errors = translate_all(short_stream, configs)
+    results, errors = translate_all(short_stream, configs)
     assert errors == {}
-    assert demos["schunk"].actions.shape[1] == 6 + 20
-    assert demos["adroit"].actions.shape[1] == 6 + 22
-    assert demos["allegro"].actions.shape[1] == 6 + 16
+    assert results["schunk"][0].actions.shape[1] == 6 + 20
+    assert results["adroit"][0].actions.shape[1] == 6 + 22
+    assert results["allegro"][0].actions.shape[1] == 6 + 16
 
 
 def test_translate_all_shares_palm_track(short_stream):
     configs = {name: make_config(name) for name in ("schunk", "allegro")}
-    demos, _ = translate_all(short_stream, configs)
-    palm_a = demos["schunk"].actions[:, :6]
-    palm_b = demos["allegro"].actions[:, :6]
+    results, _ = translate_all(short_stream, configs)
+    palm_a = results["schunk"][0].actions[:, :6]
+    palm_b = results["allegro"][0].actions[:, :6]
     assert np.array_equal(palm_a, palm_b)
 
 
@@ -88,10 +88,10 @@ def test_translate_all_isolates_failures(short_stream, tmp_path):
         "allegro": make_config("allegro"),
         "broken": make_config("allegro", robot=bad),
     }
-    demos, errors = translate_all(short_stream, configs)
-    assert "allegro" in demos
+    results, errors = translate_all(short_stream, configs)
+    assert "allegro" in results
     assert "broken" in errors
-    assert demos["allegro"].actions.shape[1] == 22
+    assert results["allegro"][0].actions.shape[1] == 22
 
 
 def test_self_translation_returns_filtered_source(tmp_path):
@@ -281,10 +281,63 @@ def test_translate_all_serializes_the_stream_once(sample_stream, monkeypatch):
         return real(s)
 
     monkeypatch.setattr(poseio, "stream_to_text", counting)
-    demos, errors = translate_all(stream, {n: make_config(n) for n in ("schunk", "adroit", "allegro")})
+    results, errors = translate_all(stream, {n: make_config(n) for n in ("schunk", "adroit", "allegro")})
     assert errors == {} and len(calls) == 1
     digest = hashlib.sha256(real(stream).encode()).hexdigest()
-    assert {d.provenance["stream_sha256"] for d in demos.values()} == {digest}
+    assert {d.provenance["stream_sha256"] for d, _ in results.values()} == {digest}
+
+
+def _count_stream_stage_calls(monkeypatch) -> dict[str, int]:
+    """Count the stream stage's expensive calls: the customized hand's build,
+    its FK and the wrist solve."""
+    import dexretarget.demopipe as demopipe
+    from dexretarget import kinematics
+
+    counts = {"build_custom_hand": 0, "hand_fk": 0, "solve_wrists": 0}
+
+    def counting(name, fn, count=lambda *args: True):
+        def wrapper(*args):
+            counts[name] += bool(count(*args))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(demopipe, "build_custom_hand", counting("build_custom_hand", demopipe.build_custom_hand))
+    monkeypatch.setattr(demopipe, "solve_wrists", counting("solve_wrists", demopipe.solve_wrists))
+    monkeypatch.setattr(kinematics, "_link_poses", counting(
+        "hand_fk", kinematics._link_poses, lambda tree, q: tree.name == "customized"))
+    return counts
+
+
+def test_translate_all_builds_the_stream_stage_once(short_stream, monkeypatch):
+    counts = _count_stream_stage_calls(monkeypatch)
+    results, errors = translate_all(short_stream, {n: make_config(n) for n in ("schunk", "adroit", "allegro")})
+    assert errors == {} and len(results) == 3
+    assert counts == {"build_custom_hand": 1, "hand_fk": 1, "solve_wrists": 1}
+
+
+def test_translate_all_builds_one_stream_stage_per_calibration(short_stream, monkeypatch):
+    assert short_stream.s0 is None
+    counts = _count_stream_stage_calls(monkeypatch)
+    configs = {"a": make_config("allegro"), "b": make_config("allegro", calibration_frames=20),
+               "c": make_config("schunk", calibration_frames=20)}
+    results, errors = translate_all(short_stream, configs)
+    assert errors == {} and len(results) == 3
+    assert counts == {"build_custom_hand": 2, "hand_fk": 2, "solve_wrists": 2}
+    assert not np.array_equal(results["a"][0].states, results["b"][0].states)
+
+
+@pytest.mark.parametrize("mode", ["position", "torque"])
+def test_translate_all_equals_translate(short_stream, mode):
+    configs = {n: make_config(n, action_mode=mode) for n in ("schunk", "adroit", "allegro")}
+    results, errors = translate_all(short_stream, configs)
+    assert errors == {}
+    for name, (demo, timings) in results.items():
+        alone = translate(short_stream, configs[name])
+        assert demo.states.tobytes() == alone.states.tobytes()
+        assert demo.actions.tobytes() == alone.actions.tobytes()
+        assert demo.provenance == alone.provenance
+        assert (demo.state_layout, demo.action_layout) == (alone.state_layout, alone.action_layout)
+        assert set(timings) == {"calibrate_and_build", "retarget", "actions", "wrist_and_assembly"}
 
 
 def test_nonfinite_source_frame_is_named_by_the_retarget_stage(sample_stream):
