@@ -114,16 +114,16 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
     return replace(config, **overrides) if overrides else config
 
 
-def _report_and_write(demo, timings: dict[str, float], out_path: Path, max_unconverged: float) -> int:
+def _report_and_write(label: str, demo, timings: dict[str, float], out_path: Path, max_unconverged: float) -> int:
     frames = demo.states.shape[0]
     unconverged = demo.provenance["unconverged_frames"]
     fraction = unconverged / frames
-    _say(f"{demo.robot}: " + "  ".join(f"{k}={v:.2f}s" for k, v in timings.items()))
-    _say(f"{demo.robot}: mean keypoint residual "
+    _say(f"{label}: " + "  ".join(f"{k}={v:.2f}s" for k, v in timings.items()))
+    _say(f"{label}: mean keypoint residual "
          f"{demo.provenance['mean_keypoint_residual']:.4g} m, "
          f"{unconverged}/{frames} frames unconverged")
     if fraction > max_unconverged:
-        _say(f"{demo.robot}: unconverged fraction {fraction:.1%} exceeds "
+        _say(f"{label}: unconverged fraction {fraction:.1%} exceeds "
              f"--max-unconverged {max_unconverged:.1%}")
         return NUMERICAL_ERROR
     write_demo(demo, out_path)
@@ -135,7 +135,8 @@ def cmd_translate(args) -> int:
     stream = read_stream(args.stream)
     config = _apply_overrides(PipelineConfig.from_file(args.config), args)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    return _report_and_write(*translate_timed(stream, config), Path(args.out), args.max_unconverged)
+    demo, timings = translate_timed(stream, config)
+    return _report_and_write(demo.robot, demo, timings, Path(args.out), args.max_unconverged)
 
 
 def cmd_translate_all(args) -> int:
@@ -153,7 +154,7 @@ def cmd_translate_all(args) -> int:
         except (FileNotFoundError, DataError) as exc:  # reported below with the translation failures
             errors[config_file.stem] = exc
     results, failed = translate_all(stream, configs)
-    codes = [_report_and_write(*result, out_dir / f"{name}.demo", args.max_unconverged)
+    codes = [_report_and_write(name, *result, out_dir / f"{name}.demo", args.max_unconverged)
              for name, result in results.items()]
     return max(codes + [_exit_code(exc, f"{name}: ") for name, exc in {**errors, **failed}.items()])
 

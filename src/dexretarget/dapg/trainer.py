@@ -271,9 +271,10 @@ def train(
         )
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {k}")
-        policy.set_flat(policy.get_flat() + policy_adam.step(grad / n_samples))
-        if not np.all(np.isfinite(policy.get_flat())):
+        params = policy.get_flat() + policy_adam.step(grad / n_samples)
+        if not np.all(np.isfinite(params)):
             raise NumericalError(f"non-finite policy parameters at iteration {k}")
+        policy.set_flat(params)
         fit_value(value_fn, batch.states, batch.returns, config.value_epochs, value_adam, rng)
 
         curve.add(k, batch.episode_returns.mean(), batch.successes.mean(), weight)

@@ -157,15 +157,13 @@ def _wrist_trajectory(
     rotation = np.tile([1.0, 0.0, 0.0, 0.0], (len(frames), 1))
     translation = np.zeros((len(frames), 3))
     seen = [i for i, frame in enumerate(frames) if frame.observed_keypoints]
-    if not seen:
-        return rotation, translation
     canonical = {name: keypoints[seen, k] for k, name in enumerate(names)}
-    results, _ = solve_wrists(canonical, [frames[i].observed_keypoints for i in seen])
-    for i, result in zip(seen, results):
-        if isinstance(result, DataError):
-            raise DataError(f"wrist solve failed at frame {i}: {result}") from result
-        rotation[i] = result.rotation
-        translation[i] = result.translation
+    rotation[seen], translation[seen], _, errors = solve_wrists(
+        canonical, [frames[i].observed_keypoints for i in seen]
+    )
+    if errors:
+        j = min(errors)
+        raise DataError(f"wrist solve failed at frame {seen[j]}: {errors[j]}")
     return rotation, translation
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DescriptionError
-from .transforms import RigidTransform, _axis_terms, _rodrigues, quat_from_rpy
+from .transforms import RigidTransform, _axis_terms, _rodrigues, quat_from_rpy, quat_to_matrix
 
 _AXIS_TOL = 1e-9
 _PSD_TOL = -1e-9
@@ -234,7 +234,7 @@ def _finalize(tree: KinematicTree) -> KinematicTree:
     links = [tree.links[index[lid]] for lid in slot_ids]
     order = np.array([index[lid] for lid in slot_ids], dtype=int)
     parent_slots = np.array([-1] + [slot[link.parent] for link in links[1:]], dtype=int)
-    origin_rot = np.array([link.origin.matrix() for link in links]).reshape(n, 3, 3)
+    origin_rot = quat_to_matrix(np.array([link.origin.rotation for link in links]).reshape(n, 4))
     origin_trans = np.array([link.origin.translation for link in links]).reshape(n, 3)
 
     actuated = tuple(c for c, j in tree.joints.items() if j.type == REVOLUTE)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, StreamFormatError
 from .handgen import HandShapeParams
-from .transforms import RigidTransform
+from .transforms import RigidTransform, matrix_to_quat
 
 FORMAT_VERSION = "dexstream/1"
 POSE_DIM = 45
@@ -213,36 +213,39 @@ def _align(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 def solve_wrists(
     canonical_keypoints: dict[str, np.ndarray],
     observed_keypoints: list[dict[str, np.ndarray]],
-) -> tuple[list[RigidTransform | DataError], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
     """solve_wrist for B frames at once.
 
     `canonical_keypoints` maps each name to its (B, 3) positions, one row per
     frame; `observed_keypoints` holds the B frames' observations. Frames that
-    share the same keypoint names are solved with one stacked SVD. Returns one
-    entry per frame, the transform or the DataError that solve_wrist would
-    raise for it, and the (B,) RMS residuals (NaN where the solve failed).
+    share the same keypoint names are solved with one stacked SVD. Returns
+    the (B, 4) rotations, (B, 3) translations and (B,) RMS residuals, and a
+    {frame: message} map of the frames that solve_wrist would reject; their
+    rows are NaN.
     """
-    results: list[RigidTransform | DataError] = [None] * len(observed_keypoints)
-    residuals = np.full(len(observed_keypoints), np.nan)
+    n_frames = len(observed_keypoints)
+    rotation, translation = np.full((n_frames, 4), np.nan), np.full((n_frames, 3), np.nan)
+    residual = np.full(n_frames, np.nan)
+    errors: dict[int, str] = {}
     groups: dict[tuple[str, ...], list[int]] = {}
     for b, observed in enumerate(observed_keypoints):
         names = tuple(sorted(set(canonical_keypoints) & set(observed)))
         groups.setdefault(names, []).append(b)
     for names, rows in groups.items():
         if len(names) < 3:
-            for b in rows:
-                results[b] = DataError(f"need at least 3 shared keypoints, got {len(names)}")
+            errors.update(dict.fromkeys(rows, f"need at least 3 shared keypoints, got {len(names)}"))
             continue
         src = np.stack([np.asarray(canonical_keypoints[n], dtype=float)[rows] for n in names], axis=1)
         dst = np.array([[observed_keypoints[b][n] for n in names] for b in rows], dtype=float)
-        rot, trans, residual, collinear = _align(src, dst)
-        for j, b in enumerate(rows):
-            if collinear[j]:
-                results[b] = DataError("keypoint configuration is collinear; wrist rotation is ambiguous")
-            else:
-                results[b] = RigidTransform.from_matrix(rot[j], trans[j])
-                residuals[b] = residual[j]
-    return results, residuals
+        rot, trans, res, collinear = _align(src, dst)
+        rows = np.array(rows)
+        errors.update(dict.fromkeys(rows[collinear].tolist(),
+                                    "keypoint configuration is collinear; wrist rotation is ambiguous"))
+        good = ~collinear
+        rotation[rows[good]] = matrix_to_quat(rot[good])
+        translation[rows[good]] = trans[good]
+        residual[rows[good]] = res[good]
+    return rotation, translation, residual, errors
 
 
 def solve_wrist(
@@ -256,7 +259,7 @@ def solve_wrist(
     residual in meters.
     """
     canonical = {k: np.asarray(v, dtype=float)[None] for k, v in canonical_keypoints.items()}
-    (result,), (residual,) = solve_wrists(canonical, [observed_keypoints])
-    if isinstance(result, DataError):
-        raise result
-    return result, float(residual)
+    rotation, translation, residual, errors = solve_wrists(canonical, [observed_keypoints])
+    if errors:
+        raise DataError(errors[0])
+    return RigidTransform(rotation[0], translation[0]), float(residual[0])

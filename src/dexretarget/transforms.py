@@ -22,7 +22,7 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     n = np.sqrt(np.vecdot(q, q))[..., None]
-    if not 1e-12 <= n.min() <= n.max() < np.inf:
+    if n.size and not 1e-12 <= n.min() <= n.max() < np.inf:
         raise DataError(f"degenerate quaternion {q!r}")
     q = q / n
     return np.negative(q, out=q, where=q[..., :1] < 0.0)
@@ -48,42 +48,41 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
+    """Rotation matrix of a unit quaternion; broadcasts (..., 4) to (..., 3, 3)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    rows = (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)),
+        (2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)),
+        (2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)),
     )
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def matrix_to_quat(m: np.ndarray) -> np.ndarray:
-    """Shepperd's method; returns the canonical (w >= 0) quaternion."""
+    """Shepperd's method; returns the canonical (w >= 0) quaternion.
+
+    Broadcasts (..., 3, 3) to (..., 4). Each matrix takes the trace branch
+    when its trace is positive, else the branch of its largest diagonal
+    entry (the first on ties), and every branch's arithmetic is written out
+    once, so a stacked row is bitwise a one-matrix call.
+    """
     m = np.asarray(m, dtype=float)
-    t = np.trace(m)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(m)))
-        if i == 0:
-            s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            q = np.array(
-                [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-            )
-        elif i == 1:
-            s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            q = np.array(
-                [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-            )
-        else:
-            s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-            q = np.array(
-                [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-            )
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = np.moveaxis(m.reshape(m.shape[:-2] + (9,)), -1, 0)
+    t = m00 + m11 + m22
+    dx, dy, dz = m21 - m12, m02 - m20, m10 - m01
+    sxy, sxz, syz = m01 + m10, m02 + m20, m12 + m21
+    # Branch b leads with component b: 0.25 * s, where s = 2 * sqrt(radicand[b]);
+    # its other three components are row b of the symmetric table over s.
+    radicand = np.stack([t + 1.0, 1.0 + m00 - m11 - m22, 1.0 + m11 - m00 - m22, 1.0 + m22 - m00 - m11], axis=-1)
+    zero = np.zeros_like(t)
+    table = np.stack([
+        np.stack(row, axis=-1)
+        for row in ((zero, dx, dy, dz), (dx, zero, sxy, sxz), (dy, sxy, zero, syz), (dz, sxz, syz, zero))
+    ], axis=-2)
+    branch = np.where(t > 0, 0, 1 + np.argmax(np.diagonal(m, axis1=-2, axis2=-1), axis=-1))[..., None]
+    s = np.sqrt(np.take_along_axis(radicand, branch, axis=-1)) * 2.0
+    q = np.take_along_axis(table, branch[..., None], axis=-2)[..., 0, :] / s
+    np.put_along_axis(q, branch, 0.25 * s, axis=-1)
     return quat_normalize(q)
 
 
@@ -183,10 +182,6 @@ class RigidTransform:
     @classmethod
     def identity(cls) -> "RigidTransform":
         return cls()
-
-    @classmethod
-    def from_matrix(cls, rot: np.ndarray, trans: np.ndarray) -> "RigidTransform":
-        return cls(matrix_to_quat(rot), np.asarray(trans, dtype=float))
 
     def matrix(self) -> np.ndarray:
         return quat_to_matrix(self.rotation)

@@ -305,7 +305,7 @@ def test_solve_wrists_matches_single_solves_and_flags_bad_frames():
     rng = np.random.default_rng(10)
     names = [f"p{i}" for i in range(5)]
     canonical, observed = {n: [] for n in names}, []
-    for _ in range(6):
+    for _ in range(8):
         pts = {n: rng.uniform(-0.1, 0.1, size=3) for n in names}
         truth = RigidTransform(quat_from_rpy(*rng.uniform(-np.pi, np.pi, 3)), rng.uniform(-1, 1, 3))
         for n in names:
@@ -315,20 +315,29 @@ def test_solve_wrists_matches_single_solves_and_flags_bad_frames():
         canonical[n][2] = np.array([0.02 * i, 0.0, 0.0])
         observed[2][n] = np.array([0.02 * i, 0.0, 0.0])
     observed[4] = {n: observed[4][n] for n in names[:2]}  # frame 4: two shared points
+    # Frames 6 and 7 share four names and are both collinear: a group whose
+    # stack of good rows is empty.
+    for b in (6, 7):
+        observed[b] = {n: np.array([0.0, 0.03 * i, 0.0]) for i, n in enumerate(names[:4])}
+        for i, n in enumerate(names[:4]):
+            canonical[n][b] = np.array([0.0, 0.0, 0.01 * i])
     canonical = {n: np.array(v) for n, v in canonical.items()}
 
-    results, residuals = solve_wrists(canonical, observed)
-    for b in range(6):
+    rotation, translation, residual, errors = solve_wrists(canonical, observed)
+    assert rotation.shape == (8, 4) and translation.shape == (8, 3) and residual.shape == (8,)
+    assert sorted(errors) == [2, 4, 6, 7]
+    for b in range(8):
         single = {n: v[b] for n, v in canonical.items()}
-        if b in (2, 4):
-            assert isinstance(results[b], DataError)
-            assert np.isnan(residuals[b])
-            with pytest.raises(DataError, match=str(results[b])):
+        if b in errors:
+            assert np.isnan(rotation[b]).all() and np.isnan(translation[b]).all()
+            assert np.isnan(residual[b])
+            with pytest.raises(DataError, match=errors[b]):
                 solve_wrist(single, observed[b])
             continue
-        transform, residual = solve_wrist(single, observed[b])
-        np.testing.assert_array_equal(results[b].rotation, transform.rotation)
-        np.testing.assert_array_equal(results[b].translation, transform.translation)
-        assert residuals[b] == residual
-    assert "collinear" in str(results[2])
-    assert "at least 3" in str(results[4])
+        transform, single_residual = solve_wrist(single, observed[b])
+        batched = RigidTransform(rotation[b], translation[b])
+        np.testing.assert_array_equal(batched.rotation, transform.rotation)
+        np.testing.assert_array_equal(batched.translation, transform.translation)
+        assert residual[b] == single_residual
+    assert "collinear" in errors[2] and "collinear" in errors[6] and "collinear" in errors[7]
+    assert "at least 3" in errors[4]

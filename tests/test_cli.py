@@ -194,6 +194,27 @@ def test_translate_all_isolates_a_bad_config(bad_config, code, short_stream_file
     assert "Traceback" not in err
 
 
+def test_translate_all_labels_reports_by_config_name(short_stream_file, tmp_path, capsys):
+    # Two configs for the same robot: each report must name its config.
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    allegro = json.loads(asset_path("configs/allegro.json").read_text())
+    allegro.update({k: str((asset_path("configs") / allegro[k]).resolve()) for k in ("robot", "keypoint_map")})
+    (configs / "allegro.json").write_text(json.dumps(allegro))
+    (configs / "a_starved.json").write_text(json.dumps({**allegro, "max_iterations": 1, "grad_tol": 1e-30}))
+    out_dir = tmp_path / "demos"
+    assert main(["translate-all", "--stream", str(short_stream_file),
+                 "--configs", str(configs), "--out", str(out_dir)]) == 3
+    assert sorted(p.name for p in out_dir.iterdir()) == ["allegro.demo"]
+    lines = capsys.readouterr().err.splitlines()
+    starved = [line for line in lines if line.startswith("a_starved: ")]
+    fine = [line for line in lines if line.startswith("allegro: ")]
+    assert len(starved) == 3 and len(fine) == 2
+    assert "exceeds --max-unconverged" in starved[2]
+    assert not any("exceeds" in line for line in fine)
+    assert f"wrote {out_dir / 'allegro.demo'}" in lines
+
+
 def test_translate_out_creates_its_directory(short_stream_file, allegro_config_file, tmp_path):
     out = tmp_path / "nodir" / "deeper" / "a.demo"
     assert main(["translate", "--stream", str(short_stream_file),

@@ -422,3 +422,27 @@ def test_nan_rollout_aborts_with_iteration_index(monkeypatch):
     config = DapgConfig(iterations=5, batch_trajectories=5, seed=0, bc_epochs=0)
     with pytest.raises(NumericalError, match="iteration 2"):
         train(None, config)
+
+
+def test_diverged_policy_update_exits_3_with_iteration_index(monkeypatch, tmp_path, capsys):
+    import json
+
+    from dexretarget.cli import main
+    from dexretarget.dapg.env import ACT_DIM, OBS_DIM
+    from dexretarget.dapg.nets import Adam
+
+    # The third policy update diverges; the value function's steps stay real.
+    policy_size = GaussianPolicy(OBS_DIM, ACT_DIM).num_params
+    real_step = Adam.step
+
+    def diverging(self, grad):
+        step = real_step(self, grad)
+        return step * np.inf if self.m.size == policy_size and self.t == 3 else step
+
+    monkeypatch.setattr(Adam, "step", diverging)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"iterations": 5, "batch_trajectories": 5, "bc_epochs": 0}))
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite policy parameters at iteration 2" in err
+    assert "Traceback" not in err
