@@ -8,10 +8,13 @@ joints and one fingertip keypoint per finger.
 """
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,6 +30,11 @@ JOINT_LIMIT = 1.6  # rad, applied symmetrically to every stacked axis
 BETA_CLAMP = 5.0
 _AXES = (("x", np.array([1.0, 0.0, 0.0])), ("y", np.array([0.0, 1.0, 0.0])), ("z", np.array([0.0, 0.0, 1.0])))
 _BONE_DENSITY = 1000.0  # kg/m^3, water-like soft tissue stand-in
+# Distinct template texts whose templates load_template keeps, and
+# (shape, template, name) keys whose hands build_custom_hand keeps (about
+# 75 KB each).
+TEMPLATE_CACHE_SIZE = 4
+HAND_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -50,30 +58,50 @@ class HandShapeParams:
         return cls(np.zeros(SHAPE_DIM))
 
 
+def _read_only(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A read-only float copy of `value`, which must have `shape` and be finite."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must be numbers: {exc}") from exc
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise DataError(f"{what} must be {'x'.join(map(str, shape))} finite numbers")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class FingerSpec:
+    """One finger of a template; its arrays are read-only copies."""
+
     base_xyz: np.ndarray
     base_rpy: np.ndarray
     lengths: np.ndarray  # 3 segment lengths, meters
     radii: np.ndarray    # 3 capsule radii, meters
 
+    def __post_init__(self):
+        for key in self.__dataclass_fields__:
+            object.__setattr__(self, key, _read_only(getattr(self, key), (3,), key))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class HandTemplate:
+    """Read-only hand template. It compares and hashes by identity, which
+    is what keys build_custom_hand's reuse of hands."""
+
     palm_box: np.ndarray                 # (x, y, z) size in meters
-    fingers: dict[str, FingerSpec]       # keyed by FINGERS entries
+    fingers: Mapping[str, FingerSpec]    # keyed by FINGERS entries
     length_basis: np.ndarray             # (10, 15) beta -> bone-length offsets
 
     def __post_init__(self):
-        palm = np.asarray(self.palm_box, dtype=float)
-        if palm.shape != (3,) or np.any(palm <= 0):
+        palm = _read_only(self.palm_box, (3,), "palm box")
+        if np.any(palm <= 0):
             raise DataError("palm box needs 3 positive dimensions")
         object.__setattr__(self, "palm_box", palm)
         if tuple(self.fingers) != FINGERS:
             raise DataError(f"template must define fingers {FINGERS}")
-        basis = np.asarray(self.length_basis, dtype=float)
-        if basis.shape != (SHAPE_DIM, NUM_BONES):
-            raise DataError(f"length basis must be {SHAPE_DIM}x{NUM_BONES}")
+        object.__setattr__(self, "fingers", MappingProxyType(dict(self.fingers)))
+        basis = _read_only(self.length_basis, (SHAPE_DIM, NUM_BONES), "length basis")
         object.__setattr__(self, "length_basis", basis)
 
         lengths = self.bone_lengths(HandShapeParams.zeros())
@@ -94,31 +122,37 @@ class HandTemplate:
         return base + shape.beta @ self.length_basis
 
 
-def _template_from_document(doc: dict) -> HandTemplate:
-    fingers = {}
-    for name in FINGERS:
-        raw = doc["fingers"][name]
-        fingers[name] = FingerSpec(
-            base_xyz=np.asarray(raw["base_xyz"], dtype=float),
-            base_rpy=np.asarray(raw["base_rpy"], dtype=float),
-            lengths=np.asarray(raw["lengths"], dtype=float),
-            radii=np.asarray(raw["radii"], dtype=float),
-        )
-    return HandTemplate(
-        palm_box=np.asarray(doc["palm_box"], dtype=float),
-        fingers=fingers,
-        length_basis=np.asarray(doc["length_basis"], dtype=float),
-    )
-
-
 def load_template(path: str | Path) -> HandTemplate:
+    """Read a hand template file. It is read on every call; equal texts then
+    share one template, up to TEMPLATE_CACHE_SIZE texts. A missing file
+    raises FileNotFoundError, anything else wrong DataError."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read hand template: {exc}") from exc
+    return _template_from_text(text)
+
+
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _template_from_text(text: str) -> HandTemplate:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"cannot read hand template: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError("hand template must be a JSON object")
     if doc.get("format") != "dexhand-template/1":
         raise DataError(f"unsupported template format {doc.get('format')!r}")
-    return _template_from_document(doc)
+    try:
+        fingers = {name: FingerSpec(**{key: doc["fingers"][name][key] for key in FingerSpec.__dataclass_fields__})
+                   for name in FINGERS}
+        return HandTemplate(palm_box=doc["palm_box"], fingers=fingers, length_basis=doc["length_basis"])
+    except KeyError as exc:
+        raise DataError(f"hand template has no {exc}") from exc
+    except TypeError as exc:
+        raise DataError(f"malformed hand template: {exc}") from exc
 
 
 def default_template() -> HandTemplate:
@@ -134,10 +168,20 @@ def build_custom_hand(shape: HandShapeParams, template: HandTemplate | None = No
     Topology never depends on the shape vector; only bone lengths do. The
     canonical joint order is finger-major (thumb..pinky), segment-major
     (proximal..distal), axis order x, y, z.
+
+    Equal shape vectors with the same template object and name share one
+    tree, built the first time: up to HAND_CACHE_SIZE hands, least recently
+    used first out.
     """
     if template is None:
         template = default_template()
-    lengths = template.bone_lengths(shape)
+    return _custom_hand(shape.beta.tobytes(), template, name)
+
+
+@functools.lru_cache(maxsize=HAND_CACHE_SIZE)
+def _custom_hand(beta: bytes, template: HandTemplate, name: str) -> KinematicTree:
+    # The key holds the template, so its identity cannot be reused while the hand lives.
+    lengths = template.bone_lengths(HandShapeParams(np.frombuffer(beta)))
 
     palm = template.palm_box
     palm_mass = 0.2

@@ -11,9 +11,12 @@ Units are fixed globally: meters, radians, seconds, kilograms.
 """
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +26,9 @@ from .transforms import RigidTransform, _axis_terms, _rodrigues, quat_from_rpy, 
 
 _AXIS_TOL = 1e-9
 _PSD_TOL = -1e-9
+# Distinct description texts whose trees load_robot keeps (a bundled robot
+# and its text take about 70 KB).
+ROBOT_CACHE_SIZE = 16
 
 # Vector components x, y, z, x, y: slices [1:4] and [2:5] are the cyclic
 # shifts (y, z, x) and (z, x, y) of a cross product.
@@ -86,14 +92,19 @@ class _Level(NamedTuple):
 
 @dataclass(frozen=True)
 class KinematicTree:
-    """Immutable articulated chain; safe to share across threads."""
+    """Immutable articulated chain; safe to share across threads.
+
+    Every array it holds is read-only, `joints` and `inertials` are
+    read-only mappings and each `geometry` entry is a read-only copy, so
+    one tree can serve every caller that loads the same description.
+    """
 
     name: str
     links: tuple[Link, ...]
-    joints: dict[str, Joint]          # keyed by child link id
-    inertials: dict[str, Inertial]
+    joints: Mapping[str, Joint]       # keyed by child link id
+    inertials: Mapping[str, Inertial]
     keypoints: tuple[Keypoint, ...]
-    geometry: tuple[dict, ...] = ()
+    geometry: tuple[Mapping, ...] = ()
     # Derived read-only caches, filled by _finalize. Link poses are computed
     # in slot order: the root is slot 0, then the links level by level, each
     # level ordered by its links' parent slots (siblings in description order).
@@ -154,8 +165,26 @@ class KinematicTree:
         return q
 
 
+def _frozen(value):
+    """Read-only copy of a JSON value: objects become read-only mappings, lists tuples."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+def _plain(value):
+    """The JSON value of a _frozen copy."""
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def _finalize(tree: KinematicTree) -> KinematicTree:
-    """Validate all invariants and attach traversal caches."""
+    """Validate all invariants, attach traversal caches and make the tree read-only."""
     index = {}
     for link in tree.links:
         if link.id in index:
@@ -202,10 +231,11 @@ def _finalize(tree: KinematicTree) -> KinematicTree:
         if joint.type == REVOLUTE:
             if joint.axis is None or abs(np.linalg.norm(joint.axis) - 1.0) > _AXIS_TOL:
                 raise DescriptionError("joint axis is not unit length", element=link.id)
-            if joint.lower > joint.upper:
-                raise DescriptionError("joint limit lower > upper", element=link.id)
-            if joint.damping < 0:
-                raise DescriptionError("negative joint damping", element=link.id)
+            # Written so that NaN fails too: it would reach the solver or the torques.
+            if not joint.lower <= joint.upper:
+                raise DescriptionError("joint limits must satisfy lower <= upper", element=link.id)
+            if not 0 <= joint.damping < np.inf:
+                raise DescriptionError("joint damping must be finite and nonnegative", element=link.id)
 
     for extra in set(tree.joints) - set(index):
         raise DescriptionError("joint references missing child link", element=extra)
@@ -259,8 +289,12 @@ def _finalize(tree: KinematicTree) -> KinematicTree:
                 kp_joint_mask[k, column[links[s].id]] = True
             s = parent_slots[s]
 
-    for arr in (order, parent_slots, origin_rot, origin_trans, joint_cols, joint_outer, joint_skew,
-                joint_slots, joint_axes, kp_slots, kp_offsets, kp_joint_mask):
+    parts = [a for link in tree.links for a in (link.origin.rotation, link.origin.translation)]
+    parts += [j.axis for j in tree.joints.values() if j.axis is not None]
+    parts += [a for i in tree.inertials.values() for a in (i.com, i.inertia)]
+    parts += [kp.offset for kp in tree.keypoints]
+    for arr in parts + [order, parent_slots, origin_rot, origin_trans, joint_cols, joint_outer,
+                        joint_skew, joint_slots, joint_axes, kp_slots, kp_offsets, kp_joint_mask]:
         arr.flags.writeable = False
 
     levels = []
@@ -315,10 +349,10 @@ def build_tree(
     tree = KinematicTree(
         name=name,
         links=tuple(links),
-        joints=joint_map,
-        inertials=inert_map,
+        joints=MappingProxyType(joint_map),
+        inertials=MappingProxyType(inert_map),
         keypoints=tuple(keypoints),
-        geometry=tuple(geometry),
+        geometry=tuple(_frozen(g) for g in geometry),
     )
     return _finalize(tree)
 
@@ -327,33 +361,75 @@ def build_tree(
 # Description document I/O
 # ---------------------------------------------------------------------------
 
-def _inertia_from_six(six) -> np.ndarray:
-    ixx, ixy, ixz, iyy, iyz, izz = [float(v) for v in six]
-    return np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
-
-
 def _vec(raw, length, what, element) -> np.ndarray:
     try:
-        v = np.asarray([float(x) for x in raw], dtype=float)
+        v = np.asarray([float(x) for x in raw], dtype=float) if isinstance(raw, (list, tuple)) else None
     except (TypeError, ValueError) as exc:
         raise DescriptionError(f"malformed {what}", element=element) from exc
-    if v.shape != (length,) or not np.all(np.isfinite(v)):
+    if v is None or v.shape != (length,) or not np.all(np.isfinite(v)):
         raise DescriptionError(f"{what} must be {length} finite numbers", element=element)
     return v
 
 
+def _number(raw: dict, key: str, default: float, element: str) -> float:
+    try:
+        return float(raw.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise DescriptionError(f"malformed {key}", element=element) from exc
+
+
+def _entries(doc: dict, key: str) -> list[dict]:
+    """The JSON objects listed under `key` (none when it is absent)."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise DescriptionError(f"{key} must be a list", element=key)
+    for i, raw in enumerate(entries):
+        if not isinstance(raw, dict):
+            raise DescriptionError(f"{key} entry must be a JSON object", element=f"{key}[{i}]")
+    return entries
+
+
+def _name(raw: dict, key: str, element: str, required: bool = True) -> str | None:
+    """The string under `key`; an absent or empty one raises if `required`, else gives None."""
+    value = raw.get(key)
+    if value is None or value == "":
+        if required:
+            raise DescriptionError(f"missing {key}", element=element)
+        return None
+    if not isinstance(value, str):
+        raise DescriptionError(f"{key} must be a string", element=element)
+    return value
+
+
 def load_robot(source: str | Path | dict) -> KinematicTree:
-    """Load and validate a robot description (path, JSON text, or dict)."""
+    """Load and validate a robot description (path, JSON text, or dict).
+
+    A path is read on every call, so an edited file is never served stale.
+    Equal texts then share one tree, built the first time: up to
+    ROBOT_CACHE_SIZE texts, least recently used first out. A dict is built
+    afresh on every call.
+    """
     if isinstance(source, dict):
-        doc = source
-    else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            text = Path(source).read_text()
+        return _tree_from_document(source)
+    text = str(source)
+    if not text.lstrip().startswith("{"):
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DescriptionError(f"robot description is not valid JSON: {exc}") from exc
+            text = Path(source).read_text()
+        except UnicodeDecodeError as exc:
+            raise DescriptionError(f"robot description is not UTF-8 text: {exc}") from exc
+    return _load_text(text)
+
+
+@functools.lru_cache(maxsize=ROBOT_CACHE_SIZE)
+def _load_text(text: str) -> KinematicTree:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DescriptionError(f"robot description is not valid JSON: {exc}") from exc
+    return _tree_from_document(doc)
+
+
+def _tree_from_document(doc) -> KinematicTree:
     if not isinstance(doc, dict):
         raise DescriptionError("robot description must be a JSON object")
 
@@ -362,24 +438,18 @@ def load_robot(source: str | Path | dict) -> KinematicTree:
         raise DescriptionError("missing robot name")
 
     links = []
-    for raw in doc.get("links", []):
-        lid = raw.get("id")
-        if not lid:
-            raise DescriptionError("link without id")
-        parent = raw.get("parent")
+    for i, raw in enumerate(_entries(doc, "links")):
+        lid = _name(raw, "id", f"links[{i}]")
+        parent = _name(raw, "parent", lid, required=False)
         xyz = _vec(raw.get("origin_xyz", (0, 0, 0)), 3, "origin_xyz", lid)
         rpy = _vec(raw.get("origin_rpy", (0, 0, 0)), 3, "origin_rpy", lid)
-        links.append(
-            Link(lid, parent or None, RigidTransform(quat_from_rpy(*rpy), xyz), tuple(float(v) for v in rpy))
-        )
+        links.append(Link(lid, parent, RigidTransform(quat_from_rpy(*rpy), xyz), tuple(float(v) for v in rpy)))
     if not links:
         raise DescriptionError("robot description has no links")
 
     joints = []
-    for raw in doc.get("joints", []):
-        child = raw.get("child_link")
-        if not child:
-            raise DescriptionError("joint without child_link")
+    for i, raw in enumerate(_entries(doc, "joints")):
+        child = _name(raw, "child_link", f"joints[{i}]")
         jtype = raw.get("type", REVOLUTE)
         axis = None
         if jtype == REVOLUTE:
@@ -389,40 +459,34 @@ def load_robot(source: str | Path | dict) -> KinematicTree:
                 child_link=child,
                 type=jtype,
                 axis=axis,
-                lower=float(raw.get("limit_lower", 0.0)),
-                upper=float(raw.get("limit_upper", 0.0)),
-                damping=float(raw.get("damping", 0.0)),
+                lower=_number(raw, "limit_lower", 0.0, child),
+                upper=_number(raw, "limit_upper", 0.0, child),
+                damping=_number(raw, "damping", 0.0, child),
             )
         )
 
     inertials = []
-    for raw in doc.get("inertials", []):
-        link = raw.get("link")
-        if not link:
-            raise DescriptionError("inertial without link")
-        six = raw.get("inertia_6", (0, 0, 0, 0, 0, 0))
-        if len(six) != 6:
-            raise DescriptionError("inertia_6 must have 6 entries", element=link)
+    for i, raw in enumerate(_entries(doc, "inertials")):
+        link = _name(raw, "link", f"inertials[{i}]")
+        ixx, ixy, ixz, iyy, iyz, izz = _vec(raw.get("inertia_6", (0, 0, 0, 0, 0, 0)), 6, "inertia_6", link)
         inertials.append(
             Inertial(
                 link=link,
-                mass=float(raw.get("mass", 0.0)),
+                mass=_number(raw, "mass", 0.0, link),
                 com=_vec(raw.get("com", (0, 0, 0)), 3, "com", link),
-                inertia=_inertia_from_six(six),
+                inertia=np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]]),
             )
         )
 
     keypoints = []
-    for raw in doc.get("keypoints", []):
-        kname = raw.get("name")
-        if not kname:
-            raise DescriptionError("keypoint without name")
+    for i, raw in enumerate(_entries(doc, "keypoints")):
+        kname = _name(raw, "name", f"keypoints[{i}]")
         keypoints.append(
-            Keypoint(name=kname, link=raw.get("link", ""), offset=_vec(raw.get("offset", (0, 0, 0)), 3, "offset", kname))
+            Keypoint(name=kname, link=_name(raw, "link", kname, required=False) or "",
+                     offset=_vec(raw.get("offset", (0, 0, 0)), 3, "offset", kname))
         )
 
-    geometry = tuple(dict(g) for g in doc.get("geometry", []))
-    return build_tree(name, links, joints, inertials, keypoints, geometry)
+    return build_tree(name, links, joints, inertials, keypoints, _entries(doc, "geometry"))
 
 
 def tree_to_document(tree: KinematicTree) -> dict:
@@ -481,7 +545,7 @@ def tree_to_document(tree: KinematicTree) -> dict:
             entry["damping"] = float(j.damping)
         doc["joints"].append(entry)
     if tree.geometry:
-        doc["geometry"] = [dict(g) for g in tree.geometry]
+        doc["geometry"] = [_plain(g) for g in tree.geometry]
     return doc
 
 

@@ -11,6 +11,8 @@ from dexretarget.demopipe import read_demo
 from dexretarget.kinematics import load_robot
 from dexretarget.poseio import read_stream, write_stream
 
+from helpers import planar_two_link_doc
+
 
 @pytest.fixture()
 def short_stream_file(tmp_path):
@@ -89,6 +91,41 @@ def test_gen_hand_bad_shape_exit_2(tmp_path, capsys):
     shape = tmp_path / "shape.json"
     shape.write_text(json.dumps({"beta": [0.0] * 4}))
     assert main(["gen-hand", "--shape", str(shape), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("template, code", [
+    ({"format": "dexhand-template/1"}, 2),
+    ([1], 2),
+    (None, 1),
+], ids=["no-fingers", "not-object", "missing-file"])
+def test_gen_hand_bad_template(template, code, tmp_path, capsys):
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps({"beta": [0.0] * 10}))
+    path = tmp_path / "template.json"
+    if template is not None:
+        path.write_text(json.dumps(template))
+    out = tmp_path / "o.robot"
+    assert main(["gen-hand", "--shape", str(shape), "--template", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert ("data error" if code == 2 else "--help") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, element", [
+    (lambda doc: doc.update(links=[1]), "links[0]"),
+    (lambda doc: doc["joints"][0].update(limit_lower="abc"), "l1"),
+    (lambda doc: doc["inertials"][1].update(inertia_6=5), "l1"),
+], ids=["link-not-object", "limit-string", "inertia-scalar"])
+def test_fk_malformed_robot_exit_2(edit, element, tmp_path, capsys):
+    doc = planar_two_link_doc()
+    edit(doc)
+    path = tmp_path / "bad.robot"
+    path.write_text(json.dumps(doc))
+    assert main(["fk", "--robot", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"(element: {element})" in err
+    assert "Traceback" not in err
 
 
 def test_fk_bundled_allegro_at_zeros(capsys):

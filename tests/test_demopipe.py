@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from dexretarget import handgen, kinematics
 from dexretarget.assets import config_path, robot_path, sample_stream_path
 from dexretarget.demopipe import (
     Demonstration,
@@ -478,3 +479,21 @@ def test_tree_and_problem_share_safely_across_threads():
         assert np.array_equal(a, b)
     for a, b in zip(serial_fk, threaded_fk):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode", ["position", "torque"])
+def test_shared_trees_give_the_same_demo_bytes(sample_stream, mode, tmp_path):
+    """Demos built on trees reused from the caches equal demos built on fresh ones."""
+    from dataclasses import replace
+
+    for robot in ("allegro", "schunk", "adroit"):
+        config = replace(PipelineConfig.from_file(config_path(robot)), action_mode=mode)
+        kinematics._load_text.cache_clear()
+        handgen._template_from_text.cache_clear()
+        handgen._custom_hand.cache_clear()
+        write_demo(translate(sample_stream, config), tmp_path / "cold.demo")
+        hits = kinematics._load_text.cache_info().hits, handgen._custom_hand.cache_info().hits
+        write_demo(translate(sample_stream, config), tmp_path / "warm.demo")
+        assert kinematics._load_text.cache_info().hits == hits[0] + 1
+        assert handgen._custom_hand.cache_info().hits == hits[1] + 1
+        assert (tmp_path / "warm.demo").read_bytes() == (tmp_path / "cold.demo").read_bytes()

@@ -1,17 +1,26 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from dexretarget.assets import asset_path
 from dexretarget.errors import DataError
 from dexretarget.handgen import (
     FINGERS,
+    HAND_CACHE_SIZE,
     HandShapeParams,
     HandTemplate,
     build_custom_hand,
     default_template,
+    load_template,
 )
 from dexretarget.kinematics import dump_robot, forward_kinematics, load_robot
+
+
+def template_path():
+    return asset_path("hand_template.json")
 
 
 def test_default_template_validates():
@@ -127,3 +136,76 @@ def test_template_rejects_runaway_basis():
     basis[0, :] = 0.02  # 5 * 0.02 = 0.1 > every bone length
     with pytest.raises(DataError):
         HandTemplate(template.palm_box, template.fingers, basis)
+
+
+def test_default_template_is_shared_and_read_only():
+    template = default_template()
+    assert default_template() is template
+    arrays = [template.palm_box, template.length_basis]
+    arrays += [getattr(spec, key) for spec in template.fingers.values()
+               for key in ("base_xyz", "base_rpy", "lengths", "radii")]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    with pytest.raises(TypeError):
+        template.fingers["thumb"] = template.fingers["index"]
+
+
+def test_equal_shapes_share_one_hand_per_template_and_name(tmp_path):
+    beta = np.linspace(-1.0, 1.0, 10)
+    hand = build_custom_hand(HandShapeParams(beta))
+    assert build_custom_hand(HandShapeParams(beta.copy()), default_template()) is hand
+    assert build_custom_hand(HandShapeParams(beta), name="other") is not hand
+    assert build_custom_hand(HandShapeParams(beta + 0.1)) is not hand
+
+    doc = json.loads(template_path().read_text())
+    doc["palm_box"][0] += 0.01
+    edited = tmp_path / "template.json"
+    edited.write_text(json.dumps(doc))
+    wider = build_custom_hand(HandShapeParams(beta), load_template(edited))
+    assert wider is not hand
+    assert dump_robot(wider) != dump_robot(hand)
+    assert build_custom_hand(HandShapeParams(beta), load_template(edited)) is wider
+
+
+def test_hand_cache_evicts_the_least_recently_used():
+    shapes = [HandShapeParams(np.full(10, 0.01 * i)) for i in range(HAND_CACHE_SIZE + 1)]
+    first = build_custom_hand(shapes[0])
+    for shape in shapes[1:]:
+        build_custom_hand(shape)
+    again = build_custom_hand(shapes[0])
+    assert again is not first
+    assert dump_robot(again) == dump_robot(first)
+
+
+@pytest.mark.parametrize("text, match", [
+    ('{"format": "dexhand-template/1"}', "no 'fingers'"),
+    ("[1]", "JSON object"),
+    ("{not json", "cannot read"),
+], ids=["no-fingers", "not-object", "not-json"])
+def test_malformed_template_is_a_data_error(text, match, tmp_path):
+    path = tmp_path / "template.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match=match):
+        load_template(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["fingers"]["index"].pop("radii"),
+    lambda doc: doc["fingers"].update(index=[1, 2]),
+    lambda doc: doc["fingers"]["ring"].update(lengths=[0.04, 0.03]),
+    lambda doc: doc.update(palm_box=["a", "b", "c"]),
+    lambda doc: doc.update(length_basis=[[0.0] * 15] * 9),
+], ids=["missing-radii", "finger-list", "two-lengths", "palm-strings", "short-basis"])
+def test_template_fields_are_checked(edit, tmp_path):
+    doc = json.loads(template_path().read_text())
+    edit(doc)
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError):
+        load_template(path)
+
+
+def test_missing_template_file_is_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_template(tmp_path / "nope.json")

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import copy
+import json
 
 import numpy as np
 import pytest
 
+from dexretarget import kinematics
+from dexretarget.assets import robot_path
 from dexretarget.errors import DescriptionError
+from dexretarget.handgen import HandShapeParams, build_custom_hand
 from dexretarget.kinematics import (
+    ROBOT_CACHE_SIZE,
     dump_robot,
     forward_kinematics,
     keypoint_jacobian,
@@ -186,3 +191,115 @@ def test_unknown_keypoint_raises():
     tree = load_robot(planar_two_link_doc())
     with pytest.raises(DescriptionError, match="nothere"):
         keypoint_jacobian(tree, np.zeros(2), "nothere")
+
+
+def _malformed(edit):
+    doc = planar_two_link_doc()
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, element", [
+    ({"name": "x", "links": [1]}, "links[0]"),
+    ({"name": "x", "links": "base"}, "links"),
+    (_malformed(lambda d: d["links"][1].update(id=["l1"])), "links[1]"),
+    (_malformed(lambda d: d["links"][2].update(parent=["l1"])), "l2"),
+    (_malformed(lambda d: d["links"][1].update(origin_xyz="123")), "l1"),
+    (_malformed(lambda d: d["joints"][0].update(limit_lower="abc")), "l1"),
+    (_malformed(lambda d: d["joints"][1].update(damping=[0.1])), "l2"),
+    (_malformed(lambda d: d["joints"].append(7)), "joints[2]"),
+    (_malformed(lambda d: d["inertials"][1].update(inertia_6=5)), "l1"),
+    (_malformed(lambda d: d["inertials"][2].update(mass="heavy")), "l2"),
+    (_malformed(lambda d: d["keypoints"][0].update(link={"id": "l2"})), "tip"),
+    (_malformed(lambda d: d.update(geometry=[{"link": "l1"}, "capsule"])), "geometry[1]"),
+    (_malformed(lambda d: d["joints"][1].update(limit_upper=float("nan"))), "l2"),
+    (_malformed(lambda d: d["joints"][0].update(damping=float("nan"))), "l1"),
+], ids=["link-not-object", "links-not-list", "link-id-list", "parent-list", "origin-string",
+        "limit-string", "damping-list", "joint-not-object", "inertia-scalar", "mass-string",
+        "keypoint-link-object", "geometry-not-object", "limit-nan", "damping-nan"])
+def test_malformed_description_names_the_element(doc, element):
+    with pytest.raises(DescriptionError) as info:
+        load_robot(doc)
+    assert info.value.element == element
+    with pytest.raises(DescriptionError):  # the same through the text path
+        load_robot(json.dumps(doc))
+
+
+def test_equal_texts_share_one_tree_and_an_edit_is_seen(tmp_path):
+    path = tmp_path / "planar.robot"
+    path.write_text(json.dumps(planar_two_link_doc()))
+    tree = load_robot(path)
+    assert load_robot(path) is tree
+    assert load_robot(str(path)) is tree
+    assert load_robot(path.read_text()) is tree
+
+    path.write_text(json.dumps(planar_two_link_doc(l1=2.0)))
+    edited = load_robot(path)
+    assert edited is not tree
+    assert forward_kinematics(edited, np.zeros(2))["tip"] == pytest.approx([3.0, 0.0, 0.0], abs=1e-15)
+    assert forward_kinematics(tree, np.zeros(2))["tip"] == pytest.approx([2.0, 0.0, 0.0], abs=1e-15)
+
+
+def test_dict_sources_are_built_afresh():
+    doc = planar_two_link_doc()
+    assert load_robot(doc) is not load_robot(doc)
+
+
+def test_description_cache_evicts_the_least_recently_used():
+    texts = [json.dumps(planar_two_link_doc(l1=1.0 + i)) for i in range(ROBOT_CACHE_SIZE + 1)]
+    first = load_robot(texts[0])
+    assert load_robot(texts[0]) is first
+    for text in texts[1:]:
+        load_robot(text)
+    assert load_robot(texts[0]) is not first
+
+
+def test_invalid_description_text_is_not_cached():
+    text = json.dumps(_malformed(lambda d: d["links"][2].update(parent="nope")))
+    before = kinematics._load_text.cache_info()
+    for _ in range(2):
+        with pytest.raises(DescriptionError, match="l2"):
+            load_robot(text)
+    after = kinematics._load_text.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+
+def tree_arrays(tree) -> list[np.ndarray]:
+    """Every array a tree holds, its traversal caches included."""
+    arrays = [v for v in vars(tree).values() if isinstance(v, np.ndarray)]
+    arrays += [a for level in tree._levels for a in (level.origin_rot, level.origin_trans)]
+    arrays += [a for link in tree.links for a in (link.origin.rotation, link.origin.translation)]
+    arrays += [j.axis for j in tree.joints.values() if j.axis is not None]
+    arrays += [a for i in tree.inertials.values() for a in (i.com, i.inertia)]
+    arrays += [kp.offset for kp in tree.keypoints]
+    return arrays
+
+
+@pytest.mark.parametrize("source", ["allegro", "schunk", "adroit", "customized", "dict"])
+def test_shared_trees_are_read_only(source):
+    if source == "customized":
+        tree = build_custom_hand(HandShapeParams.zeros())
+    elif source == "dict":
+        tree = load_robot(random_chain_doc(np.random.default_rng(5), 4))
+    else:
+        tree = load_robot(robot_path(source))
+    arrays = tree_arrays(tree)
+    assert len(arrays) > 4 * len(tree.links)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    link = tree.actuated_joints[0]
+    with pytest.raises(TypeError):
+        tree.joints[link] = tree.joints[link]
+    with pytest.raises(TypeError):
+        tree.inertials[link] = None
+    for entry in tree.geometry:
+        with pytest.raises(TypeError):
+            entry["kind"] = "box"
+
+
+def test_read_only_tree_dumps_as_before():
+    tree = build_custom_hand(HandShapeParams.zeros())
+    doc = json.loads(dump_robot(tree))
+    assert doc["geometry"][0] == {"link": "palm", "kind": "box", "size": list(tree.geometry[0]["size"])}
+    assert dump_robot(load_robot(doc)) == dump_robot(tree)
