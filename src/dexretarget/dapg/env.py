@@ -1,10 +1,10 @@
 """Contact-free toy relocate environment on a planar 3-DoF arm.
 
-The arm is a kinematics-module chain whose tip can pick up a point object:
-once the tip comes within the grasp radius the object rides the tip. Reward
-is negative tip-to-object distance before the grasp, then negative
-object-to-target distance plus a unit success bonus. Episodes run a fixed
-horizon with randomized object and target positions per reset.
+The arm is a chain of three z-axis revolute links whose tip can pick up a
+point object: once the tip comes within the grasp radius the object rides
+the tip. Reward is negative tip-to-object distance before the grasp, then
+negative object-to-target distance plus a unit success bonus. Episodes run a
+fixed horizon with randomized object and target positions per reset.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import numpy as np
 
 from ..demopipe import Demonstration
 from ..errors import DataError
-from ..kinematics import KinematicTree, load_robot
 
 HORIZON = 100
 DT = 0.05
@@ -28,35 +27,6 @@ OBS_DIM = 9
 ACT_DIM = 3
 EXPERT_GAIN = 6.0
 ACTION_NOISE = 0.3  # std of the expert's execution noise
-
-
-def arm_tree() -> KinematicTree:
-    """The planar 3-link chain backing the environment."""
-    links = [{"id": "base", "parent": None, "origin_xyz": [0, 0, 0], "origin_rpy": [0, 0, 0]}]
-    joints = []
-    parent = "base"
-    offset = [0.0, 0.0, 0.0]
-    for i, length in enumerate(LINK_LENGTHS):
-        lid = f"seg{i}"
-        links.append({"id": lid, "parent": parent, "origin_xyz": offset, "origin_rpy": [0, 0, 0]})
-        joints.append(
-            {"child_link": lid, "type": "revolute", "axis": [0, 0, 1],
-             "limit_lower": -JOINT_LIMIT, "limit_upper": JOINT_LIMIT, "damping": 0.0}
-        )
-        parent = lid
-        offset = [length, 0.0, 0.0]
-    return load_robot(
-        {
-            "name": "toy-relocate-arm",
-            "links": links,
-            "joints": joints,
-            "inertials": [
-                {"link": l["id"], "mass": 0.1, "com": [0, 0, 0], "inertia_6": [1e-4, 0, 0, 1e-4, 0, 1e-4]}
-                for l in links
-            ],
-            "keypoints": [{"name": "tip", "link": parent, "offset": offset}],
-        }
-    )
 
 
 def tip_position(q: np.ndarray) -> np.ndarray:
@@ -101,26 +71,13 @@ def _spawn(rng: np.random.Generator):
     return q, obj, tgt
 
 
-def _observation(q, tip, obj, tgt):
-    return np.concatenate([q, tip, obj, tgt], axis=-1)
-
-
 class BatchedRelocate:
     """Lockstep batch of episodes: the one implementation of the step rules."""
 
     def __init__(self, seeds):
-        self.n = len(seeds)
-        qs, objs, tgts = [], [], []
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            q, obj, tgt = _spawn(rng)
-            qs.append(q)
-            objs.append(obj)
-            tgts.append(tgt)
-        self.q = np.stack(qs)
-        self.obj = np.stack(objs)
-        self.tgt = np.stack(tgts)
-        self.grasped = np.zeros(self.n, dtype=bool)
+        spawns = [_spawn(np.random.default_rng(seed)) for seed in seeds]
+        self.q, self.obj, self.tgt = (np.stack(column) for column in zip(*spawns))
+        self.grasped = np.zeros(len(spawns), dtype=bool)
         self._steps = 0
 
     @property
@@ -129,7 +86,7 @@ class BatchedRelocate:
         return self._steps >= HORIZON
 
     def observe(self) -> np.ndarray:
-        return _observation(self.q, tip_position(self.q), self.obj, self.tgt)
+        return np.concatenate([self.q, tip_position(self.q), self.obj, self.tgt], axis=-1)
 
     def step(self, actions: np.ndarray) -> np.ndarray:
         if self.done:

@@ -13,24 +13,33 @@ from ..errors import DataError
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 LOG2PI = np.log(2.0 * np.pi)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-def _init_layers(rng: np.random.Generator, sizes: tuple[int, ...]):
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        scale = np.sqrt(2.0 / (fan_in + fan_out))
-        weights.append(rng.normal(scale=scale, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return weights, biases
+def _layers(flat: np.ndarray, sizes: tuple[int, ...]):
+    """Views of `flat`: the weight matrices of the layers between `sizes`,
+    then their bias vectors, then the entries after them."""
+    shapes = list(zip(sizes, sizes[1:]))
+    parts = np.split(flat, np.cumsum([fan_in * fan_out for fan_in, fan_out in shapes] + list(sizes[1:])))
+    return [w.reshape(shape) for w, shape in zip(parts, shapes)], parts[len(shapes) : -1], parts[-1]
 
 
 class _Mlp:
-    """Feed-forward tanh network with linear output."""
+    """Feed-forward tanh network with linear output.
 
-    def __init__(self, rng, in_dim, out_dim, hidden=(32, 32)):
-        self.sizes = (in_dim, *hidden, out_dim)
-        self.weights, self.biases = _init_layers(rng, self.sizes)
+    One flat vector `params` holds every parameter: the weights, then the
+    biases, then `extra` entries of the subclass's own; the per-layer arrays
+    are views of it.
+    """
+
+    def __init__(self, rng: np.random.Generator, sizes: tuple[int, ...], extra: int = 0):
+        self.sizes = sizes
+        self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])) + extra)
+        self.weights, self.biases, self.extra = _layers(self.params, sizes)
+        for w in self.weights:
+            w[...] = rng.normal(scale=np.sqrt(2.0 / sum(w.shape)), size=w.shape)
 
     def forward(self, x: np.ndarray):
         """Returns output plus the per-layer activations for backprop."""
@@ -44,41 +53,23 @@ class _Mlp:
             acts.append(h)
         return h, acts
 
-    def backward(self, acts, grad_out):
-        """Gradients of sum(grad_out * output) w.r.t. weights and biases."""
-        gw = [None] * len(self.weights)
-        gb = [None] * len(self.biases)
+    def backward(self, acts, grad_out) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of sum(grad_out * output), laid out like `params`, and the
+        view of its `extra` entries, which are left for the caller to fill."""
+        grad = np.empty_like(self.params)
+        gw, gb, extra = _layers(grad, self.sizes)
         delta = grad_out
-        for k in range(len(self.weights) - 1, -1, -1):
-            gw[k] = acts[k].T @ delta
-            gb[k] = delta.sum(axis=0)
+        for k in range(len(gw) - 1, -1, -1):
+            np.matmul(acts[k].T, delta, out=gw[k])
+            delta.sum(axis=0, out=gb[k])
             if k > 0:
                 delta = (delta @ self.weights[k].T) * (1.0 - acts[k] ** 2)
-        return gw, gb
-
-    def param_arrays(self):
-        return [*self.weights, *self.biases]
-
-
-def _flatten(arrays) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _unflatten(flat: np.ndarray, template) -> list[np.ndarray]:
-    out = []
-    offset = 0
-    for a in template:
-        out.append(flat[offset : offset + a.size].reshape(a.shape).copy())
-        offset += a.size
-    if offset != flat.size:
-        raise DataError("parameter vector size mismatch")
-    return out
+        return grad, extra
 
 
 class Adam:
-    def __init__(self, size: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
@@ -86,46 +77,47 @@ class Adam:
     def step(self, grad: np.ndarray) -> np.ndarray:
         """Update increment for a gradient ASCENT direction."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad**2
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        return self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad**2
+        m_hat = self.m / (1 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1 - ADAM_BETA2**self.t)
+        return self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-class GaussianPolicy:
-    """Diagonal Gaussian policy over continuous actions."""
+class GaussianPolicy(_Mlp):
+    """Diagonal Gaussian policy over continuous actions; `log_std` is the
+    last act_dim entries of `params`."""
 
     def __init__(self, obs_dim: int, act_dim: int, hidden=(32, 32), seed: int = 0,
                  log_std_init: float = -0.5):
-        rng = np.random.default_rng(seed)
-        self.obs_dim = obs_dim
-        self.act_dim = act_dim
-        self.net = _Mlp(rng, obs_dim, act_dim, hidden)
-        self.log_std = np.full(act_dim, float(np.clip(log_std_init, LOG_STD_MIN, LOG_STD_MAX)))
+        super().__init__(np.random.default_rng(seed), (obs_dim, *hidden, act_dim), extra=act_dim)
+        self.log_std = self.extra
+        self.log_std[...] = np.clip(log_std_init, LOG_STD_MIN, LOG_STD_MAX)
 
     # -- parameter vector ---------------------------------------------------
 
     def get_flat(self) -> np.ndarray:
-        return _flatten([*self.net.param_arrays(), self.log_std])
+        return self.params.copy()
 
     def set_flat(self, flat: np.ndarray):
-        arrays = _unflatten(np.asarray(flat, dtype=float), [*self.net.param_arrays(), self.log_std])
-        n_w = len(self.net.weights)
-        self.net.weights = arrays[:n_w]
-        self.net.biases = arrays[n_w:-1]
-        self.log_std = np.clip(arrays[-1], LOG_STD_MIN, LOG_STD_MAX)
-        if not np.all(np.isfinite(self.get_flat())):
+        """Write every parameter, clamping log_std. A vector of the wrong size
+        or with a non-finite entry raises DataError and changes nothing."""
+        flat = np.asarray(flat, dtype=float)
+        if flat.shape != self.params.shape:
+            raise DataError(f"parameter vector has shape {flat.shape}, expected ({self.params.size},)")
+        if not np.all(np.isfinite(flat)):
             raise DataError("policy parameters are not finite")
+        self.params[:] = flat
+        np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
 
     @property
     def num_params(self) -> int:
-        return self.get_flat().size
+        return self.params.size
 
     # -- distribution -------------------------------------------------------
 
     def mean(self, states: np.ndarray) -> np.ndarray:
-        out, _ = self.net.forward(np.atleast_2d(states))
+        out, _ = self.forward(np.atleast_2d(states))
         return out
 
     def sample(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -147,41 +139,29 @@ class GaussianPolicy:
         weights = np.asarray(weights, dtype=float)
         if states.shape[0] != actions.shape[0] or weights.shape != (states.shape[0],):
             raise DataError("batch dimensions disagree")
-        mu, acts = self.net.forward(states)
+        mu, acts = self.forward(states)
         var = np.exp(2.0 * self.log_std)
         diff = actions - mu
-        grad_mu = weights[:, None] * diff / var
-        gw, gb = self.net.backward(acts, grad_mu)
-        grad_log_std = np.sum(weights[:, None] * (diff**2 / var - 1.0), axis=0)
-        return _flatten([*gw, *gb, grad_log_std])
+        grad, grad_log_std = self.backward(acts, weights[:, None] * diff / var)
+        np.sum(weights[:, None] * (diff**2 / var - 1.0), axis=0, out=grad_log_std)
+        return grad
 
 
-class ValueFunction:
+class ValueFunction(_Mlp):
     """Scalar state-value estimator with the same MLP body."""
 
     def __init__(self, obs_dim: int, hidden=(32, 32), seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.net = _Mlp(rng, obs_dim, 1, hidden)
+        super().__init__(np.random.default_rng(seed), (obs_dim, *hidden, 1))
 
     def predict(self, states: np.ndarray) -> np.ndarray:
-        out, _ = self.net.forward(np.atleast_2d(states))
+        out, _ = self.forward(np.atleast_2d(states))
         return out[:, 0]
-
-    def get_flat(self) -> np.ndarray:
-        return _flatten(self.net.param_arrays())
-
-    def set_flat(self, flat: np.ndarray):
-        arrays = _unflatten(np.asarray(flat, dtype=float), self.net.param_arrays())
-        n_w = len(self.net.weights)
-        self.net.weights = arrays[:n_w]
-        self.net.biases = arrays[n_w:]
 
     def mse_and_grad(self, states, targets) -> tuple[float, np.ndarray]:
         states = np.atleast_2d(np.asarray(states, dtype=float))
         targets = np.asarray(targets, dtype=float)
-        pred, acts = self.net.forward(states)
+        pred, acts = self.forward(states)
         err = pred[:, 0] - targets
         loss = float(np.mean(err**2))
-        grad_out = (2.0 / err.size) * err[:, None]
-        gw, gb = self.net.backward(acts, grad_out)
-        return loss, _flatten([*gw, *gb])
+        grad, _ = self.backward(acts, (2.0 / err.size) * err[:, None])
+        return loss, grad

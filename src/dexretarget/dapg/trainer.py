@@ -19,11 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from ..demopipe import Demonstration
-from ..errors import DataError, NumericalError, check_number_fields
+from ..errors import DataError, NumericalError, check_number_fields, is_number
 from .env import ACT_DIM, HORIZON, OBS_DIM, BatchedRelocate
 from .nets import Adam, GaussianPolicy, ValueFunction
 
 log = logging.getLogger(__name__)
+
+BC_BATCH_SIZE = 128
+VALUE_BATCH_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class DapgConfig:
         for name in ("batch_trajectories", "iterations"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not all(isinstance(w, Integral) and not isinstance(w, bool) and w > 0 for w in self.hidden):
+        if not all(is_number(w, Integral) and w > 0 for w in self.hidden):
             raise DataError(f"hidden layer widths must be positive integers, got {self.hidden!r}")
         if not (0.0 <= self.lambda0 <= 1.0 and 0.0 <= self.lambda1 < 1.0):
             raise DataError("need 0 <= lambda0 <= 1 and 0 <= lambda1 < 1")
@@ -189,7 +192,6 @@ def bc_pretrain(
     demo_actions: np.ndarray,
     epochs: int,
     learning_rate: float,
-    batch_size: int = 128,
     seed: int = 0,
 ) -> list[float]:
     """Behavior cloning: minibatch Adam epochs on the demo log likelihood."""
@@ -199,12 +201,12 @@ def bc_pretrain(
     nll_per_epoch = []
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n, BC_BATCH_SIZE):
+            idx = order[start : start + BC_BATCH_SIZE]
             grad = policy.weighted_logp_grad(
                 demo_states[idx], demo_actions[idx], np.full(idx.size, 1.0 / idx.size)
             )
-            policy.set_flat(policy.get_flat() + adam.step(grad))
+            policy.set_flat(policy.params + adam.step(grad))
         nll_per_epoch.append(float(-np.mean(policy.log_prob(demo_states, demo_actions))))
     return nll_per_epoch
 
@@ -216,16 +218,17 @@ def fit_value(
     epochs: int,
     adam: Adam,
     rng: np.random.Generator,
-    batch_size: int = 2048,
 ) -> float:
+    """Minibatch Adam epochs on the value network's squared error, updating
+    its parameter vector in place; the last minibatch's loss."""
     loss = float("nan")
     n = states.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n, VALUE_BATCH_SIZE):
+            idx = order[start : start + VALUE_BATCH_SIZE]
             loss, grad = value_fn.mse_and_grad(states[idx], targets[idx])
-            value_fn.set_flat(value_fn.get_flat() - adam.step(grad))
+            value_fn.params -= adam.step(grad)
     return loss
 
 
@@ -236,14 +239,17 @@ def train(
 ) -> tuple[GaussianPolicy, LearningCurve]:
     """Run DAPG (demos given) or pure policy-gradient RL (demos None/empty).
 
-    Deterministic for a fixed config: the learning curve reproduces bitwise.
+    Deterministic for a fixed config at a fixed BLAS thread count: the
+    learning curve and the parameters then reproduce bitwise. Under another
+    thread count the BLAS may sum matrix products in another order, so they
+    can differ in the last bits and drift apart from there.
     """
     rng = np.random.default_rng(config.seed)
     policy = GaussianPolicy(
         OBS_DIM, ACT_DIM, hidden=config.hidden, seed=config.seed, log_std_init=config.log_std_init
     )
     value_fn = ValueFunction(OBS_DIM, hidden=config.hidden, seed=config.seed + 1)
-    value_adam = Adam(value_fn.get_flat().size, config.value_learning_rate)
+    value_adam = Adam(value_fn.params.size, config.value_learning_rate)
     policy_adam = Adam(policy.num_params, config.learning_rate)
 
     if demos:
@@ -271,7 +277,7 @@ def train(
         )
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {k}")
-        params = policy.get_flat() + policy_adam.step(grad / n_samples)
+        params = policy.params + policy_adam.step(grad / n_samples)
         if not np.all(np.isfinite(params)):
             raise NumericalError(f"non-finite policy parameters at iteration {k}")
         policy.set_flat(params)

@@ -19,6 +19,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from . import kinematics
 from .control import gamma_from_cutoff
 from .dynamics import POSITION, TORQUE, compute_actions
-from .errors import DataError, DemoFormatError, NumericalError, check_number_fields
+from .errors import DataError, DemoFormatError, NumericalError, check_number_fields, is_number
 from .handgen import build_custom_hand, default_template, load_template
 from .kinematics import KinematicTree, _keypoint_frames, _keypoint_positions, load_robot
 from .poseio import HandPoseStream, calibrate, solve_wrists
@@ -133,7 +134,7 @@ class Demonstration:
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
         actions = np.asarray(self.actions, dtype=float)
-        if self.dt <= 0:
+        if not self.dt > 0:  # NaN fails too
             raise DemoFormatError("dt must be positive")
         if states.shape[0] != actions.shape[0] + 1:
             raise DemoFormatError(
@@ -176,22 +177,25 @@ def _palm_velocities(rotation: np.ndarray, translation: np.ndarray, dt: float) -
 
 def translate(stream: HandPoseStream, config: PipelineConfig) -> Demonstration:
     """Translate one pose stream into a demonstration for one robot."""
-    demo, _ = translate_timed(stream, config)
-    return demo
+    return translate_timed(stream, config)[0]
 
 
 def translate_timed(
     stream: HandPoseStream, config: PipelineConfig
 ) -> tuple[Demonstration, dict[str, float]]:
-    """translate() plus wall-clock seconds per pipeline stage."""
-    t0 = time.perf_counter()
-    return _robot_stage(_StreamStage.build(stream, config), config, t0)
+    """translate() plus wall-clock seconds per pipeline stage: translate_all
+    on one config, whose failure is raised as it is."""
+    results, errors = translate_all(stream, {config.robot: config})
+    if errors:
+        raise errors[config.robot]
+    return results[config.robot]
 
 
 def translate_all(
     stream: HandPoseStream, configs: dict[str, PipelineConfig]
 ) -> tuple[dict[str, tuple[Demonstration, dict[str, float]]], dict[str, Exception]]:
-    """translate_timed() for several robots; failures stay isolated.
+    """Each robot's demonstration and wall-clock seconds per pipeline stage;
+    failures stay isolated.
 
     Robots whose configs share calibration_frames and template share one
     stream stage; its seconds count in the first such robot's timings.
@@ -355,6 +359,18 @@ def write_demo(demo: Demonstration, path: str | Path):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _layout(header: dict, key: str) -> tuple[tuple[str, int], ...]:
+    """A header layout: [name, width] pairs of a string and a non-negative integer."""
+    layout = header[key]
+    if not isinstance(layout, list):
+        raise DemoFormatError(f"{key} must be a list of [name, width] pairs")
+    for i, entry in enumerate(layout):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and is_number(entry[1], Integral) and entry[1] >= 0):
+            raise DemoFormatError(f"{key}[{i}] must be a [name, width] pair with a width >= 0, got {entry!r}")
+    return tuple(map(tuple, layout))
+
+
 def read_demo(path: str | Path) -> Demonstration:
     lines = Path(path).read_text().splitlines()
     if not lines:
@@ -383,19 +399,22 @@ def read_demo(path: str | Path) -> Demonstration:
         if "action" in rec:
             actions.append(rec["action"])
     try:
+        if not is_number(header["dt"]):
+            raise DemoFormatError(f"dt must be a number, got {header['dt']!r}")
+        action_layout = _layout(header, "action_layout")
         return Demonstration(
             robot=header["robot"],
             task=header["task"],
             dt=float(header["dt"]),
-            state_layout=tuple((n, int(w)) for n, w in header["state_layout"]),
-            action_layout=tuple((n, int(w)) for n, w in header["action_layout"]),
+            state_layout=_layout(header, "state_layout"),
+            action_layout=action_layout,
             states=np.asarray(states, dtype=float),
-            actions=np.asarray(actions, dtype=float) if actions else np.zeros((0, sum(w for _, w in header["action_layout"]))),
+            actions=np.asarray(actions, dtype=float) if actions else np.zeros((0, sum(w for _, w in action_layout))),
             provenance=header.get("provenance", {}),
         )
     except KeyError as exc:
         raise DemoFormatError(f"demonstration header missing {exc}") from exc
     except DataError:
         raise
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DemoFormatError(f"bad demonstration: {exc}") from exc

@@ -38,11 +38,17 @@ class NumericalError(DexError, RuntimeError):
     """Numerical failure on otherwise valid input."""
 
 
+def is_number(value, kind=Real) -> bool:
+    """Whether value is a real number (or, with kind=Integral, an integer);
+    booleans and strings count as neither."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def check_number_fields(config, reals=(), integers=()):
     """Raise DataError unless each named attribute of config holds a real
-    number (`reals`) or an integer (`integers`); booleans count as neither."""
+    number (`reals`) or an integer (`integers`) by is_number."""
     for names, kind, what in ((reals, Real, "a number"), (integers, Integral, "an integer")):
         for name in names:
             value = getattr(config, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if not is_number(value, kind):
                 raise DataError(f"{name} must be {what}, got {value!r}")

@@ -11,6 +11,7 @@ Units are fixed globally: meters, radians, seconds, kilograms.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from collections.abc import Mapping
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DescriptionError
+from .errors import DescriptionError, is_number
 from .transforms import RigidTransform, _axis_terms, _rodrigues, quat_from_rpy, quat_to_matrix
 
 _AXIS_TOL = 1e-9
@@ -362,20 +363,20 @@ def build_tree(
 # ---------------------------------------------------------------------------
 
 def _vec(raw, length, what, element) -> np.ndarray:
-    try:
-        v = np.asarray([float(x) for x in raw], dtype=float) if isinstance(raw, (list, tuple)) else None
-    except (TypeError, ValueError) as exc:
-        raise DescriptionError(f"malformed {what}", element=element) from exc
-    if v is None or v.shape != (length,) or not np.all(np.isfinite(v)):
-        raise DescriptionError(f"{what} must be {length} finite numbers", element=element)
-    return v
+    if isinstance(raw, (list, tuple)) and len(raw) == length and all(map(is_number, raw)):
+        with contextlib.suppress(OverflowError):  # an integer too large for a float
+            v = np.asarray(raw, dtype=float)
+            if np.all(np.isfinite(v)):
+                return v
+    raise DescriptionError(f"{what} must be {length} finite numbers", element=element)
 
 
 def _number(raw: dict, key: str, default: float, element: str) -> float:
-    try:
-        return float(raw.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise DescriptionError(f"malformed {key}", element=element) from exc
+    value = raw.get(key, default)
+    if is_number(value):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise DescriptionError(f"{key} must be a number", element=element)
 
 
 def _entries(doc: dict, key: str) -> list[dict]:
@@ -593,19 +594,6 @@ def _as_batch(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, bool]:
     """Validated (B, n) view of q and whether q was a single (n,) vector."""
     q = tree.check_q(q)
     return np.atleast_2d(q), q.ndim == 1
-
-
-def link_poses(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World rotation (n,3,3) and origin position (n,3) of every link.
-
-    A (B, n) stack of joint vectors gives (B, n_links, 3, 3) and (B, n_links, 3).
-    """
-    qb, single = _as_batch(tree, q)
-    slot_rot, slot_pos = _link_poses(tree, qb)
-    rot, pos = np.empty_like(slot_rot), np.empty_like(slot_pos)
-    rot[:, tree._order] = slot_rot
-    pos[:, tree._order] = slot_pos
-    return (rot[0], pos[0]) if single else (rot, pos)
 
 
 def _keypoint_frames(tree: KinematicTree, rows) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, StreamFormatError
 from .handgen import HandShapeParams
-from .transforms import RigidTransform, matrix_to_quat
+from .transforms import matrix_to_quat
 
 FORMAT_VERSION = "dexstream/1"
 POSE_DIM = 45
@@ -214,14 +214,16 @@ def solve_wrists(
     canonical_keypoints: dict[str, np.ndarray],
     observed_keypoints: list[dict[str, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
-    """solve_wrist for B frames at once.
+    """Least-squares rigid transforms T_b with T_b(canonical_b) ~ observed_b
+    for B frames.
 
     `canonical_keypoints` maps each name to its (B, 3) positions, one row per
-    frame; `observed_keypoints` holds the B frames' observations. Frames that
-    share the same keypoint names are solved with one stacked SVD. Returns
-    the (B, 4) rotations, (B, 3) translations and (B,) RMS residuals, and a
-    {frame: message} map of the frames that solve_wrist would reject; their
-    rows are NaN.
+    frame; `observed_keypoints` holds the B frames' observations.
+    Correspondences are matched by shared name, and a frame needs at least 3
+    non-collinear points. Frames that share the same keypoint names are
+    solved with one stacked SVD. Returns the (B, 4) proper-rotation
+    quaternions, (B, 3) translations and (B,) RMS residuals in meters, and a
+    {frame: message} map of the frames rejected; their rows are NaN.
     """
     n_frames = len(observed_keypoints)
     rotation, translation = np.full((n_frames, 4), np.nan), np.full((n_frames, 3), np.nan)
@@ -246,20 +248,3 @@ def solve_wrists(
         translation[rows[good]] = trans[good]
         residual[rows[good]] = res[good]
     return rotation, translation, residual, errors
-
-
-def solve_wrist(
-    canonical_keypoints: dict[str, np.ndarray],
-    observed_keypoints: dict[str, np.ndarray],
-) -> tuple[RigidTransform, float]:
-    """Least-squares rigid transform T with T(canonical) ~ observed.
-
-    Correspondences are matched by shared name; at least 3 non-collinear
-    points are required. Returns the proper-rotation transform and the RMS
-    residual in meters.
-    """
-    canonical = {k: np.asarray(v, dtype=float)[None] for k, v in canonical_keypoints.items()}
-    rotation, translation, residual, errors = solve_wrists(canonical, [observed_keypoints])
-    if errors:
-        raise DataError(errors[0])
-    return RigidTransform(rotation[0], translation[0]), float(residual[0])

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from dexretarget.dapg.env import JOINT_LIMIT, LINK_LENGTHS
+from dexretarget.kinematics import KinematicTree, load_robot
+
 
 def planar_two_link_doc(l1: float = 1.0, l2: float = 1.0) -> dict:
     """Two z-revolute links in the x-y plane with a tip keypoint."""
@@ -82,6 +85,18 @@ def random_chain_doc(rng: np.random.Generator, n_joints: int, name: str = "chain
         "inertials": inertials,
         "keypoints": keypoints,
     }
+
+
+def arm_tree() -> KinematicTree:
+    """The toy relocate arm as a kinematics chain: the reference for its closed-form tip."""
+    starts = (0.0, *LINK_LENGTHS[:-1])  # each link starts where its parent ends
+    links = [{"id": "base", "parent": None}] + [
+        {"id": f"seg{i}", "parent": f"seg{i - 1}" if i else "base", "origin_xyz": [x, 0, 0]}
+        for i, x in enumerate(starts)]
+    joints = [{"child_link": f"seg{i}", "axis": [0, 0, 1], "limit_lower": -JOINT_LIMIT,
+               "limit_upper": JOINT_LIMIT} for i in range(len(starts))]
+    tip = {"name": "tip", "link": links[-1]["id"], "offset": [LINK_LENGTHS[-1], 0, 0]}
+    return load_robot({"name": "toy-relocate-arm", "links": links, "joints": joints, "keypoints": [tip]})
 
 
 # --- independent oracle: naive 4x4 homogeneous-matrix forward kinematics ----

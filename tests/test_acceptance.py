@@ -10,6 +10,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from dexretarget.assets import asset_path, robot_path, sample_stream_path
 from dexretarget.cli import main as cli_main
@@ -238,6 +239,7 @@ def test_criterion_6_confidence_pd():
            f"peak {peak}, |p(d=2)-e^-2| {abs(at_two - np.exp(-2.0)):.1e}, u {u[0]!r}")
 
 
+@pytest.mark.slow
 def test_criterion_7_dapg_suite():
     started = time.perf_counter()
 

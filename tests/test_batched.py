@@ -16,13 +16,13 @@ from dexretarget.kinematics import (
     Joint,
     Keypoint,
     Link,
+    _link_poses,
     build_tree,
     forward_kinematics,
     keypoint_jacobians,
-    link_poses,
     load_robot,
 )
-from dexretarget.poseio import solve_wrist, solve_wrists
+from dexretarget.poseio import solve_wrists
 from dexretarget.transforms import (
     RigidTransform,
     axis_angle_matrix,
@@ -62,13 +62,13 @@ def joint_stack(tree, rng, batch=BATCH):
 
 def test_link_poses_stack_equals_single_frames(tree):
     qs = joint_stack(tree, np.random.default_rng(0))
-    rot, pos = link_poses(tree, qs)
+    rot, pos = _link_poses(tree, qs)
     assert rot.shape == (BATCH, len(tree.links), 3, 3)
     assert pos.shape == (BATCH, len(tree.links), 3)
-    for b, q in enumerate(qs):
-        r, p = link_poses(tree, q)
-        np.testing.assert_array_equal(rot[b], r)
-        np.testing.assert_array_equal(pos[b], p)
+    for b in range(BATCH):
+        r, p = _link_poses(tree, qs[b : b + 1])
+        np.testing.assert_array_equal(rot[b], r[0])
+        np.testing.assert_array_equal(pos[b], p[0])
 
 
 def test_forward_kinematics_stack_equals_single_frames(tree):
@@ -138,8 +138,6 @@ def test_mass_matrix_symmetric_and_equal_to_rnea_columns(robot):
 def test_bad_joint_shapes_rejected(tree, shape):
     n = tree.num_actuated
     q = {"trailing": np.zeros((BATCH, n + 1)), "ndim3": np.zeros((2, BATCH, n)), "scalar": np.float64(0.0)}[shape]
-    with pytest.raises(DescriptionError):
-        link_poses(tree, q)
     with pytest.raises(DescriptionError):
         forward_kinematics(tree, q)
     with pytest.raises(DescriptionError):
@@ -248,12 +246,9 @@ def test_slot_layout_fk_equals_per_link_fk_bitwise(batch):
     tree = layout_tree()
     q = joint_stack(tree, np.random.default_rng(12), batch=batch)
     expected_rot, expected_pos = per_link_fk(tree, q)
-    rot, pos = link_poses(tree, q)
-    assert rot.tobytes() == expected_rot.tobytes()
-    assert pos.tobytes() == expected_pos.tobytes()
-    rot1, pos1 = link_poses(tree, q[0])
-    assert rot1.tobytes() == expected_rot[0].tobytes()
-    assert pos1.tobytes() == expected_pos[0].tobytes()
+    rot, pos = _link_poses(tree, q)  # slot s holds link tree._order[s]
+    assert rot.tobytes() == expected_rot[:, tree._order].tobytes()
+    assert pos.tobytes() == expected_pos[:, tree._order].tobytes()
     points = forward_kinematics(tree, q)
     for kp in tree.keypoints:
         i = tree._index[kp.link]
@@ -327,17 +322,12 @@ def test_solve_wrists_matches_single_solves_and_flags_bad_frames():
     assert rotation.shape == (8, 4) and translation.shape == (8, 3) and residual.shape == (8,)
     assert sorted(errors) == [2, 4, 6, 7]
     for b in range(8):
-        single = {n: v[b] for n, v in canonical.items()}
+        single = solve_wrists({n: v[b : b + 1] for n, v in canonical.items()}, observed[b : b + 1])
+        assert single[3] == ({0: errors[b]} if b in errors else {})
         if b in errors:
             assert np.isnan(rotation[b]).all() and np.isnan(translation[b]).all()
             assert np.isnan(residual[b])
-            with pytest.raises(DataError, match=errors[b]):
-                solve_wrist(single, observed[b])
-            continue
-        transform, single_residual = solve_wrist(single, observed[b])
-        batched = RigidTransform(rotation[b], translation[b])
-        np.testing.assert_array_equal(batched.rotation, transform.rotation)
-        np.testing.assert_array_equal(batched.translation, transform.translation)
-        assert residual[b] == single_residual
+        for stacked, alone in zip((rotation, translation, residual), single[:3]):
+            np.testing.assert_array_equal(stacked[b], alone[0])
     assert "collinear" in errors[2] and "collinear" in errors[6] and "collinear" in errors[7]
     assert "at least 3" in errors[4]

@@ -116,7 +116,9 @@ def test_gen_hand_bad_template(template, code, tmp_path, capsys):
     (lambda doc: doc.update(links=[1]), "links[0]"),
     (lambda doc: doc["joints"][0].update(limit_lower="abc"), "l1"),
     (lambda doc: doc["inertials"][1].update(inertia_6=5), "l1"),
-], ids=["link-not-object", "limit-string", "inertia-scalar"])
+    (lambda doc: doc["joints"][0].update(limit_lower="-1.5"), "l1"),
+    (lambda doc: doc["joints"][1].update(damping=True), "l2"),
+], ids=["link-not-object", "limit-string", "inertia-scalar", "limit-number-string", "damping-bool"])
 def test_fk_malformed_robot_exit_2(edit, element, tmp_path, capsys):
     doc = planar_two_link_doc()
     edit(doc)
@@ -336,9 +338,11 @@ def _edit_record(line: str, **fields) -> str:
         ("demo", 2, lambda line: "[1, 2]"),
         ("demo", 0, lambda line: "[1, 2]"),
         ("demo", 0, lambda line: _edit_record(line, dt="abc")),
+        ("demo", 0, lambda line: _edit_record(line, dt=True)),
+        ("demo", 0, lambda line: _edit_record(line, state_layout=[["s", 8], ["b", True]])),
     ],
     ids=["stream-header-list", "stream-record-list", "stream-kp-list", "stream-pose-str", "stream-t-str",
-         "demo-record-list", "demo-header-list", "demo-dt-str"],
+         "demo-record-list", "demo-header-list", "demo-dt-str", "demo-dt-bool", "demo-width-bool"],
 )
 def test_malformed_input_exit_2(kind, line, edit, short_stream_file, tmp_path, capsys):
     from dexretarget.demopipe import Demonstration, write_demo

@@ -16,7 +16,6 @@ from dexretarget.dapg import (
 from dexretarget.dapg.env import (
     HORIZON,
     BatchedRelocate,
-    arm_tree,
     scripted_expert_action,
     tip_jacobian,
     tip_position,
@@ -25,6 +24,8 @@ from dexretarget.dapg.trainer import Batch, demo_arrays, discounted_to_go, rollo
 from dexretarget.demopipe import read_demo, write_demo
 from dexretarget.errors import DataError
 from dexretarget.kinematics import forward_kinematics
+
+from helpers import arm_tree
 
 
 # --- environment ------------------------------------------------------------
@@ -398,10 +399,15 @@ def test_config_validation():
 
 def test_policy_rejects_non_finite_parameters():
     policy = GaussianPolicy(4, 2, seed=0)
+    before = policy.get_flat()
     bad = policy.get_flat()
     bad[3] = np.nan
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="not finite"):
         policy.set_flat(bad)
+    with pytest.raises(DataError, match="shape"):
+        policy.set_flat(before[:-1])
+    assert policy.get_flat().tobytes() == before.tobytes()
+    assert np.all(np.isfinite(policy.mean(np.zeros(4))))
 
 
 def test_nan_rollout_aborts_with_iteration_index(monkeypatch):

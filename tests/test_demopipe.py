@@ -1,25 +1,34 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
+import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dexretarget import handgen, kinematics
+from dexretarget import demopipe, handgen, kinematics, poseio
 from dexretarget.assets import config_path, robot_path, sample_stream_path
+from dexretarget.cli import main
+from dexretarget.control import gamma_from_cutoff, low_pass_trajectory
+from dexretarget.dapg import demos_from_expert
 from dexretarget.demopipe import (
     Demonstration,
     PipelineConfig,
     read_demo,
     translate,
     translate_all,
+    translate_timed,
     write_demo,
 )
 from dexretarget.errors import DataError, DemoFormatError
 from dexretarget.handgen import HandShapeParams, build_custom_hand
-from dexretarget.kinematics import write_robot
-from dexretarget.poseio import read_stream
-from dexretarget.retarget import KeypointMap, write_keypoint_map
+from dexretarget.kinematics import forward_kinematics, load_robot, write_robot
+from dexretarget.poseio import HandPoseFrame, HandPoseStream, read_stream
+from dexretarget.retarget import KeypointMap, RetargetProblem, retarget_frame, write_keypoint_map
+from dexretarget.transforms import RigidTransform, quat_from_rpy
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +38,6 @@ def sample_stream():
 
 @pytest.fixture(scope="module")
 def short_stream(sample_stream):
-    from dexretarget.poseio import HandPoseStream
-
     return HandPoseStream(sample_stream.frames[:40], sample_stream.rate_hz)
 
 
@@ -100,9 +107,6 @@ def test_self_translation_returns_filtered_source(tmp_path):
     # must equal the filtered source pose. A rest-pose stream keeps every
     # anatomical joint observable (no null-space drift from fingertip-only
     # correspondences), so the check is exact in joint space.
-    from dexretarget.control import low_pass_trajectory
-    from dexretarget.poseio import HandPoseFrame, HandPoseStream
-
     shape = HandShapeParams.zeros()
     hand = build_custom_hand(shape)
     hand_path = tmp_path / "custom.robot"
@@ -129,8 +133,6 @@ def test_self_translation_returns_filtered_source(tmp_path):
 
 
 def config_gamma(config: PipelineConfig, dt: float) -> float:
-    from dexretarget.control import gamma_from_cutoff
-
     return config.gamma if config.gamma is not None else gamma_from_cutoff(config.cutoff_hz, dt)
 
 
@@ -202,9 +204,30 @@ def test_demo_version_header_enforced(short_stream, tmp_path):
         read_demo(path)
 
 
-def test_finger_targets_respect_limits(short_stream):
-    from dexretarget.kinematics import load_robot
+@pytest.mark.parametrize("field, value, element", [
+    ("state_layout", [["joints", "3"], ["tip", 2], ["object", 2], ["target", 2]], "state_layout[0]"),
+    ("state_layout", [["joints", 3], ["tip", 2.9], ["object", 2], ["target", 2]], "state_layout[1]"),
+    ("state_layout", [["joints", 3], ["tip", 2], ["object", True], ["target", 3]], "state_layout[2]"),
+    ("state_layout", [["joints", 3], ["tip", 2], ["object", 2], [2, 2]], "state_layout[3]"),
+    ("state_layout", [["joints", 12], ["tip", -3]], "state_layout[1]"),
+    ("action_layout", [["joint_velocity", 3, 0]], "action_layout[0]"),
+    ("action_layout", {"joint_velocity": 3}, "action_layout"),
+    ("dt", "0.05", "dt"),
+    ("dt", True, "dt"),
+    ("dt", 10**400, "bad demonstration: int too large"),
+    ("dt", float("nan"), "dt must be positive"),
+], ids=["width-string", "width-fraction", "width-bool", "name-number", "width-negative",
+        "pair-of-three", "layout-object", "dt-string", "dt-bool", "dt-overflow", "dt-nan"])
+def test_demo_header_numbers_are_strict(tmp_path, field, value, element):
+    path = tmp_path / "expert.demo"
+    write_demo(demos_from_expert(1, seed=0)[0], path)
+    header, records = path.read_text().split("\n", 1)
+    path.write_text(json.dumps({**json.loads(header), field: value}) + "\n" + records)
+    with pytest.raises(DemoFormatError, match=f"^{re.escape(element)}"):
+        read_demo(path)
 
+
+def test_finger_targets_respect_limits(short_stream):
     demo = translate(short_stream, make_config("allegro"))
     tree = load_robot(robot_path("allegro"))
     lower, upper = tree.joint_limits()
@@ -234,8 +257,6 @@ def test_provenance_hashes_present(short_stream):
 
 
 def test_provenance_counts_gauss_newton_iterations(short_stream, monkeypatch):
-    import dexretarget.demopipe as demopipe
-
     solved = []
     real = demopipe.retarget_keypoints
 
@@ -250,8 +271,6 @@ def test_provenance_counts_gauss_newton_iterations(short_stream, monkeypatch):
 
 
 def test_one_customized_hand_fk_per_translate(short_stream, monkeypatch):
-    from dexretarget import kinematics
-
     assert all(frame.observed_keypoints for frame in short_stream.frames)
     calls = []
     real = kinematics._link_poses
@@ -270,9 +289,6 @@ def test_one_customized_hand_fk_per_translate(short_stream, monkeypatch):
 
 
 def test_translate_all_serializes_the_stream_once(sample_stream, monkeypatch):
-    from dexretarget import poseio
-    from dexretarget.poseio import HandPoseStream
-
     stream = HandPoseStream(sample_stream.frames[:40], sample_stream.rate_hz)
     calls = []
     real = poseio.stream_to_text
@@ -291,9 +307,6 @@ def test_translate_all_serializes_the_stream_once(sample_stream, monkeypatch):
 def _count_stream_stage_calls(monkeypatch) -> dict[str, int]:
     """Count the stream stage's expensive calls: the customized hand's build,
     its FK and the wrist solve."""
-    import dexretarget.demopipe as demopipe
-    from dexretarget import kinematics
-
     counts = {"build_custom_hand": 0, "hand_fk": 0, "solve_wrists": 0}
 
     def counting(name, fn, count=lambda *args: True):
@@ -341,11 +354,17 @@ def test_translate_all_equals_translate(short_stream, mode):
         assert set(timings) == {"calibrate_and_build", "retarget", "actions", "wrist_and_assembly"}
 
 
+@pytest.mark.parametrize("robot", ["missing.robot", "bad.robot"])
+def test_translate_timed_raises_what_translate_all_reports(short_stream, tmp_path, robot):
+    (tmp_path / "bad.robot").write_text('{"name": "x", "links": [1]}')
+    config = make_config("allegro", robot=tmp_path / robot)
+    _, errors = translate_all(short_stream, {"one": config})
+    with pytest.raises(Exception) as info:
+        translate_timed(short_stream, config)
+    assert type(info.value) is type(errors["one"]) and str(info.value) == str(errors["one"])
+
+
 def test_nonfinite_source_frame_is_named_by_the_retarget_stage(sample_stream):
-    from dataclasses import replace
-
-    from dexretarget.poseio import HandPoseStream
-
     frames = [replace(f, pose=f.pose.copy()) for f in sample_stream.frames[:40]]
     # Frames reject non-finite poses when built; changing the array afterwards
     # reaches the retarget stage's own check of the whole trajectory.
@@ -369,10 +388,6 @@ def test_demonstration_validates_shapes():
 
 def make_wrist_stream(n=24, rate=25.0, velocity=(0.1, 0.0, 0.0), yaw_rate=0.5, metadata=None):
     """Synthetic stream whose observed keypoints follow a known wrist motion."""
-    from dexretarget.kinematics import forward_kinematics
-    from dexretarget.poseio import HandPoseFrame, HandPoseStream
-    from dexretarget.transforms import RigidTransform, quat_from_rpy
-
     shape = HandShapeParams.zeros()
     hand = build_custom_hand(shape)
     pose = np.zeros(45)
@@ -398,10 +413,6 @@ def test_palm_velocity_commands_recover_known_wrist_motion():
 
 
 def test_wrist_failure_names_the_first_bad_frame():
-    from dataclasses import replace
-
-    from dexretarget.poseio import HandPoseStream
-
     stream = make_wrist_stream(n=12)
     frames = list(stream.frames)
     names = sorted(frames[0].observed_keypoints)
@@ -449,8 +460,6 @@ def test_both_action_mode_rejected():
 
 
 def test_both_action_mode_flag_is_usage_error(tmp_path, capsys):
-    from dexretarget.cli import main
-
     code = main(["translate", "--stream", "s.jsonl", "--config", "c.json",
                  "--out", str(tmp_path / "o.demo"), "--action-mode", "both"])
     assert code == 1
@@ -460,11 +469,6 @@ def test_both_action_mode_flag_is_usage_error(tmp_path, capsys):
 def test_tree_and_problem_share_safely_across_threads():
     # KinematicTree is immutable and retarget problems hold no mutable state:
     # concurrent solves must agree bitwise with the serial result.
-    import concurrent.futures
-
-    from dexretarget.kinematics import forward_kinematics
-    from dexretarget.retarget import KeypointMap, RetargetProblem, retarget_frame
-
     hand = build_custom_hand(HandShapeParams.zeros())
     problem = RetargetProblem(hand, hand, KeypointMap.identity(hand.keypoint_names), alpha=0.0)
     rng = np.random.default_rng(0)
@@ -484,8 +488,6 @@ def test_tree_and_problem_share_safely_across_threads():
 @pytest.mark.parametrize("mode", ["position", "torque"])
 def test_shared_trees_give_the_same_demo_bytes(sample_stream, mode, tmp_path):
     """Demos built on trees reused from the caches equal demos built on fresh ones."""
-    from dataclasses import replace
-
     for robot in ("allegro", "schunk", "adroit"):
         config = replace(PipelineConfig.from_file(config_path(robot)), action_mode=mode)
         kinematics._load_text.cache_clear()

@@ -12,7 +12,7 @@ from dexretarget.dynamics import (
     mass_matrix,
 )
 from dexretarget.errors import DataError
-from dexretarget.kinematics import load_robot
+from dexretarget.kinematics import _link_poses, load_robot
 
 from helpers import lagrangian_torque_oracle, random_chain_doc
 
@@ -153,13 +153,11 @@ def test_energy_consistency_second_order_in_dt():
             q = amp * np.sin(freq * t)
             qd = amp * freq * np.cos(freq * t)
             kin = 0.5 * qd @ mass_matrix(tree, q) @ qd
-            from dexretarget.kinematics import link_poses
-
-            rot, pos = link_poses(tree, q)
+            rot, pos = _link_poses(tree, q[None])
             pot = 0.0
-            for i, link in enumerate(tree.links):
-                inert = tree.inertials[link.id]
-                pot -= inert.mass * gravity @ (pos[i] + rot[i] @ inert.com)
+            for s, i in enumerate(tree._order):  # slot s holds link i
+                inert = tree.inertials[tree.links[i].id]
+                pot -= inert.mass * gravity @ (pos[0, s] + rot[0, s] @ inert.com)
             return kin + pot
 
         return abs(work - (energy(ts[-1]) - energy(ts[0])))

@@ -214,9 +214,19 @@ def _malformed(edit):
     (_malformed(lambda d: d.update(geometry=[{"link": "l1"}, "capsule"])), "geometry[1]"),
     (_malformed(lambda d: d["joints"][1].update(limit_upper=float("nan"))), "l2"),
     (_malformed(lambda d: d["joints"][0].update(damping=float("nan"))), "l1"),
+    (_malformed(lambda d: d["links"][2].update(origin_xyz=["1", "0", "0"])), "l2"),
+    (_malformed(lambda d: d["joints"][0].update(limit_lower="-1.5")), "l1"),
+    (_malformed(lambda d: d["joints"][1].update(damping=True)), "l2"),
+    (_malformed(lambda d: d["joints"][1].update(axis=[0, 0, True])), "l2"),
+    (_malformed(lambda d: d["inertials"][1].update(mass=False)), "l1"),
+    (_malformed(lambda d: d["keypoints"][0].update(offset=[1, 0, "0"])), "tip"),
+    (_malformed(lambda d: d["joints"][0].update(limit_upper=10**400)), "l1"),
+    (_malformed(lambda d: d["links"][1].update(origin_xyz=[10**400, 0, 0])), "l1"),
 ], ids=["link-not-object", "links-not-list", "link-id-list", "parent-list", "origin-string",
         "limit-string", "damping-list", "joint-not-object", "inertia-scalar", "mass-string",
-        "keypoint-link-object", "geometry-not-object", "limit-nan", "damping-nan"])
+        "keypoint-link-object", "geometry-not-object", "limit-nan", "damping-nan",
+        "origin-number-strings", "limit-number-string", "damping-bool", "axis-bool", "mass-bool",
+        "offset-number-string", "limit-overflow", "origin-overflow"])
 def test_malformed_description_names_the_element(doc, element):
     with pytest.raises(DescriptionError) as info:
         load_robot(doc)

@@ -10,7 +10,7 @@ from dexretarget.poseio import (
     HandPoseStream,
     calibrate,
     read_stream,
-    solve_wrist,
+    solve_wrists,
     write_stream,
 )
 from dexretarget.transforms import RigidTransform, quat_from_rpy
@@ -131,9 +131,17 @@ def canonical_points(rng=None, n=5):
     return {f"p{i}": rng.uniform(-0.1, 0.1, size=3) for i in range(n)}
 
 
+def solve_one(canonical, observed):
+    """solve_wrists on a one-frame stack: the transform (None if the frame is
+    rejected), the RMS residual and the {frame: message} map."""
+    rotation, translation, residual, errors = solve_wrists(
+        {k: np.asarray(v)[None] for k, v in canonical.items()}, [observed])
+    return None if errors else RigidTransform(rotation[0], translation[0]), residual[0], errors
+
+
 def test_identity_when_observed_equals_canonical():
     pts = canonical_points()
-    transform, residual = solve_wrist(pts, pts)
+    transform, residual, _ = solve_one(pts, pts)
     assert residual == pytest.approx(0.0, abs=1e-12)
     assert transform.almost_equal(RigidTransform.identity(), tol=1e-9)
 
@@ -144,7 +152,7 @@ def test_recovers_random_rigid_transform():
         pts = canonical_points(rng)
         truth = RigidTransform(quat_from_rpy(*rng.uniform(-np.pi, np.pi, 3)), rng.uniform(-1, 1, 3))
         observed = {k: truth.apply(v) for k, v in pts.items()}
-        got, residual = solve_wrist(pts, observed)
+        got, residual, _ = solve_one(pts, observed)
         assert residual < 1e-9
         assert np.abs(got.matrix() - truth.matrix()).max() < 1e-9
         assert got.translation == pytest.approx(truth.translation, abs=1e-9)
@@ -159,7 +167,7 @@ def test_noisy_recovery_monte_carlo():
         pts = canonical_points(rng, n=5)
         truth = RigidTransform(quat_from_rpy(*rng.uniform(-np.pi, np.pi, 3)), rng.uniform(-0.5, 0.5, 3))
         observed = {k: truth.apply(v) + rng.normal(scale=sigma, size=3) for k, v in pts.items()}
-        got, residual = solve_wrist(pts, observed)
+        got, residual, _ = solve_one(pts, observed)
         if residual > 3 * sigma or np.linalg.norm(got.translation - truth.translation) > 5e-3:
             failures += 1
     assert failures == 0
@@ -168,14 +176,14 @@ def test_noisy_recovery_monte_carlo():
 def test_fewer_than_three_points_rejected():
     pts = canonical_points()
     two = {k: pts[k] for k in list(pts)[:2]}
-    with pytest.raises(DataError):
-        solve_wrist(two, two)
+    _, residual, errors = solve_one(two, two)
+    assert errors == {0: "need at least 3 shared keypoints, got 2"} and np.isnan(residual)
 
 
 def test_collinear_points_rejected():
     line = {f"p{i}": np.array([0.02 * i, 0.0, 0.0]) for i in range(5)}
-    with pytest.raises(DataError, match="collinear"):
-        solve_wrist(line, line)
+    _, residual, errors = solve_one(line, line)
+    assert list(errors) == [0] and "collinear" in errors[0] and np.isnan(residual)
 
 
 def test_equivariance_under_common_pre_rotation():
@@ -187,7 +195,7 @@ def test_equivariance_under_common_pre_rotation():
 
     moved_src = {k: g.apply(v) for k, v in pts.items()}
     moved_dst = {k: g.apply(v) for k, v in observed.items()}
-    got, _ = solve_wrist(moved_src, moved_dst)
+    got, _, _ = solve_one(moved_src, moved_dst)
     conjugated = g.compose(truth).compose(g.inverse())
     assert np.abs(got.matrix() - conjugated.matrix()).max() < 1e-9
     assert got.translation == pytest.approx(conjugated.translation, abs=1e-9)
@@ -197,7 +205,7 @@ def test_returned_transform_is_a_local_cost_minimum():
     rng = np.random.default_rng(31)
     pts = canonical_points(rng)
     observed = {k: v + rng.normal(scale=5e-3, size=3) for k, v in pts.items()}
-    got, _ = solve_wrist(pts, observed)
+    got, _, _ = solve_one(pts, observed)
 
     def cost(transform):
         return sum(np.sum((transform.apply(v) - observed[k]) ** 2) for k, v in pts.items())
