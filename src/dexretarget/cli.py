@@ -8,7 +8,6 @@ output goes to stdout or files; human-readable summaries go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -30,8 +29,8 @@ from .demopipe import (
     write_demo,
 )
 from .dynamics import DynamicsInput, inverse_dynamics
-from .errors import DataError, NumericalError
-from .handgen import HandShapeParams, build_custom_hand, load_template
+from .errors import DataError, NumericalError, float_rows, parse_object, read_text
+from .handgen import SHAPE_DIM, HandShapeParams, build_custom_hand, load_template
 from .kinematics import dump_robot, forward_kinematics, load_robot
 from .poseio import read_stream
 
@@ -92,14 +91,10 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_hand(args) -> int:
-    try:
-        doc = json.loads(Path(args.shape).read_text())
-        beta = np.asarray(doc["beta"], dtype=float)
-    except FileNotFoundError:
-        raise
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad shape file {args.shape}: {exc}") from exc
-    shape = HandShapeParams(beta)
+    doc = parse_object(read_text(args.shape, DataError, "shape file"), DataError, "shape file")
+    if "beta" not in doc:
+        raise DataError(f"shape file {args.shape} has no 'beta'")
+    shape = HandShapeParams(float_rows([doc["beta"]], SHAPE_DIM, DataError, ["beta"])[0])
     template = load_template(args.template) if args.template else None
     tree = build_custom_hand(shape, template)
     atomic_write_text(args.out, dump_robot(tree))
@@ -163,10 +158,6 @@ def cmd_train(args) -> int:
     if args.env != "toy-relocate":
         raise DataError(f"unknown environment '{args.env}'")
     doc = read_config_object(args.config, DapgConfig, "training config") if args.config else {}
-    if "hidden" in doc:
-        if not isinstance(doc["hidden"], list):
-            raise DataError("hidden must be a list of layer widths")
-        doc["hidden"] = tuple(doc["hidden"])
     if args.iterations is not None:
         doc["iterations"] = args.iterations
     if args.seed is not None:

@@ -57,7 +57,11 @@ class DapgConfig:
         for name in ("batch_trajectories", "iterations"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not all(is_number(w, Integral) and w > 0 for w in self.hidden):
+        if self.seed < 0:
+            raise DataError(f"seed must be nonnegative, got {self.seed}")
+        if isinstance(self.hidden, list):  # as a JSON config gives it
+            object.__setattr__(self, "hidden", tuple(self.hidden))
+        if not (isinstance(self.hidden, tuple) and all(is_number(w, Integral) and w > 0 for w in self.hidden)):
             raise DataError(f"hidden layer widths must be positive integers, got {self.hidden!r}")
         if not (0.0 <= self.lambda0 <= 1.0 and 0.0 <= self.lambda1 < 1.0):
             raise DataError("need 0 <= lambda0 <= 1 and 0 <= lambda1 < 1")

@@ -27,7 +27,8 @@ import numpy as np
 from . import kinematics
 from .control import gamma_from_cutoff
 from .dynamics import POSITION, TORQUE, compute_actions
-from .errors import DataError, DemoFormatError, NumericalError, check_number_fields, is_number
+from .errors import (DataError, DemoFormatError, NumericalError, check_number_fields, float_rows, is_number,
+                     parse_object, read_records, read_text)
 from .handgen import build_custom_hand, default_template, load_template
 from .kinematics import KinematicTree, _keypoint_frames, _keypoint_positions, load_robot
 from .poseio import HandPoseStream, calibrate, solve_wrists
@@ -49,20 +50,10 @@ PALM_VELOCITY_WIDTH = 6
 
 
 def read_config_object(path: str | Path, cls, what: str) -> dict:
-    """The JSON object of a config file whose keys must be fields of dataclass `cls`.
-
-    A missing file raises FileNotFoundError, a usage error as for every other
-    input file; an unreadable file, bad JSON, a document that is not an
-    object and unknown keys raise DataError.
-    """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read {what}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{what} must be a JSON object")
+    """The JSON object of a config file whose keys must be fields of dataclass
+    `cls`, read by the input policy of errors.read_text and parse_object;
+    unknown keys raise DataError."""
+    doc = parse_object(read_text(path, DataError, what), DataError, what)
     unknown = set(doc) - set(cls.__dataclass_fields__)
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
@@ -89,16 +80,18 @@ class PipelineConfig:
             reals=("alpha", "cutoff_hz", "grad_tol") + (("gamma",) if self.gamma is not None else ()),
             integers=("calibration_frames", "max_iterations"),
         )
+        if not isinstance(self.task, str):
+            raise DataError(f"task must be a string, got {self.task!r}")
         if self.action_mode not in (TORQUE, POSITION):
             raise DataError(f"unknown action mode '{self.action_mode}'")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise DataError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
-        if not (math.isfinite(self.cutoff_hz) and self.cutoff_hz > 0):
-            raise DataError(f"cutoff_hz must be finite and positive, got {self.cutoff_hz!r}")
+        if self.alpha < 0:
+            raise DataError(f"alpha must be nonnegative, got {self.alpha!r}")
+        if self.cutoff_hz <= 0:
+            raise DataError(f"cutoff_hz must be positive, got {self.cutoff_hz!r}")
         if self.gamma is not None and not 0.0 < self.gamma <= 1.0:
             raise DataError(f"gamma must be in (0, 1], got {self.gamma!r}")
-        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise DataError(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
+        if self.grad_tol <= 0:
+            raise DataError(f"grad_tol must be positive, got {self.grad_tol!r}")
         if self.max_iterations < 1:
             raise DataError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if self.calibration_frames < 10:
@@ -109,10 +102,13 @@ class PipelineConfig:
         base = Path(path).parent
         doc = read_config_object(path, cls, "pipeline config")
         for key in ("robot", "keypoint_map", "template"):
-            if doc.get(key):
-                if not isinstance(doc[key], str):
-                    raise DataError(f"{key} must be a path, got {doc[key]!r}")
-                doc[key] = str((base / doc[key]) if not Path(doc[key]).is_absolute() else Path(doc[key]))
+            value = doc.get(key)
+            if value is None and key != "robot":
+                continue
+            if not isinstance(value, str):
+                raise DataError(f"{key} must be a path, got {value!r}")
+            if value:
+                doc[key] = str(base / value)  # an absolute value stays as it is
         return cls(**doc)
 
     def canonical_json(self) -> str:
@@ -134,8 +130,8 @@ class Demonstration:
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
         actions = np.asarray(self.actions, dtype=float)
-        if not self.dt > 0:  # NaN fails too
-            raise DemoFormatError("dt must be positive")
+        if not 0 < self.dt < math.inf:  # NaN fails too
+            raise DemoFormatError("dt must be positive and finite")
         if states.shape[0] != actions.shape[0] + 1:
             raise DemoFormatError(
                 f"expected len(states) == len(actions) + 1, got {states.shape[0]} vs {actions.shape[0]}"
@@ -372,49 +368,30 @@ def _layout(header: dict, key: str) -> tuple[tuple[str, int], ...]:
 
 
 def read_demo(path: str | Path) -> Demonstration:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise DemoFormatError("empty demonstration file")
+    header, records = read_records(path, DEMO_FORMAT, DemoFormatError, "demonstration", "record")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DemoFormatError(f"bad demonstration header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DemoFormatError("demonstration header must be a JSON object")
-    if header.get("format") != DEMO_FORMAT:
-        raise DemoFormatError(
-            f"unsupported demo format {header.get('format')!r}, expected {DEMO_FORMAT!r}"
-        )
-    states, actions = [], []
-    for i, line in enumerate(lines[1:]):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DemoFormatError(f"bad demonstration record {i}: {exc}") from exc
-        if not isinstance(rec, dict) or "state" not in rec:
-            raise DemoFormatError(f"bad demonstration record {i}: not a JSON object with a state")
-        states.append(rec["state"])
-        if "action" in rec:
-            actions.append(rec["action"])
-    try:
-        if not is_number(header["dt"]):
-            raise DemoFormatError(f"dt must be a number, got {header['dt']!r}")
-        action_layout = _layout(header, "action_layout")
-        return Demonstration(
-            robot=header["robot"],
-            task=header["task"],
-            dt=float(header["dt"]),
-            state_layout=_layout(header, "state_layout"),
-            action_layout=action_layout,
-            states=np.asarray(states, dtype=float),
-            actions=np.asarray(actions, dtype=float) if actions else np.zeros((0, sum(w for _, w in action_layout))),
-            provenance=header.get("provenance", {}),
-        )
+        robot, task, dt = header["robot"], header["task"], header["dt"]
+        state_layout, action_layout = _layout(header, "state_layout"), _layout(header, "action_layout")
     except KeyError as exc:
         raise DemoFormatError(f"demonstration header missing {exc}") from exc
-    except DataError:
-        raise
-    except (IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise DemoFormatError(f"bad demonstration: {exc}") from exc
+    provenance = header.get("provenance", {})
+    if not (isinstance(robot, str) and isinstance(task, str) and isinstance(provenance, dict)):
+        raise DemoFormatError("robot and task must be strings and provenance a JSON object")
+    if not is_number(dt):
+        raise DemoFormatError(f"dt must be a number, got {dt!r}")
+    for i, rec in records.items():
+        if "state" not in rec:
+            raise DemoFormatError(f"record {i} has no state")
+    acted = [i for i, rec in records.items() if "action" in rec]
+    return Demonstration(
+        robot=robot,
+        task=task,
+        dt=float(dt),
+        state_layout=state_layout,
+        action_layout=action_layout,
+        states=float_rows([rec["state"] for rec in records.values()], sum(w for _, w in state_layout),
+                          DemoFormatError, (f"record {i}: state" for i in records)),
+        actions=float_rows([records[i]["action"] for i in acted], sum(w for _, w in action_layout),
+                           DemoFormatError, (f"record {i}: action" for i in acted)),
+        provenance=provenance,
+    )

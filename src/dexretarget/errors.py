@@ -1,11 +1,20 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy and the input policy shared across the toolkit.
 
 DataError covers malformed or inconsistent inputs (bad files, dimension
 mismatches, violated invariants); NumericalError covers failures that occur
 with well-formed inputs (solver divergence, NaN parameters). The CLI maps
 these onto exit codes 2 and 3 respectively.
+
+Every input file goes through read_text (and parse_object or read_records),
+and every number in it through is_number or float_rows.
 """
+import json
+import math
+from itertools import chain
 from numbers import Integral, Real
+from pathlib import Path
+
+import numpy as np
 
 
 class DexError(Exception):
@@ -38,17 +47,87 @@ class NumericalError(DexError, RuntimeError):
     """Numerical failure on otherwise valid input."""
 
 
+def read_text(path, error, what: str) -> str:
+    """The UTF-8 text of file `path`. A missing file raises FileNotFoundError;
+    one that cannot be read or decoded raises error("cannot read <what>: ...")."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+
+
+def parse_object(text: str, error, what: str) -> dict:
+    """The JSON object in `text`; bad JSON or another JSON value raises `error`."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or an integer of too many digits
+        raise error(f"cannot read {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object")
+    return doc
+
+
+def read_records(path, fmt: str, error, what: str, item: str) -> tuple[dict, dict[int, dict]]:
+    """The header object, whose `format` must be `fmt`, and the record objects
+    of a line-delimited JSON file. Records are keyed by line number less one
+    (blank lines are skipped but counted), which errors name as `<item> i`."""
+    lines = read_text(path, error, what).splitlines()
+    if not lines:
+        raise error(f"empty {what} file")
+    header = parse_object(lines[0], error, f"{what} header")
+    if header.get("format") != fmt:
+        raise error(f"unsupported {what} format {header.get('format')!r}, expected {fmt!r}")
+    return header, {i: parse_object(line, error, f"{item} {i}")
+                    for i, line in enumerate(lines[1:]) if line.strip()}
+
+
 def is_number(value, kind=Real) -> bool:
-    """Whether value is a real number (or, with kind=Integral, an integer);
-    booleans and strings count as neither."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """Whether value is a real number (or, with kind=Integral, an integer)
+    that converts to a float; booleans, strings and integers too large for a
+    float count as neither."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def finite_number(value, error, what: str) -> float:
+    """value as a float; it must be a finite number by is_number."""
+    if is_number(value) and math.isfinite(value):
+        return float(value)
+    raise error(f"{what} must be a finite number, got {value!r}")
+
+
+def float_rows(rows, width: int, error, names) -> np.ndarray:
+    """The number lists `rows` as one (len(rows), width) float array. Each
+    must be a list (or tuple) of `width` finite numbers by is_number; the
+    first that is not raises `error` naming it by its entry of `names`.
+    Rows of JSON numbers are checked in bulk, a few passes at C speed."""
+    if (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {width}
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+        try:
+            arr = np.array(rows, dtype=float).reshape(len(rows), width)
+        except OverflowError:  # an integer too large for a float; found below
+            arr = None
+        if arr is not None and np.isfinite(arr).all():
+            return arr
+    for row, name in zip(rows, names):
+        if not (isinstance(row, (list, tuple)) and len(row) == width and all(map(is_number, row))
+                and np.isfinite(np.array(row, dtype=float)).all()):
+            raise error(f"{name} must be {width} finite numbers")
+    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def check_number_fields(config, reals=(), integers=()):
-    """Raise DataError unless each named attribute of config holds a real
-    number (`reals`) or an integer (`integers`) by is_number."""
-    for names, kind, what in ((reals, Real, "a number"), (integers, Integral, "an integer")):
-        for name in names:
-            value = getattr(config, name)
-            if not is_number(value, kind):
-                raise DataError(f"{name} must be {what}, got {value!r}")
+    """Raise DataError unless each named attribute of config holds a finite
+    real number (`reals`) or an integer (`integers`) by is_number."""
+    for name in reals:
+        finite_number(getattr(config, name), DataError, name)
+    for name in integers:
+        if not is_number(value := getattr(config, name), Integral):
+            raise DataError(f"{name} must be an integer, got {value!r}")

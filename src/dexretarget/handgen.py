@@ -9,7 +9,6 @@ joints and one fingertip keypoint per finger.
 from __future__ import annotations
 
 import functools
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
@@ -18,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, float_rows, parse_object, read_text
 from .kinematics import Inertial, Joint, Keypoint, KinematicTree, Link, build_tree
 from .transforms import RigidTransform, quat_from_rpy
 
@@ -47,7 +46,7 @@ class HandShapeParams:
         beta = np.asarray(self.beta, dtype=float)
         if beta.shape != (SHAPE_DIM,):
             raise DataError(f"shape vector must have {SHAPE_DIM} coefficients")
-        if not np.all(np.isfinite(beta)):
+        if not np.isfinite(beta).all():
             raise DataError("shape vector contains non-finite values")
         beta = np.clip(beta, -BETA_CLAMP, BETA_CLAMP)
         beta.flags.writeable = False
@@ -59,13 +58,15 @@ class HandShapeParams:
 
 
 def _read_only(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A read-only float copy of `value`, which must have `shape` and be finite."""
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{what} must be numbers: {exc}") from exc
-    if arr.shape != shape or not np.all(np.isfinite(arr)):
-        raise DataError(f"{what} must be {'x'.join(map(str, shape))} finite numbers")
+    """A read-only float array of `value`: a list of shape[-1] finite
+    numbers, or for a 2-D shape a list of shape[0] such lists."""
+    if len(shape) == 1:
+        value, names = [value], [what]
+    elif isinstance(value, (list, tuple)) and len(value) == shape[0]:
+        names = (f"{what} row {i}" for i in range(shape[0]))
+    else:
+        raise DataError(f"{what} must be a list of {shape[0]} rows")
+    arr = float_rows(value, shape[-1], DataError, names).reshape(shape)
     arr.flags.writeable = False
     return arr
 
@@ -126,23 +127,12 @@ def load_template(path: str | Path) -> HandTemplate:
     """Read a hand template file. It is read on every call; equal texts then
     share one template, up to TEMPLATE_CACHE_SIZE texts. A missing file
     raises FileNotFoundError, anything else wrong DataError."""
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read hand template: {exc}") from exc
-    return _template_from_text(text)
+    return _template_from_text(read_text(path, DataError, "hand template"))
 
 
 @functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
 def _template_from_text(text: str) -> HandTemplate:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"cannot read hand template: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError("hand template must be a JSON object")
+    doc = parse_object(text, DataError, "hand template")
     if doc.get("format") != "dexhand-template/1":
         raise DataError(f"unsupported template format {doc.get('format')!r}")
     try:

@@ -11,7 +11,6 @@ Units are fixed globally: meters, radians, seconds, kilograms.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 from collections.abc import Mapping
@@ -22,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DescriptionError, is_number
+from .errors import DescriptionError, finite_number, float_rows, parse_object, read_text
 from .transforms import RigidTransform, _axis_terms, _rodrigues, quat_from_rpy, quat_to_matrix
 
 _AXIS_TOL = 1e-9
@@ -109,7 +108,6 @@ class KinematicTree:
     # Derived read-only caches, filled by _finalize. Link poses are computed
     # in slot order: the root is slot 0, then the links level by level, each
     # level ordered by its links' parent slots (siblings in description order).
-    root: str = field(default="", repr=False)
     _index: dict[str, int] = field(default_factory=dict, repr=False)  # description order
     _order: np.ndarray = field(default=None, repr=False)          # link index per slot
     _parent_slots: np.ndarray = field(default=None, repr=False)   # -1 for the root
@@ -308,7 +306,6 @@ def _finalize(tree: KinematicTree) -> KinematicTree:
         levels.append(_Level(slice(start, stop), parents, slice(start - 1, stop - 1),
                             origin_rot[start:stop], origin_trans[start:stop, :, None]))
 
-    object.__setattr__(tree, "root", root)
     object.__setattr__(tree, "_index", index)
     object.__setattr__(tree, "_order", order)
     object.__setattr__(tree, "_parent_slots", parent_slots)
@@ -363,20 +360,11 @@ def build_tree(
 # ---------------------------------------------------------------------------
 
 def _vec(raw, length, what, element) -> np.ndarray:
-    if isinstance(raw, (list, tuple)) and len(raw) == length and all(map(is_number, raw)):
-        with contextlib.suppress(OverflowError):  # an integer too large for a float
-            v = np.asarray(raw, dtype=float)
-            if np.all(np.isfinite(v)):
-                return v
-    raise DescriptionError(f"{what} must be {length} finite numbers", element=element)
+    return float_rows([raw], length, functools.partial(DescriptionError, element=element), [what])[0]
 
 
 def _number(raw: dict, key: str, default: float, element: str) -> float:
-    value = raw.get(key, default)
-    if is_number(value):
-        with contextlib.suppress(OverflowError):
-            return float(value)
-    raise DescriptionError(f"{key} must be a number", element=element)
+    return finite_number(raw.get(key, default), functools.partial(DescriptionError, element=element), key)
 
 
 def _entries(doc: dict, key: str) -> list[dict]:
@@ -414,26 +402,16 @@ def load_robot(source: str | Path | dict) -> KinematicTree:
         return _tree_from_document(source)
     text = str(source)
     if not text.lstrip().startswith("{"):
-        try:
-            text = Path(source).read_text()
-        except UnicodeDecodeError as exc:
-            raise DescriptionError(f"robot description is not UTF-8 text: {exc}") from exc
+        text = read_text(source, DescriptionError, "robot description")
     return _load_text(text)
 
 
 @functools.lru_cache(maxsize=ROBOT_CACHE_SIZE)
 def _load_text(text: str) -> KinematicTree:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DescriptionError(f"robot description is not valid JSON: {exc}") from exc
-    return _tree_from_document(doc)
+    return _tree_from_document(parse_object(text, DescriptionError, "robot description"))
 
 
-def _tree_from_document(doc) -> KinematicTree:
-    if not isinstance(doc, dict):
-        raise DescriptionError("robot description must be a JSON object")
-
+def _tree_from_document(doc: dict) -> KinematicTree:
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise DescriptionError("missing robot name")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, StreamFormatError
+from .errors import DataError, StreamFormatError, finite_number, float_rows, read_records
 from .handgen import HandShapeParams
 from .transforms import matrix_to_quat
 
@@ -38,13 +38,13 @@ class HandPoseFrame:
 
     def __post_init__(self):
         pose = np.asarray(self.pose, dtype=float)
-        if pose.shape != (POSE_DIM,) or not np.all(np.isfinite(pose)):
+        if pose.shape != (POSE_DIM,) or not np.isfinite(pose).all():
             raise StreamFormatError(f"pose must be {POSE_DIM} finite angles")
         object.__setattr__(self, "pose", pose)
         if self.observed_keypoints is not None:
             kp = {k: np.asarray(v, dtype=float) for k, v in self.observed_keypoints.items()}
             for name, v in kp.items():
-                if v.shape != (3,) or not np.all(np.isfinite(v)):
+                if v.shape != (3,) or not np.isfinite(v).all():
                     raise StreamFormatError(f"keypoint '{name}' must be a finite 3-vector")
             object.__setattr__(self, "observed_keypoints", kp)
 
@@ -107,56 +107,37 @@ def _dump_line(obj) -> str:
 
 
 def read_stream(path: str | Path) -> HandPoseStream:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise StreamFormatError("empty stream file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise StreamFormatError(f"bad stream header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise StreamFormatError("stream header must be a JSON object")
-    if header.get("format") != FORMAT_VERSION:
-        raise StreamFormatError(
-            f"unsupported stream format {header.get('format')!r}, expected {FORMAT_VERSION!r}"
-        )
+    header, records = read_records(path, FORMAT_VERSION, StreamFormatError, "stream", "frame")
     if "rate_hz" not in header:
         raise StreamFormatError("stream header missing rate_hz")
+    rate_hz = finite_number(header["rate_hz"], StreamFormatError, "rate_hz")
+    s0, sigma = (float_rows([header[key]], SHAPE_DIM, StreamFormatError, [key])[0] if header.get(key) is not None
+                 else None for key in ("s0", "sigma"))
+    for i, rec in records.items():
+        missing = [key for key in ("t", "pose", "shape") if key not in rec]
+        if missing:
+            raise StreamFormatError(f"frame {i} missing field {missing[0]!r}")
+        if not isinstance(rec.get("kp", {}), dict):
+            raise StreamFormatError(f"frame {i}: kp must be a JSON object")
+    times = [finite_number(rec["t"], StreamFormatError, f"frame {i}: t") for i, rec in records.items()]
 
-    frames = []
-    for i, line in enumerate(lines[1:]):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise StreamFormatError(f"bad record at frame {i}: {exc}") from exc
-        if not isinstance(rec, dict) or not isinstance(rec.get("kp") or {}, dict):
-            raise StreamFormatError(f"frame {i}: record and its kp field must be JSON objects")
-        try:
-            kp = rec.get("kp")
-            frames.append(
-                HandPoseFrame(
-                    timestamp=float(rec["t"]),
-                    pose=np.asarray(rec["pose"], dtype=float),
-                    shape=HandShapeParams(np.asarray(rec["shape"], dtype=float)),
-                    observed_keypoints={k: np.asarray(v, dtype=float) for k, v in kp.items()} if kp else None,
-                )
-            )
-        except KeyError as exc:
-            raise StreamFormatError(f"frame {i} missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:  # DataError included
-            raise StreamFormatError(f"frame {i}: {exc}") from exc
+    def column(key: str, width: int) -> np.ndarray:
+        return float_rows([rec[key] for rec in records.values()], width, StreamFormatError,
+                          (f"frame {i}: {key}" for i in records))
 
-    try:
-        rate_hz = float(header["rate_hz"])
-        s0, sigma = header.get("s0"), header.get("sigma")
-        s0 = HandShapeParams(np.asarray(s0, dtype=float)) if s0 is not None else None
-        sigma = np.asarray(sigma, dtype=float) if sigma is not None else None
-    except (TypeError, ValueError) as exc:  # DataError included
-        raise StreamFormatError(f"bad stream header: {exc}") from exc
+    poses, shapes = column("pose", POSE_DIM), column("shape", SHAPE_DIM)
+    kps = [rec.get("kp") or {} for rec in records.values()]
+    points = iter(float_rows([v for kp in kps for v in kp.values()], 3, StreamFormatError,
+                             (f"frame {i}: keypoint '{name}'" for i, kp in zip(records, kps) for name in kp)))
+    frames = tuple(
+        HandPoseFrame(timestamp=t, pose=pose, shape=HandShapeParams(shape),
+                      observed_keypoints={name: next(points) for name in kp} if kp else None)
+        for t, pose, shape, kp in zip(times, poses, shapes, kps)
+    )
+    if s0 is not None:
+        s0 = HandShapeParams(s0)
     metadata = {k: v for k, v in header.items() if k not in ("format", "rate_hz", "s0", "sigma")}
-    return HandPoseStream(frames=tuple(frames), rate_hz=rate_hz, s0=s0, sigma=sigma, metadata=metadata)
+    return HandPoseStream(frames=frames, rate_hz=rate_hz, s0=s0, sigma=sigma, metadata=metadata)
 
 
 def stream_to_text(stream: HandPoseStream) -> str:

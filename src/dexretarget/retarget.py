@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kinematics
-from .errors import DataError, DescriptionError, NumericalError
+from .errors import DataError, DescriptionError, NumericalError, read_text
 from .kinematics import KinematicTree
 
 log = logging.getLogger(__name__)
@@ -68,7 +68,7 @@ class KeypointMap:
 def read_keypoint_map(path: str | Path) -> KeypointMap:
     """Parse a map file: one 'source -> target' pair per line, '#' comments."""
     pairs = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, DataError, "keypoint map").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +92,17 @@ def test_gen_hand_bad_shape_exit_2(tmp_path, capsys):
     shape = tmp_path / "shape.json"
     shape.write_text(json.dumps({"beta": [0.0] * 4}))
     assert main(["gen-hand", "--shape", str(shape), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("entry", ["0.5", True, 10**400, None], ids=["numeric-string", "bool", "overflow", "null"])
+def test_gen_hand_shape_entries_are_numbers(entry, tmp_path, capsys):
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps({"beta": [0.0] * 9 + [entry]}))
+    out = tmp_path / "o.robot"
+    assert main(["gen-hand", "--shape", str(shape), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error: beta must be 10 finite numbers" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("template, code", [
@@ -301,17 +313,24 @@ def test_expert_then_train_both_modes(tmp_path, capsys):
         ("translate", json.dumps({"robot": str(robot_path("allegro")), "cutoff_hz": float("inf")})),
         ("translate", json.dumps({"robot": str(robot_path("allegro")), "gamma": 1.5})),
         ("translate", json.dumps({"robot": str(robot_path("allegro")), "gamma": 0})),
+        ("translate", json.dumps({"robot": str(robot_path("allegro")), "alpha": 10**400})),
+        ("train", json.dumps({"learning_rate": 10**400})),
+        ("train", json.dumps({"seed": -1})),
+        ("translate", b"\xff\xfe{}"),
+        ("train", b"{\"seed\": \xe9}"),
     ],
     ids=["train-not-json", "train-learning-rate-str", "train-not-object", "train-removed-key",
          "train-batch-trajectories-0", "train-iterations-0",
          "translate-alpha-str", "translate-not-object",
          "translate-max-iterations-0", "translate-max-iterations-negative", "translate-grad-tol-negative",
          "translate-grad-tol-0", "translate-grad-tol-nan", "translate-alpha-inf", "translate-alpha-nan",
-         "translate-cutoff-0", "translate-cutoff-inf", "translate-gamma-1.5", "translate-gamma-0"],
+         "translate-cutoff-0", "translate-cutoff-inf", "translate-gamma-1.5", "translate-gamma-0",
+         "translate-alpha-overflow", "train-learning-rate-overflow", "train-seed-negative",
+         "translate-not-utf8", "train-not-utf8"],
 )
 def test_bad_config_value_exit_2(command, text, short_stream_file, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(text)
+    config.write_bytes(text if isinstance(text, bytes) else text.encode())
     if command == "train":
         argv = ["train", "--config", str(config), "--out", str(tmp_path / "out")]
     else:
@@ -340,9 +359,24 @@ def _edit_record(line: str, **fields) -> str:
         ("demo", 0, lambda line: _edit_record(line, dt="abc")),
         ("demo", 0, lambda line: _edit_record(line, dt=True)),
         ("demo", 0, lambda line: _edit_record(line, state_layout=[["s", 8], ["b", True]])),
+        ("stream", 3, lambda line: _edit_record(line, pose=[str(v) for v in json.loads(line)["pose"]])),
+        ("stream", 3, lambda line: _edit_record(line, pose=[True] + json.loads(line)["pose"][1:])),
+        ("stream", 3, lambda line: _edit_record(line, pose=[10**400] + json.loads(line)["pose"][1:])),
+        ("stream", 3, lambda line: _edit_record(line, t=str(json.loads(line)["t"]))),
+        ("stream", 3, lambda line: _edit_record(line, t=True)),
+        ("demo", 2, lambda line: _edit_record(line, state=["1.5", True] + [0.0] * 7)),
+        ("demo", 2, lambda line: _edit_record(line, action=["2", 0.0, 0.0])),
+        ("demo", 2, lambda line: _edit_record(line, action=[False, 0.0, 0.0])),
+        ("stream", None, lambda path: path.write_bytes(b"\xff" + path.read_bytes())),
+        ("demo", None, lambda path: path.write_bytes(path.read_bytes().replace(b"0.0", b"0.\xb0", 1))),
+        ("stream", None, lambda path: path.unlink() or path.mkdir()),
+        ("demo", None, lambda path: path.unlink() or path.mkdir()),
     ],
     ids=["stream-header-list", "stream-record-list", "stream-kp-list", "stream-pose-str", "stream-t-str",
-         "demo-record-list", "demo-header-list", "demo-dt-str", "demo-dt-bool", "demo-width-bool"],
+         "demo-record-list", "demo-header-list", "demo-dt-str", "demo-dt-bool", "demo-width-bool",
+         "stream-pose-numeric-strings", "stream-pose-bool", "stream-pose-overflow", "stream-t-numeric-string",
+         "stream-t-bool", "demo-state-str-bool", "demo-action-numeric-string", "demo-action-bool",
+         "stream-not-utf8", "demo-not-utf8", "stream-directory", "demo-directory"],
 )
 def test_malformed_input_exit_2(kind, line, edit, short_stream_file, tmp_path, capsys):
     from dexretarget.demopipe import Demonstration, write_demo
@@ -357,33 +391,46 @@ def test_malformed_input_exit_2(kind, line, edit, short_stream_file, tmp_path, c
         write_demo(Demonstration("toy-relocate", "relocate", 0.05, (("s", 9),), (("a", 3),),
                                  np.zeros((3, 9)), np.zeros((2, 3))), path)
         argv = ["train", "--demos", str(path.parent), "--out", str(tmp_path / "out")]
-    lines = path.read_text().splitlines()
-    lines[line] = edit(lines[line])
-    path.write_text("\n".join(lines) + "\n")
+    if line is None:  # the whole file
+        edit(path)
+    else:
+        lines = path.read_text().splitlines()
+        lines[line] = edit(lines[line])
+        path.write_text("\n".join(lines) + "\n")
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "data error" in err
     assert "Traceback" not in err
-    if line > 0:
+    if line is None:
+        assert f"cannot read {'stream' if kind == 'stream' else 'demonstration'}" in err
+    elif line > 0:
         assert ("frame 2" if kind == "stream" else "record 1") in err
 
 
-@pytest.mark.parametrize("command", ["translate", "train"])
+@pytest.mark.parametrize("command", ["translate", "train", "fk", "keypoint-map", "gen-hand"])
 def test_missing_config_file_exit_1(command, short_stream_file, tmp_path, capsys):
-    missing = str(tmp_path / "nope.json")
-    if command == "train":
-        argv = ["train", "--config", missing, "--out", str(tmp_path / "out")]
-    else:
-        argv = ["translate", "--stream", str(short_stream_file), "--config", missing,
+    def argv_for(path: str) -> list[str]:
+        if command == "train":
+            return ["train", "--config", path, "--out", str(tmp_path / "out")]
+        if command == "fk":
+            return ["fk", "--robot", path]
+        if command == "gen-hand":
+            return ["gen-hand", "--shape", path, "--out", str(tmp_path / "o.robot")]
+        config = path
+        if command == "keypoint-map":
+            config = str(tmp_path / "config.json")
+            Path(config).write_text(json.dumps({"robot": str(robot_path("allegro")), "keypoint_map": path}))
+        return ["translate", "--stream", str(short_stream_file), "--config", config,
                 "--out", str(tmp_path / "o.demo")]
-    assert main(argv) == 1
+
+    assert main(argv_for(str(tmp_path / "nope.json"))) == 1
     err = capsys.readouterr().err
     assert "nope.json" in err and "--help" in err
     assert "Traceback" not in err
     # A path that exists but cannot be read as a file is a data error.
-    argv[argv.index(missing)] = str(tmp_path)
-    assert main(argv) == 2
-    assert "cannot read" in capsys.readouterr().err
+    assert main(argv_for(str(tmp_path))) == 2
+    err = capsys.readouterr().err
+    assert "cannot read" in err and "Traceback" not in err
 
 
 def test_train_rejects_unknown_env(tmp_path):

@@ -214,7 +214,7 @@ def test_demo_version_header_enforced(short_stream, tmp_path):
     ("action_layout", {"joint_velocity": 3}, "action_layout"),
     ("dt", "0.05", "dt"),
     ("dt", True, "dt"),
-    ("dt", 10**400, "bad demonstration: int too large"),
+    ("dt", 10**400, "dt must be a number"),
     ("dt", float("nan"), "dt must be positive"),
 ], ids=["width-string", "width-fraction", "width-bool", "name-number", "width-negative",
         "pair-of-three", "layout-object", "dt-string", "dt-bool", "dt-overflow", "dt-nan"])

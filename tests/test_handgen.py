@@ -178,14 +178,23 @@ def test_hand_cache_evicts_the_least_recently_used():
     assert dump_robot(again) == dump_robot(first)
 
 
+def _edited_template(edit) -> str:
+    doc = json.loads(template_path().read_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text, match", [
     ('{"format": "dexhand-template/1"}', "no 'fingers'"),
     ("[1]", "JSON object"),
     ("{not json", "cannot read"),
-], ids=["no-fingers", "not-object", "not-json"])
+    (lambda: _edited_template(lambda doc: doc["palm_box"].__setitem__(0, "0.09")), "palm box"),
+    (lambda: _edited_template(lambda doc: doc["fingers"]["ring"]["radii"].__setitem__(1, True)), "radii"),
+    (lambda: _edited_template(lambda doc: doc["palm_box"].__setitem__(2, 10**400)), "palm box"),
+], ids=["no-fingers", "not-object", "not-json", "palm-numeric-string", "radius-bool", "palm-overflow"])
 def test_malformed_template_is_a_data_error(text, match, tmp_path):
     path = tmp_path / "template.json"
-    path.write_text(text)
+    path.write_text(text if isinstance(text, str) else text())
     with pytest.raises(DataError, match=match):
         load_template(path)
 

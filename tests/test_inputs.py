@@ -1,0 +1,217 @@
+"""The input policy: every reader turns a malformed file into a DexError.
+
+Each reader gets a valid file with one JSON value replaced by a value of
+the wrong kind, the file with bytes that are not UTF-8, and a directory in
+its place. Only DexError subclasses and FileNotFoundError may escape a
+reader; through the CLI, nothing prints a traceback. A guard keeps every
+file read inside errors.py, where the policy lives.
+"""
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import json
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from dexretarget.assets import asset_path, robot_path, sample_stream_path
+from dexretarget.cli import main
+from dexretarget.dapg import DapgConfig, demos_from_expert
+from dexretarget.demopipe import PipelineConfig, read_config_object, read_demo, write_demo
+from dexretarget.errors import DataError, DexError
+from dexretarget.handgen import load_template
+from dexretarget.kinematics import load_robot
+from dexretarget.poseio import HandPoseStream, read_stream, stream_to_text
+from dexretarget.retarget import read_keypoint_map
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dexretarget"
+# The replacements: a numeric string, a boolean, null, empty containers, a
+# nested list, an integer too large for a float, non-finite and negative numbers.
+REPLACEMENTS = ["0.5", True, None, [], {}, [[1.0, 2.0]], 10**400, float("nan"), float("inf"), -1]
+FUZZ = settings(max_examples=40, derandomize=True, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+
+
+def _training_config(path):
+    return DapgConfig(**read_config_object(path, DapgConfig, "training config"))
+
+
+READERS = {
+    "robot": load_robot,
+    "template": load_template,
+    "stream": read_stream,
+    "demo": read_demo,
+    "keypoint-map": read_keypoint_map,
+    "pipeline-config": PipelineConfig.from_file,
+    "training-config": _training_config,
+}
+
+
+def _stream_text(frames: int) -> str:
+    stream = read_stream(sample_stream_path())
+    return stream_to_text(HandPoseStream(stream.frames[:frames], stream.rate_hz))
+
+
+def _demo_text(tmp_dir: Path) -> str:
+    path = tmp_dir / "expert.demo"
+    write_demo(demos_from_expert(1, seed=0)[0], path)
+    return path.read_text()
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory) -> dict[str, list]:
+    """Each reader's valid file as a list of lines: JSON values, or raw text for the keypoint map."""
+    tmp_dir = tmp_path_factory.mktemp("valid")
+    documents = {
+        "robot": robot_path("allegro").read_text(),
+        "template": asset_path("hand_template.json").read_text(),
+        "stream": _stream_text(12),
+        "demo": _demo_text(tmp_dir),
+        "pipeline-config": json.dumps({"robot": str(robot_path("allegro")),
+                                       "keypoint_map": str(asset_path("maps/custom_to_allegro.map")),
+                                       "alpha": 0.004, "gamma": 0.5, "calibration_frames": 10,
+                                       "action_mode": "position", "task": "relocate"}),
+        "training-config": json.dumps({**asdict(DapgConfig()), "hidden": [4], "iterations": 1,
+                                       "batch_trajectories": 2, "bc_epochs": 1, "value_epochs": 1}),
+    }
+    lines = {kind: [json.loads(line) for line in (text.splitlines() if kind in ("stream", "demo") else [text])]
+             for kind, text in documents.items()}
+    lines["keypoint-map"] = asset_path("maps/custom_to_allegro.map").read_text().splitlines()
+    return lines
+
+
+def _paths(value, prefix=()):
+    """The key paths of value and of everything nested in it."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, prefix + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return out
+
+
+def _write(path: Path, lines: list):
+    path.write_text("\n".join(line if isinstance(line, str) else json.dumps(line) for line in lines) + "\n")
+
+
+def _mutated(data, lines: list, kind: str) -> list:
+    """lines with one JSON value, or for the keypoint map one line, replaced."""
+    paths = [(i,) for i in range(len(lines))] if kind == "keypoint-map" else list(_paths(lines))[1:]
+    path = data.draw(st.sampled_from(paths), label="path")
+    return _replaced(lines, path, data.draw(st.sampled_from(REPLACEMENTS), label="value"))
+
+
+@pytest.mark.parametrize("kind", READERS)
+@FUZZ
+@given(data=st.data())
+def test_reader_raises_only_documented_errors(kind, data, valid, tmp_path):
+    path = tmp_path / f"{kind}.input"
+    _write(path, _mutated(data, valid[kind], kind))
+    with contextlib.suppress(DexError, FileNotFoundError):
+        READERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", READERS)
+@pytest.mark.parametrize("damage", ["not-utf8", "directory"])
+def test_unreadable_file_is_a_data_error(kind, damage, valid, tmp_path):
+    path = tmp_path / f"{kind}.input"
+    if damage == "directory":
+        path.mkdir()
+    else:
+        _write(path, valid[kind])
+        path.write_bytes(path.read_bytes() + "é".encode("latin-1"))
+    with pytest.raises(DataError, match="cannot read"):
+        READERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_valid_files_still_read(kind, valid, tmp_path):
+    """The fuzz inputs start valid, so each error the fuzz sees comes from its one replacement."""
+    path = tmp_path / f"{kind}.input"
+    _write(path, valid[kind])
+    READERS[kind](path)
+
+
+def _cli_argv(kind: str, path: Path, valid: dict, tmp_path: Path) -> list[str]:
+    """A quick command that reads the file `path` as input `kind`."""
+    def written(name: str, kind: str) -> str:
+        _write(tmp_path / name, valid[kind])
+        return str(tmp_path / name)
+
+    if kind == "robot":
+        return ["fk", "--robot", str(path)]
+    if kind == "template":
+        (tmp_path / "shape.json").write_text(json.dumps({"beta": [0.0] * 10}))
+        return ["gen-hand", "--shape", str(tmp_path / "shape.json"), "--template", str(path),
+                "--out", str(tmp_path / "o.robot")]
+    if kind in ("training-config", "demo"):
+        argv = ["train", "--out", str(tmp_path / "run"),
+                "--config", str(path) if kind == "training-config" else written("train.json", "training-config")]
+        if kind == "demo":
+            (tmp_path / "demos").mkdir(exist_ok=True)
+            path.replace(tmp_path / "demos" / "bad.demo")
+            argv += ["--demos", str(tmp_path / "demos")]
+        return argv
+    stream = str(path) if kind == "stream" else written("stream.jsonl", "stream")
+    config = str(path) if kind == "pipeline-config" else written("config.json", "pipeline-config")
+    if kind == "keypoint-map":
+        config_doc = {**valid["pipeline-config"][0], "keypoint_map": str(path)}
+        (tmp_path / "config.json").write_text(json.dumps(config_doc))
+    return ["translate", "--stream", stream, "--config", config, "--out", str(tmp_path / "o.demo")]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_never_prints_a_traceback(data, valid, tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("cli")
+    kind = data.draw(st.sampled_from(sorted(READERS)), label="kind")
+    path = tmp_path / f"{kind}.input"
+    damage = data.draw(st.sampled_from(["replace", "not-utf8", "directory"]), label="damage")
+    if damage == "directory":
+        path.mkdir()
+    else:
+        _write(path, _mutated(data, valid[kind], kind) if damage == "replace" else valid[kind])
+        if damage == "not-utf8":
+            path.write_bytes(b"\xff" + path.read_bytes())
+    argv = _cli_argv(kind, path, valid, tmp_path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    # A replacement may leave the file valid (a pose angle of -1), which exits 0.
+    assert code in ((0, 1, 2, 3) if damage == "replace" else (2,)), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def _file_reads(tree: ast.AST) -> list[str]:
+    """Calls of `.read_text()` and `json.load`/`json.loads` in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr, owner = node.func.attr, node.func.value
+            if attr == "read_text" or (attr in ("load", "loads") and isinstance(owner, ast.Name)
+                                       and owner.id == "json"):
+                found.append(f"line {node.lineno}: {ast.unparse(node.func)}")
+    return found
+
+
+def test_only_errors_module_reads_files():
+    modules = sorted(SRC.rglob("*.py"))
+    assert SRC / "errors.py" in modules and len(modules) > 10
+    offenders = {str(p.relative_to(SRC)): _file_reads(ast.parse(p.read_text()))
+                 for p in modules if p.name != "errors.py"}
+    assert {name: calls for name, calls in offenders.items() if calls} == {}
+    assert _file_reads(ast.parse((SRC / "errors.py").read_text()))
