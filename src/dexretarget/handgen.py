@@ -59,7 +59,10 @@ class HandShapeParams:
 
 def _read_only(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     """A read-only float array of `value`: a list of shape[-1] finite
-    numbers, or for a 2-D shape a list of shape[0] such lists."""
+    numbers, or for a 2-D shape a list of shape[0] such lists, or an array
+    of that shape (such as another template's own fields)."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if len(shape) == 1:
         value, names = [value], [what]
     elif isinstance(value, (list, tuple)) and len(value) == shape[0]:

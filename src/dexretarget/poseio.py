@@ -117,7 +117,7 @@ def read_stream(path: str | Path) -> HandPoseStream:
         missing = [key for key in ("t", "pose", "shape") if key not in rec]
         if missing:
             raise StreamFormatError(f"frame {i} missing field {missing[0]!r}")
-        if not isinstance(rec.get("kp", {}), dict):
+        if rec.get("kp") is not None and not isinstance(rec["kp"], dict):
             raise StreamFormatError(f"frame {i}: kp must be a JSON object")
     times = [finite_number(rec["t"], StreamFormatError, f"frame {i}: t") for i, rec in records.items()]
 

@@ -10,6 +10,7 @@ from dexretarget.errors import DataError
 from dexretarget.handgen import (
     FINGERS,
     HAND_CACHE_SIZE,
+    FingerSpec,
     HandShapeParams,
     HandTemplate,
     build_custom_hand,
@@ -134,8 +135,20 @@ def test_template_rejects_runaway_basis():
     template = default_template()
     basis = template.length_basis.copy()
     basis[0, :] = 0.02  # 5 * 0.02 = 0.1 > every bone length
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="length basis too large"):
         HandTemplate(template.palm_box, template.fingers, basis)
+
+
+def test_template_rebuilds_from_its_own_arrays():
+    template = default_template()
+    fingers = {name: FingerSpec(spec.base_xyz, spec.base_rpy, spec.lengths, spec.radii)
+               for name, spec in template.fingers.items()}
+    rebuilt = HandTemplate(template.palm_box, fingers, template.length_basis)
+    assert np.array_equal(rebuilt.palm_box, template.palm_box)
+    assert np.array_equal(rebuilt.length_basis, template.length_basis)
+    for name, spec in rebuilt.fingers.items():
+        for key in ("base_xyz", "base_rpy", "lengths", "radii"):
+            assert np.array_equal(getattr(spec, key), getattr(template.fingers[name], key))
 
 
 def test_default_template_is_shared_and_read_only():

@@ -56,6 +56,15 @@ def test_read_stream_reports_rate(tmp_path):
     assert len(stream.frames) == 100
 
 
+def test_null_kp_reads_as_no_keypoints(tmp_path):
+    path = tmp_path / "s.jsonl"
+    write_stream(make_stream(n=5), path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2][:-1] + ', "kp": null}'
+    path.write_text("\n".join(lines) + "\n")
+    assert read_stream(path).frames[1].observed_keypoints is None
+
+
 def test_duplicate_timestamp_cites_frame_index(tmp_path):
     path = tmp_path / "s.jsonl"
     write_stream(make_stream(n=10), path)
