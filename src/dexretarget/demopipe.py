@@ -374,7 +374,7 @@ def read_demo(path: str | Path) -> Demonstration:
         state_layout, action_layout = _layout(header, "state_layout"), _layout(header, "action_layout")
     except KeyError as exc:
         raise DemoFormatError(f"demonstration header missing {exc}") from exc
-    provenance = header.get("provenance", {})
+    provenance = {} if header.get("provenance") is None else header["provenance"]
     if not (isinstance(robot, str) and isinstance(task, str) and isinstance(provenance, dict)):
         raise DemoFormatError("robot and task must be strings and provenance a JSON object")
     if not is_number(dt):

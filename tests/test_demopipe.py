@@ -227,6 +227,14 @@ def test_demo_header_numbers_are_strict(tmp_path, field, value, element):
         read_demo(path)
 
 
+def test_demo_null_provenance_reads_as_empty(tmp_path):
+    path = tmp_path / "expert.demo"
+    write_demo(demos_from_expert(1, seed=0)[0], path)
+    header, records = path.read_text().split("\n", 1)
+    path.write_text(json.dumps({**json.loads(header), "provenance": None}) + "\n" + records)
+    assert read_demo(path).provenance == {}
+
+
 def test_finger_targets_respect_limits(short_stream):
     demo = translate(short_stream, make_config("allegro"))
     tree = load_robot(robot_path("allegro"))
