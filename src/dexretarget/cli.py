@@ -21,7 +21,6 @@ from . import assets
 from .dapg import DapgConfig, demos_from_expert, train
 from .demopipe import (
     PipelineConfig,
-    atomic_write_text,
     read_config_object,
     read_demo,
     translate_all,
@@ -29,7 +28,7 @@ from .demopipe import (
     write_demo,
 )
 from .dynamics import DynamicsInput, inverse_dynamics
-from .errors import DataError, NumericalError, float_rows, parse_object, read_text
+from .errors import DataError, NumericalError, atomic_write_text, float_rows, parse_object, read_text
 from .handgen import SHAPE_DIM, HandShapeParams, build_custom_hand, load_template
 from .kinematics import dump_robot, forward_kinematics, load_robot
 from .poseio import read_stream

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..demopipe import Demonstration
-from ..errors import DataError, NumericalError, check_number_fields, is_number
+from ..errors import DataError, NumericalError, atomic_write_text, check_number_fields, is_number, must_be
 from .env import ACT_DIM, HORIZON, OBS_DIM, BatchedRelocate
 from .nets import Adam, GaussianPolicy, ValueFunction
 
@@ -62,7 +62,7 @@ class DapgConfig:
         if isinstance(self.hidden, list):  # as a JSON config gives it
             object.__setattr__(self, "hidden", tuple(self.hidden))
         if not (isinstance(self.hidden, tuple) and all(is_number(w, Integral) and w > 0 for w in self.hidden)):
-            raise DataError(f"hidden layer widths must be positive integers, got {self.hidden!r}")
+            raise DataError(must_be("hidden layer widths", "positive integers", self.hidden))
         if not (0.0 <= self.lambda0 <= 1.0 and 0.0 <= self.lambda1 < 1.0):
             raise DataError("need 0 <= lambda0 <= 1 and 0 <= lambda1 < 1")
         if self.learning_rate <= 0:
@@ -289,7 +289,7 @@ def train(
 
         curve.add(k, batch.episode_returns.mean(), batch.successes.mean(), weight)
         if out_dir is not None and config.checkpoint_every > 0 and (k + 1) % config.checkpoint_every == 0:
-            np.savez(out_dir / f"checkpoint_{k + 1:04d}.npz", params=policy.get_flat())
+            atomic_write_text(out_dir / f"checkpoint_{k + 1:04d}.npz", {"params": policy.get_flat()})
         if k % 10 == 0:
             log.debug(
                 "iter %d: return %.2f success %.2f demo weight %.3g",
@@ -297,6 +297,6 @@ def train(
             )
 
     if out_dir is not None:
-        (out_dir / "curve.csv").write_text(curve.to_table())
-        np.savez(out_dir / "policy.npz", params=policy.get_flat())
+        atomic_write_text(out_dir / "curve.csv", curve.to_table())
+        atomic_write_text(out_dir / "policy.npz", {"params": policy.get_flat()})
     return policy, curve

@@ -16,7 +16,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -27,10 +26,10 @@ import numpy as np
 from . import kinematics
 from .control import gamma_from_cutoff
 from .dynamics import POSITION, TORQUE, compute_actions
-from .errors import (DataError, DemoFormatError, NumericalError, check_number_fields, float_rows, is_number,
-                     parse_object, read_records, read_text)
+from .errors import (DataError, DemoFormatError, NumericalError, atomic_write_text, check_number_fields, float_rows,
+                     is_number, must_be, parse_object, read_records, read_text)
 from .handgen import build_custom_hand, default_template, load_template
-from .kinematics import KinematicTree, _keypoint_frames, _keypoint_positions, load_robot
+from .kinematics import KinematicTree, load_robot
 from .poseio import HandPoseStream, calibrate, solve_wrists
 from .retarget import (
     DEFAULT_ALPHA,
@@ -81,7 +80,7 @@ class PipelineConfig:
             integers=("calibration_frames", "max_iterations"),
         )
         if not isinstance(self.task, str):
-            raise DataError(f"task must be a string, got {self.task!r}")
+            raise DataError(must_be("task", "a string", self.task))
         if self.action_mode not in (TORQUE, POSITION):
             raise DataError(f"unknown action mode '{self.action_mode}'")
         if self.alpha < 0:
@@ -106,7 +105,7 @@ class PipelineConfig:
             if value is None and key != "robot":
                 continue
             if not isinstance(value, str):
-                raise DataError(f"{key} must be a path, got {value!r}")
+                raise DataError(must_be(key, "a path", value))
             if value:
                 doc[key] = str(base / value)  # an absolute value stays as it is
         return cls(**doc)
@@ -218,7 +217,7 @@ class _StreamStage:
     and (calibration_frames, template)."""
 
     hand: KinematicTree
-    hand_poses: tuple[np.ndarray, np.ndarray]  # link poses over the stream: the hand's one FK
+    keypoints: np.ndarray      # (T, K, 3) the hand's keypoints over the stream: its one FK
     palm_velocity: np.ndarray  # (T-1, 6)
     states: np.ndarray         # (T, 23): palm_pose, palm_velocity, object_pose, target_position
     dt: float
@@ -238,11 +237,10 @@ class _StreamStage:
             # The customized hand's one FK. It gives every robot's retarget
             # its source keypoints and the wrist solve its canonical
             # keypoints; a bad pose is reported as the retarget stage's input.
-            hand_poses = kinematics._link_poses(hand, hand.check_q(stream.pose_matrix()))
+            keypoints = kinematics._keypoints(hand, hand.check_q(stream.pose_matrix()))
         except DataError as exc:
             raise type(exc)(f"retarget stage: {exc}") from exc
-        hand_keypoints = _keypoint_positions(*hand_poses, _keypoint_frames(hand, slice(None)))
-        rotation, translation = _wrist_trajectory(stream, hand.keypoint_names, hand_keypoints)
+        rotation, translation = _wrist_trajectory(stream, hand.keypoint_names, keypoints)
         palm_vel = _palm_velocities(rotation, translation, stream.dt)
 
         n_frames = len(stream.frames)
@@ -257,7 +255,7 @@ class _StreamStage:
             "stream_sha256": stream.sha256,
             "object_fields": "stream" if "object_pose" in stream.metadata else "zero-filled",
         }
-        return cls(hand, hand_poses, palm_vel, states, stream.dt, provenance)
+        return cls(hand, keypoints, palm_vel, states, stream.dt, provenance)
 
 
 def _robot_stage(
@@ -280,7 +278,7 @@ def _robot_stage(
     lower, upper = target.joint_limits()
     q0 = np.clip(np.zeros(target.num_actuated), lower, upper)
     try:
-        results = retarget_keypoints(problem, problem._source_points(*stage.hand_poses), q0)
+        results = retarget_keypoints(problem, stage.keypoints[:, problem._source_rows], q0)
     except (DataError, NumericalError) as exc:
         raise type(exc)(f"retarget stage: {exc}") from exc
     q_traj = np.stack([r.q for r in results])
@@ -327,14 +325,6 @@ def _robot_stage(
 # Demonstration file I/O
 # ---------------------------------------------------------------------------
 
-def atomic_write_text(path: str | Path, text: str):
-    """Write through a sibling temporary file so the file appears complete or not at all."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def write_demo(demo: Demonstration, path: str | Path):
     """Atomic write: the file appears complete or not at all."""
     header = {
@@ -363,7 +353,7 @@ def _layout(header: dict, key: str) -> tuple[tuple[str, int], ...]:
     for i, entry in enumerate(layout):
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
                 and is_number(entry[1], Integral) and entry[1] >= 0):
-            raise DemoFormatError(f"{key}[{i}] must be a [name, width] pair with a width >= 0, got {entry!r}")
+            raise DemoFormatError(must_be(f"{key}[{i}]", "a [name, width] pair with a width >= 0", entry))
     return tuple(map(tuple, layout))
 
 
@@ -378,7 +368,7 @@ def read_demo(path: str | Path) -> Demonstration:
     if not (isinstance(robot, str) and isinstance(task, str) and isinstance(provenance, dict)):
         raise DemoFormatError("robot and task must be strings and provenance a JSON object")
     if not is_number(dt):
-        raise DemoFormatError(f"dt must be a number, got {dt!r}")
+        raise DemoFormatError(must_be("dt", "a number", dt))
     for i, rec in records.items():
         if "state" not in rec:
             raise DemoFormatError(f"record {i} has no state")

@@ -6,10 +6,13 @@ with well-formed inputs (solver divergence, NaN parameters). The CLI maps
 these onto exit codes 2 and 3 respectively.
 
 Every input file goes through read_text (and parse_object or read_records),
-and every number in it through is_number or float_rows.
+and every number in it through is_number or float_rows; a bad value is echoed
+through must_be. Every output file goes through atomic_write_text.
 """
+import io
 import json
 import math
+import os
 from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
@@ -58,6 +61,20 @@ def read_text(path, error, what: str) -> str:
         raise error(f"cannot read {what}: {exc}") from exc
 
 
+def atomic_write_text(path, data):
+    """Write `data` through a sibling temporary file, so that the file appears
+    complete or not at all: text as UTF-8, bytes as they are, and a dict of
+    arrays as an .npz archive."""
+    if isinstance(data, dict):
+        buffer = io.BytesIO()
+        np.savez(buffer, **data)
+        data = buffer.getvalue()
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    os.replace(tmp, path)
+
+
 def parse_object(text: str, error, what: str) -> dict:
     """The JSON object in `text`; bad JSON or another JSON value raises `error`."""
     try:
@@ -96,11 +113,20 @@ def is_number(value, kind=Real) -> bool:
     return True
 
 
+def must_be(what: str, rule: str, value) -> str:
+    """The message '<what> must be <rule>, got <value>'. A value whose repr
+    is longer than 40 characters shows only its ends and its length."""
+    shown = repr(value)
+    if len(shown) > 40:
+        shown = f"{shown[:24]}...{shown[-8:]} ({len(shown)} characters)"
+    return f"{what} must be {rule}, got {shown}"
+
+
 def finite_number(value, error, what: str) -> float:
     """value as a float; it must be a finite number by is_number."""
     if is_number(value) and math.isfinite(value):
         return float(value)
-    raise error(f"{what} must be a finite number, got {value!r}")
+    raise error(must_be(what, "a finite number", value))
 
 
 def float_rows(rows, width: int, error, names) -> np.ndarray:
@@ -130,4 +156,4 @@ def check_number_fields(config, reals=(), integers=()):
         finite_number(getattr(config, name), DataError, name)
     for name in integers:
         if not is_number(value := getattr(config, name), Integral):
-            raise DataError(f"{name} must be an integer, got {value!r}")
+            raise DataError(must_be(name, "an integer", value))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DescriptionError, finite_number, float_rows, parse_object, read_text
+from .errors import DescriptionError, atomic_write_text, finite_number, float_rows, parse_object, read_text
 from .transforms import RigidTransform, _axis_terms, _rodrigues, quat_from_rpy, quat_to_matrix
 
 _AXIS_TOL = 1e-9
@@ -533,7 +533,7 @@ def dump_robot(tree: KinematicTree) -> str:
 
 
 def write_robot(tree: KinematicTree, path: str | Path):
-    Path(path).write_text(dump_robot(tree))
+    atomic_write_text(path, dump_robot(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +585,18 @@ def _keypoint_positions(rot, pos, frames) -> np.ndarray:
     return (rot[:, slots] @ offsets)[..., 0] + pos[:, slots]
 
 
+def _keypoints(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
+    """Positions (B, K, 3) of all keypoints, in tree order, for a validated (B, n) stack."""
+    return _keypoint_positions(*_link_poses(tree, q), _keypoint_frames(tree, slice(None)))
+
+
 def forward_kinematics(tree: KinematicTree, q: np.ndarray) -> dict[str, np.ndarray]:
     """Positions of all keypoints in the root frame, keyed by name.
 
     Each value is (3,) for one joint vector and (B, 3) for a (B, n) stack.
     """
     qb, single = _as_batch(tree, q)
-    rot, pos = _link_poses(tree, qb)
-    points = _keypoint_positions(rot, pos, _keypoint_frames(tree, slice(None)))
+    points = _keypoints(tree, qb)
     if single:
         points = points[0]
     return {kp.name: points[..., k, :] for k, kp in enumerate(tree.keypoints)}

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, StreamFormatError, finite_number, float_rows, read_records
+from .errors import DataError, StreamFormatError, atomic_write_text, finite_number, float_rows, read_records
 from .handgen import HandShapeParams
 from .transforms import matrix_to_quat
 
@@ -162,7 +162,7 @@ def stream_to_text(stream: HandPoseStream) -> str:
 
 
 def write_stream(stream: HandPoseStream, path: str | Path):
-    Path(path).write_text(stream_to_text(stream))
+    atomic_write_text(path, stream_to_text(stream))
 
 
 # ---------------------------------------------------------------------------

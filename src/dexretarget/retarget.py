@@ -12,17 +12,18 @@ gradient stay fixed each iteration), accepted under a monotone Armijo test
 after projection onto the joint-limit box. It is deterministic and never
 returns an iterate whose objective exceeds the warm start's.
 
-Each point the solver visits costs one forward kinematics of the target: the
-link poses computed to probe a step are kept, and if the step is accepted the
-Jacobian at the new iterate is built from them and the gradient from the
-probe's residuals; the probe's value is the new objective. A trajectory's source
-keypoints come from one batched forward kinematics of the source hand, and
-each frame after the first starts from the previous frame's final point,
-whose keypoints and Jacobian it reuses.
+Each point the solver visits costs one forward kinematics of the target, and
+one function (_value) turns its keypoints and joint step into the objective:
+for the warm start, every probe and retarget_objective alike. The link poses
+computed to probe a step are kept, and if the step is accepted the Jacobian at
+the new iterate is built from them and the gradient from the probe's
+residuals; the probe's value is the new objective. A trajectory's source
+keypoints are the mapped rows of the source hand's keypoints, from one batched
+forward kinematics, and each frame after the first starts from the previous
+frame's final point, whose keypoints and Jacobian it reuses.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,10 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kinematics
-from .errors import DataError, DescriptionError, NumericalError, read_text
+from .errors import DataError, DescriptionError, NumericalError, atomic_write_text, read_text
 from .kinematics import KinematicTree
-
-log = logging.getLogger(__name__)
 
 DEFAULT_ALPHA = 4e-3
 ARMIJO_C = 1e-4
@@ -83,7 +82,7 @@ def read_keypoint_map(path: str | Path) -> KeypointMap:
 
 def write_keypoint_map(keypoint_map: KeypointMap, path: str | Path):
     lines = [f"{s} -> {t}" for s, t in keypoint_map.pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -99,11 +98,11 @@ class RetargetProblem:
     keypoint_map: KeypointMap
     alpha: float = DEFAULT_ALPHA
     settings: SolverSettings = field(default_factory=SolverSettings)
-    # Read-only caches, filled by __post_init__: the mapped keypoints' link
-    # slots and offsets on each tree (kinematics._keypoint_frames), in map
-    # order, and the target's keypoint x joint ancestor mask restricted to
-    # the mapped keypoints.
-    _source_frames: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    # Read-only caches, filled by __post_init__, in map order: the mapped
+    # keypoints' rows on the source tree, their link slots and offsets on the
+    # target (kinematics._keypoint_frames), and the target's keypoint x joint
+    # ancestor mask restricted to them.
+    _source_rows: np.ndarray = field(init=False, repr=False, compare=False)
     _target_frames: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _target_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -114,24 +113,19 @@ class RetargetProblem:
         pairs = self.keypoint_map.pairs
         source_rows = np.array(kinematics._keypoint_rows(self.source, [s for s, _ in pairs]))
         target_rows = np.array(kinematics._keypoint_rows(self.target, [t for _, t in pairs]))
-        source_frames = kinematics._keypoint_frames(self.source, source_rows)
         target_frames = kinematics._keypoint_frames(self.target, target_rows)
         target_mask = self.target._kp_joint_mask[target_rows]
-        for arr in (*source_frames, *target_frames, target_mask):
+        for arr in (source_rows, *target_frames, target_mask):
             arr.flags.writeable = False
-        object.__setattr__(self, "_source_frames", source_frames)
+        object.__setattr__(self, "_source_rows", source_rows)
         object.__setattr__(self, "_target_frames", target_frames)
         object.__setattr__(self, "_target_mask", target_mask)
 
     def source_points(self, q_source: np.ndarray) -> np.ndarray:
         """Mapped source keypoints: (K, 3) for one joint vector, (T, K, 3) for a (T, n) stack."""
         qb, single = kinematics._as_batch(self.source, q_source)
-        points = self._source_points(*kinematics._link_poses(self.source, qb))
+        points = kinematics._keypoints(self.source, qb)[:, self._source_rows]
         return points[0] if single else points
-
-    def _source_points(self, rot: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """Mapped source keypoints (T, K, 3) from the source's link poses."""
-        return kinematics._keypoint_positions(rot, pos, self._source_frames)
 
 
 @dataclass(frozen=True)
@@ -157,18 +151,18 @@ def _point(problem: RetargetProblem, poses: tuple[np.ndarray, ...]) -> tuple[np.
     return points[0], jac.reshape(-1, jac.shape[-1])
 
 
-def _probe_value(
+def _value(
     problem: RetargetProblem, points: np.ndarray, targets: np.ndarray, q: np.ndarray, q_prev: np.ndarray
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Objective value at a probed point, without the Jacobian.
+    """Objective value at a point from its keypoints (K, 3), without the Jacobian.
 
-    Also returns what the point's gradient needs if it is accepted: the
-    residual sum of squares, the keypoint residuals (3K,) and the step
-    q - q_prev. Each keypoint's squared distance is the dot product
-    diff[k] @ diff[k] (a stacked matmul of (1, 3) rows by (3, 1) columns
-    makes the same dot call), and the distances are added in keypoint order.
+    Also returns what the point's gradient needs: the residual sum of
+    squares, the keypoint residuals (3K,) and the step q - q_prev. Each
+    keypoint's squared distance is the dot product diff[k] @ diff[k] (a
+    stacked matmul of (1, 3) rows by (3, 1) columns makes the same dot call),
+    and the distances are added in keypoint order.
     """
-    diff = points[0] - targets
+    diff = points - targets
     sq_sum = float(np.add.accumulate(np.matmul(diff[:, None], diff[:, :, None]).reshape(-1))[-1])
     step = q - q_prev
     value = sq_sum + problem.alpha * float(np.add.reduce(step * step))
@@ -180,36 +174,25 @@ def _gradient(problem: RetargetProblem, jac: np.ndarray, res: np.ndarray, step: 
     return 2.0 * (jac.T @ res) + 2.0 * problem.alpha * step
 
 
-def _linearize(
-    problem: RetargetProblem, point: tuple[np.ndarray, np.ndarray], q: np.ndarray,
-    targets: np.ndarray, q_prev: np.ndarray,
-) -> tuple[float, np.ndarray, float]:
-    """Objective, gradient and residual sum of squares at a point from its keypoints and Jacobian."""
-    points, jac = point
-    res = (points - targets).reshape(-1)
-    sq_sum = float(res @ res)
-    step = q - q_prev
-    value = sq_sum + problem.alpha * float(np.add.reduce(step * step))
-    return value, _gradient(problem, jac, res, step), sq_sum
-
-
-def _linearize_at(problem: RetargetProblem, q, q_source, q_prev) -> tuple[float, np.ndarray, float]:
-    """Validate one source frame and the target joint vectors q and q_prev, then _linearize at q."""
-    targets = problem.source_points(q_source)
+def _value_at(problem: RetargetProblem, q, q_source, q_prev) -> tuple:
+    """Validate one source frame and the target joint vectors q and q_prev;
+    the target's poses at q (_target_poses), then their _value."""
+    targets = problem.source_points(problem.source.check_q(q_source, batch=False))
     q = problem.target.check_q(q, batch=False)
     q_prev = problem.target.check_q(q_prev, batch=False)
-    point = _point(problem, _target_poses(problem, q))
-    return _linearize(problem, point, q, targets, q_prev)
+    poses = _target_poses(problem, q)
+    return (poses, *_value(problem, poses[2][0], targets, q, q_prev))
 
 
 def retarget_objective(problem: RetargetProblem, q, q_source, q_prev) -> float:
     """The per-frame objective value (used by tests and diagnostics)."""
-    return _linearize_at(problem, q, q_source, q_prev)[0]
+    return _value_at(problem, q, q_source, q_prev)[1]
 
 
 def retarget_gradient(problem: RetargetProblem, q, q_source, q_prev) -> np.ndarray:
     """Analytic gradient of the per-frame objective."""
-    return _linearize_at(problem, q, q_source, q_prev)[1]
+    poses, _, _, res, step = _value_at(problem, q, q_source, q_prev)
+    return _gradient(problem, _point(problem, poses)[1], res, step)
 
 
 def retarget_frame(
@@ -237,7 +220,8 @@ def _solve(
 
     x = q_prev.copy()
     point = start if start is not None else _point(problem, _target_poses(problem, x))
-    f, g, sq_sum = _linearize(problem, point, x, targets, q_prev)
+    f, sq_sum, res, step = _value(problem, point[0], targets, x, q_prev)
+    g = _gradient(problem, point[1], res, step)
     if not math.isfinite(f):
         raise NumericalError("non-finite retargeting objective at warm start")
 
@@ -294,7 +278,7 @@ def _solve(
                 raise DescriptionError("joint vector contains non-finite entries")
             poses = _target_poses(problem, cand)
             probes += 1
-            f_cand, sq_cand, res, step = _probe_value(problem, poses[2], targets, cand, q_prev)
+            f_cand, sq_cand, res, step = _value(problem, poses[2][0], targets, cand, q_prev)
             if math.isfinite(f_cand) and f_cand <= f + ARMIJO_C * float(g @ delta):
                 accepted = (cand, f_cand, sq_cand, res, step, poses)
                 lam = max(lam / 3.0, 1e-12)
@@ -321,23 +305,17 @@ def _solve(
     return result, point
 
 
-def _source_poses(problem: RetargetProblem, source_traj) -> tuple[np.ndarray, np.ndarray]:
-    """Link poses of a (T, n) source trajectory: the source's one batched FK."""
-    q = problem.source.check_q(source_traj)
-    if q.ndim != 2:
-        raise DescriptionError(f"trajectory has shape {q.shape}, expected (T, {problem.source.num_actuated})")
-    return kinematics._link_poses(problem.source, q)
-
-
 def retarget_trajectory(
     problem: RetargetProblem, source_traj: np.ndarray, q0: np.ndarray
 ) -> list[RetargetResult]:
-    """Retarget a whole source trajectory, warm starting frame to frame.
+    """Retarget a whole (T, n) source trajectory, warm starting frame to frame.
 
     Every frame's source keypoints come from one batched FK up front.
     """
-    targets = problem._source_points(*_source_poses(problem, source_traj))
-    return retarget_keypoints(problem, targets, q0)
+    if np.ndim(source_traj) != 2:
+        raise DescriptionError(f"trajectory has shape {np.shape(source_traj)}, "
+                               f"expected (T, {problem.source.num_actuated})")
+    return retarget_keypoints(problem, problem.source_points(source_traj), q0)
 
 
 def retarget_keypoints(
@@ -369,10 +347,4 @@ def retarget_keypoints(
             raise type(exc)(f"frame {t}: {exc}") from exc
         results.append(result)
         q_prev = result.q
-    log.debug(
-        "retargeted %d frames onto '%s' (mean residual %.3g m)",
-        len(results),
-        problem.target.name,
-        float(np.mean([r.residual for r in results])) if results else 0.0,
-    )
     return results

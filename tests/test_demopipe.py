@@ -223,8 +223,15 @@ def test_demo_header_numbers_are_strict(tmp_path, field, value, element):
     write_demo(demos_from_expert(1, seed=0)[0], path)
     header, records = path.read_text().split("\n", 1)
     path.write_text(json.dumps({**json.loads(header), field: value}) + "\n" + records)
-    with pytest.raises(DemoFormatError, match=f"^{re.escape(element)}"):
+    with pytest.raises(DemoFormatError, match=f"^{re.escape(element)}") as info:
         read_demo(path)
+    assert len(str(info.value)) <= 120  # an oversized value is shown by its ends
+
+
+def test_oversized_config_number_is_named_and_shown_short():
+    with pytest.raises(DataError, match=r"^max_iterations must be an integer, got 1000.*\.\.\..*401 characters") as info:
+        PipelineConfig(robot="x.robot", max_iterations=10**400)
+    assert len(str(info.value)) <= 120
 
 
 def test_demo_null_provenance_reads_as_empty(tmp_path):

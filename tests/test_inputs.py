@@ -3,8 +3,9 @@
 Each reader gets a valid file with one JSON value replaced by a value of
 the wrong kind, the file with bytes that are not UTF-8, and a directory in
 its place. Only DexError subclasses and FileNotFoundError may escape a
-reader; through the CLI, nothing prints a traceback. A guard keeps every
-file read inside errors.py, where the policy lives.
+reader; through the CLI, nothing prints a traceback. Guards keep every
+file read and write inside errors.py, where the policy lives, and a write
+that fails at its last step leaves the file it replaces as it was.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import ast
 import contextlib
 import io
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,13 +21,13 @@ import pytest
 
 from dexretarget.assets import asset_path, robot_path, sample_stream_path
 from dexretarget.cli import main
-from dexretarget.dapg import DapgConfig, demos_from_expert
+from dexretarget.dapg import DapgConfig, demos_from_expert, train
 from dexretarget.demopipe import PipelineConfig, read_config_object, read_demo, write_demo
 from dexretarget.errors import DataError, DexError
 from dexretarget.handgen import load_template
-from dexretarget.kinematics import load_robot
-from dexretarget.poseio import HandPoseStream, read_stream, stream_to_text
-from dexretarget.retarget import read_keypoint_map
+from dexretarget.kinematics import load_robot, write_robot
+from dexretarget.poseio import HandPoseStream, read_stream, stream_to_text, write_stream
+from dexretarget.retarget import read_keypoint_map, write_keypoint_map
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -196,22 +198,69 @@ def test_cli_never_prints_a_traceback(data, valid, tmp_path_factory):
     assert "Traceback" not in err.getvalue()
 
 
-def _file_reads(tree: ast.AST) -> list[str]:
-    """Calls of `.read_text()` and `json.load`/`json.loads` in a module."""
+def _calls(tree: ast.AST, methods: set[str], functions: set[tuple[str, str]]) -> list[str]:
+    """Calls in a module of a method named in `methods` or a `module.function` in `functions`."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             attr, owner = node.func.attr, node.func.value
-            if attr == "read_text" or (attr in ("load", "loads") and isinstance(owner, ast.Name)
-                                       and owner.id == "json"):
+            if attr in methods or (isinstance(owner, ast.Name) and (owner.id, attr) in functions):
                 found.append(f"line {node.lineno}: {ast.unparse(node.func)}")
     return found
 
 
-def test_only_errors_module_reads_files():
+FILE_READS = ({"read_text"}, {("json", "load"), ("json", "loads")})
+FILE_WRITES = ({"write_text", "write_bytes"}, {("np", "savez"), ("np", "savez_compressed"), ("os", "replace")})
+
+
+def _check_only_errors_module_calls(calls):
     modules = sorted(SRC.rglob("*.py"))
     assert SRC / "errors.py" in modules and len(modules) > 10
-    offenders = {str(p.relative_to(SRC)): _file_reads(ast.parse(p.read_text()))
+    offenders = {str(p.relative_to(SRC)): _calls(ast.parse(p.read_text()), *calls)
                  for p in modules if p.name != "errors.py"}
-    assert {name: calls for name, calls in offenders.items() if calls} == {}
-    assert _file_reads(ast.parse((SRC / "errors.py").read_text()))
+    assert {name: found for name, found in offenders.items() if found} == {}
+    assert _calls(ast.parse((SRC / "errors.py").read_text()), *calls)
+
+
+def test_only_errors_module_reads_files():
+    _check_only_errors_module_calls(FILE_READS)
+
+
+def test_only_errors_module_writes_files():
+    _check_only_errors_module_calls(FILE_WRITES)
+
+
+def _train(path: Path):
+    train(None, DapgConfig(iterations=1, batch_trajectories=2, bc_epochs=0, checkpoint_every=1), out_dir=path.parent)
+
+
+# Each writer, keyed by the name of a file it writes.
+WRITERS = {
+    "sample.jsonl": lambda path: write_stream(read_stream(sample_stream_path()), path),
+    "allegro.robot": lambda path: write_robot(load_robot(robot_path("allegro")), path),
+    "allegro.map": lambda path: write_keypoint_map(read_keypoint_map(asset_path("maps/custom_to_allegro.map")), path),
+    "expert.demo": lambda path: write_demo(demos_from_expert(1, seed=0)[0], path),
+    "curve.csv": _train,
+    "policy.npz": _train,
+    "checkpoint_0001.npz": _train,
+}
+
+
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_failed_replace_leaves_the_old_file(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    path.write_bytes(b"old bytes")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst) == path:
+            raise OSError("injected replace failure")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="injected"):
+        WRITERS[name](path)
+    assert path.read_bytes() == b"old bytes"
+    monkeypatch.setattr(os, "replace", real_replace)
+    WRITERS[name](path)
+    assert path.read_bytes() != b"old bytes"

@@ -179,6 +179,8 @@ def test_objective_helpers_validate_q_prev(custom_hand):
     for helper in (retarget_objective, retarget_gradient):
         with pytest.raises(DescriptionError, match="shape"):
             helper(problem, q, q_source, np.zeros(15))
+        with pytest.raises(DescriptionError, match="shape"):
+            helper(problem, q, q_source[None], q)
         with pytest.raises(DescriptionError, match="non-finite"):
             helper(problem, q, q_source, np.full(16, np.nan))
 
@@ -367,7 +369,7 @@ def test_one_target_fk_per_point_and_one_source_fk_per_trajectory(custom_hand, s
     problem = bundled_problem("allegro", custom_hand)
     q0 = np.clip(np.zeros(16), *problem.target.joint_limits())
     events = []
-    real_poses, real_solve, real_probe = kinematics._link_poses, retarget._solve, retarget._probe_value
+    real_poses, real_solve, real_value = kinematics._link_poses, retarget._solve, retarget._value
 
     def poses(tree, q):
         events.append(("fk", tree, np.array(q)))
@@ -377,13 +379,13 @@ def test_one_target_fk_per_point_and_one_source_fk_per_trajectory(custom_hand, s
         events.append(("frame",))
         return real_solve(*args)
 
-    def probe(*args):
-        events.append(("probe",))
-        return real_probe(*args)
+    def value(*args):
+        events.append(("value",))
+        return real_value(*args)
 
     monkeypatch.setattr(kinematics, "_link_poses", poses)
     monkeypatch.setattr(retarget, "_solve", solve)
-    monkeypatch.setattr(retarget, "_probe_value", probe)
+    monkeypatch.setattr(retarget, "_value", value)
     results = retarget_trajectory(problem, sample_poses, q0)
 
     source = [e[2] for e in events if e[0] == "fk" and e[1] is custom_hand]
@@ -394,13 +396,17 @@ def test_one_target_fk_per_point_and_one_source_fk_per_trajectory(custom_hand, s
     for t, (result, a, b) in enumerate(zip(results, starts, starts[1:])):
         frame = events[a + 1:b]
         points = [e[2][0] for e in frame if e[0] == "fk"]
-        assert all(e[0] == "probe" or e[1] is problem.target for e in frame)
+        assert all(e[0] == "value" or e[1] is problem.target for e in frame)
         # Frame 0 evaluates its warm start; every later frame starts from the
         # previous frame's final point and reuses its keypoints and Jacobian.
-        # Each objective probe costs one target FK, and accepted iterates
-        # reuse their probe's poses.
+        # The warm start is valued once, then each objective probe costs one
+        # target FK valued right after it, and accepted iterates reuse their
+        # probe's poses.
         warm = 1 if t == 0 else 0
-        assert len(points) == warm + sum(e[0] == "probe" for e in frame)
+        kinds = [e[0] for e in frame]
+        assert kinds == ["fk"] * warm + ["value"] + ["fk", "value"] * result.probes
+        probes = sum(e[0] == "value" for e in frame) - 1
+        assert len(points) == warm + probes
         assert len(points) == warm + result.probes
         if t == 0:
             assert np.array_equal(points[0], q0)
@@ -408,6 +414,29 @@ def test_one_target_fk_per_point_and_one_source_fk_per_trajectory(custom_hand, s
         evaluated += points
     # No point is evaluated twice across the whole trajectory.
     assert len({q.tobytes() for q in evaluated}) == len(evaluated)
+
+
+@pytest.mark.parametrize("robot", ["allegro", "schunk", "adroit"])
+def test_reported_objective_is_retarget_objective(robot, custom_hand, monkeypatch):
+    # One function values every point, so the objective a frame reports is
+    # bitwise retarget_objective at its q, which builds no Jacobian.
+    problem = bundled_problem(robot, custom_hand)
+    poses = read_stream(sample_stream_path()).pose_matrix()
+    q_prev = np.clip(np.zeros(problem.target.num_actuated), *problem.target.joint_limits())
+    results = retarget_trajectory(problem, poses, q_prev)
+    jacobians, real_jacobian = [], kinematics._keypoint_jacobian_stack
+
+    def jacobian(*args):
+        jacobians.append(args)
+        return real_jacobian(*args)
+
+    monkeypatch.setattr(kinematics, "_keypoint_jacobian_stack", jacobian)
+    mismatched = []
+    for t, result in enumerate(results):
+        if retarget_objective(problem, result.q, poses[t], q_prev) != result.objective:
+            mismatched.append(t)
+        q_prev = result.q
+    assert (mismatched, len(jacobians)) == ([], 0)
 
 
 # Gauss-Newton iterations and objective probes summed over the 200 frames of
