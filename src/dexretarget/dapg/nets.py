@@ -6,6 +6,8 @@ learnable log standard deviation clamped to [-5, 2].
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import DataError
@@ -18,14 +20,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _layers(flat: np.ndarray, sizes: tuple[int, ...]):
-    """Views of `flat`: the weight matrices of the layers between `sizes`,
-    then their bias vectors, then the entries after them."""
-    shapes = list(zip(sizes, sizes[1:]))
-    parts = np.split(flat, np.cumsum([fan_in * fan_out for fan_in, fan_out in shapes] + list(sizes[1:])))
-    return [w.reshape(shape) for w, shape in zip(parts, shapes)], parts[len(shapes) : -1], parts[-1]
-
-
 class _Mlp:
     """Feed-forward tanh network with linear output.
 
@@ -36,34 +30,55 @@ class _Mlp:
 
     def __init__(self, rng: np.random.Generator, sizes: tuple[int, ...], extra: int = 0):
         self.sizes = sizes
-        self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])) + extra)
-        self.weights, self.biases, self.extra = _layers(self.params, sizes)
+        self._layout = []  # (slice of `params`, shape): each weight matrix, then each bias
+        size = 0
+        for shape in [*zip(sizes, sizes[1:]), *((fan_out,) for fan_out in sizes[1:])]:
+            self._layout.append((slice(size, size + math.prod(shape)), shape))
+            size += math.prod(shape)
+        self._extra = slice(size, None)
+        self.params = np.zeros(size + extra)
+        self.weights, self.biases, self.extra = self._views(self.params)
         for w in self.weights:
             w[...] = rng.normal(scale=np.sqrt(2.0 / sum(w.shape)), size=w.shape)
 
+    def _views(self, flat: np.ndarray):
+        """Views of `flat`: the weight matrices, then the bias vectors, then
+        the entries after them."""
+        parts = [flat[part].reshape(shape) for part, shape in self._layout]
+        n_layers = len(self.sizes) - 1
+        return parts[:n_layers], parts[n_layers:], flat[self._extra]
+
     def forward(self, x: np.ndarray):
-        """Returns output plus the per-layer activations for backprop."""
+        """Returns output plus the per-layer activations for backprop. Each
+        layer writes one fresh array and updates it in place."""
         acts = [x]
-        h = x
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = np.matmul(acts[-1], w)
+            np.add(h, b, out=h)
             if k != last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
             acts.append(h)
-        return h, acts
+        return acts[-1], acts
 
     def backward(self, acts, grad_out) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of sum(grad_out * output), laid out like `params`, and the
-        view of its `extra` entries, which are left for the caller to fill."""
+        view of its `extra` entries, which are left for the caller to fill.
+
+        Consumes `acts` from `forward`: the hidden activations are overwritten
+        with their tanh slopes. The input `acts[0]`, the output and `grad_out`
+        are left as they are."""
         grad = np.empty_like(self.params)
-        gw, gb, extra = _layers(grad, self.sizes)
+        gw, gb, extra = self._views(grad)
         delta = grad_out
         for k in range(len(gw) - 1, -1, -1):
             np.matmul(acts[k].T, delta, out=gw[k])
             delta.sum(axis=0, out=gb[k])
             if k > 0:
-                delta = (delta @ self.weights[k].T) * (1.0 - acts[k] ** 2)
+                slope = np.square(acts[k], out=acts[k])
+                np.subtract(1.0, slope, out=slope)
+                delta = np.matmul(delta, self.weights[k].T)
+                np.multiply(delta, slope, out=delta)
         return grad, extra
 
 
@@ -141,9 +156,16 @@ class GaussianPolicy(_Mlp):
             raise DataError("batch dimensions disagree")
         mu, acts = self.forward(states)
         var = np.exp(2.0 * self.log_std)
-        diff = actions - mu
-        grad, grad_log_std = self.backward(acts, weights[:, None] * diff / var)
-        np.sum(weights[:, None] * (diff**2 / var - 1.0), axis=0, out=grad_log_std)
+        diff = np.subtract(actions, mu, out=mu)
+        delta = np.multiply(weights[:, None], diff)
+        np.divide(delta, var, out=delta)
+        grad, grad_log_std = self.backward(acts, delta)
+        # weights * (diff**2 / var - 1), summed over the batch
+        term = np.square(diff, out=diff)
+        np.divide(term, var, out=term)
+        np.subtract(term, 1.0, out=term)
+        np.multiply(weights[:, None], term, out=term)
+        np.sum(term, axis=0, out=grad_log_std)
         return grad
 
 

@@ -6,8 +6,9 @@ The parameter gradient is
       + lambda0 * lambda1^k * max_batch(A) * sum_demo grad(ln pi(a|s))
 
 with Monte-Carlo advantages A = return - value baseline. The value function
-is refit by regression after each iteration; training uses plain gradient
-ascent on g (Adam-scaled) rather than a trust-region step.
+is refit by regression after each iteration but the last, whose fit no later
+iteration would read; training uses plain gradient ascent on g (Adam-scaled)
+rather than a trust-region step.
 """
 from __future__ import annotations
 
@@ -198,11 +199,13 @@ def bc_pretrain(
     learning_rate: float,
     seed: int = 0,
 ) -> list[float]:
-    """Behavior cloning: minibatch Adam epochs on the demo log likelihood."""
+    """Behavior cloning: minibatch Adam epochs on the demo log likelihood.
+
+    Returns the mean demo NLL as [before the first epoch, after the last]."""
     n = demo_states.shape[0]
     adam = Adam(policy.num_params, learning_rate)
     rng = np.random.default_rng(seed)
-    nll_per_epoch = []
+    nll_before = float(-np.mean(policy.log_prob(demo_states, demo_actions)))
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, BC_BATCH_SIZE):
@@ -211,8 +214,7 @@ def bc_pretrain(
                 demo_states[idx], demo_actions[idx], np.full(idx.size, 1.0 / idx.size)
             )
             policy.set_flat(policy.params + adam.step(grad))
-        nll_per_epoch.append(float(-np.mean(policy.log_prob(demo_states, demo_actions))))
-    return nll_per_epoch
+    return [nll_before, float(-np.mean(policy.log_prob(demo_states, demo_actions)))]
 
 
 def fit_value(
@@ -229,9 +231,10 @@ def fit_value(
     n = states.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
+        shuffled_states, shuffled_targets = states[order], targets[order]
         for start in range(0, n, VALUE_BATCH_SIZE):
-            idx = order[start : start + VALUE_BATCH_SIZE]
-            loss, grad = value_fn.mse_and_grad(states[idx], targets[idx])
+            stop = start + VALUE_BATCH_SIZE
+            loss, grad = value_fn.mse_and_grad(shuffled_states[start:stop], shuffled_targets[start:stop])
             value_fn.params -= adam.step(grad)
     return loss
 
@@ -263,7 +266,7 @@ def train(
                 policy, demo_states, demo_actions, config.bc_epochs,
                 config.bc_learning_rate, seed=config.seed,
             )
-            log.info("behavior cloning: NLL %.4f -> %.4f", nll[0], nll[-1])
+            log.info("behavior cloning: demo NLL %.4f before, %.4f after", *nll)
     else:
         demo_states = demo_actions = None
 
@@ -285,7 +288,8 @@ def train(
         if not np.all(np.isfinite(params)):
             raise NumericalError(f"non-finite policy parameters at iteration {k}")
         policy.set_flat(params)
-        fit_value(value_fn, batch.states, batch.returns, config.value_epochs, value_adam, rng)
+        if k + 1 < config.iterations:
+            fit_value(value_fn, batch.states, batch.returns, config.value_epochs, value_adam, rng)
 
         curve.add(k, batch.episode_returns.mean(), batch.successes.mean(), weight)
         if out_dir is not None and config.checkpoint_every > 0 and (k + 1) % config.checkpoint_every == 0:

@@ -64,15 +64,20 @@ def read_text(path, error, what: str) -> str:
 def atomic_write_text(path, data):
     """Write `data` through a sibling temporary file, so that the file appears
     complete or not at all: text as UTF-8, bytes as they are, and a dict of
-    arrays as an .npz archive."""
+    arrays as an .npz archive. If the write or the rename fails, the
+    temporary file is removed and the error re-raised."""
     if isinstance(data, dict):
         buffer = io.BytesIO()
         np.savez(buffer, **data)
         data = buffer.getvalue()
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def parse_object(text: str, error, what: str) -> dict:

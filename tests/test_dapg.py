@@ -20,7 +20,8 @@ from dexretarget.dapg.env import (
     tip_jacobian,
     tip_position,
 )
-from dexretarget.dapg.trainer import Batch, demo_arrays, discounted_to_go, rollout_batch
+from dexretarget.dapg.nets import LOG2PI, _Mlp
+from dexretarget.dapg.trainer import VALUE_BATCH_SIZE, Batch, demo_arrays, discounted_to_go, rollout_batch
 from dexretarget.demopipe import read_demo, write_demo
 from dexretarget.errors import DataError
 from dexretarget.kinematics import forward_kinematics
@@ -288,6 +289,115 @@ def test_dimension_mismatch_rejected(tiny_setup):
         dapg_gradient(policy, batch, adv, np.zeros((4, 5)), np.zeros((4, 1)), 0.1, 0.9, 0)
 
 
+# --- network passes against their out-of-place reference formulas -----------
+
+def ref_layers(flat, sizes):
+    """Views of `flat`: weight matrices, bias vectors, then the entries after them."""
+    shapes = list(zip(sizes, sizes[1:]))
+    parts = np.split(flat, np.cumsum([fan_in * fan_out for fan_in, fan_out in shapes] + list(sizes[1:])))
+    return [w.reshape(shape) for w, shape in zip(parts, shapes)], parts[len(shapes) : -1], parts[-1]
+
+
+def ref_forward(net, x):
+    acts = [x]
+    h = x
+    weights, biases, _ = ref_layers(net.params, net.sizes)
+    last = len(weights) - 1
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w + b
+        if k != last:
+            h = np.tanh(h)
+        acts.append(h)
+    return h, acts
+
+
+def ref_backward(net, acts, grad_out):
+    grad = np.empty_like(net.params)
+    gw, gb, extra = ref_layers(grad, net.sizes)
+    weights, _, _ = ref_layers(net.params, net.sizes)
+    delta = grad_out
+    for k in range(len(gw) - 1, -1, -1):
+        np.matmul(acts[k].T, delta, out=gw[k])
+        delta.sum(axis=0, out=gb[k])
+        if k > 0:
+            delta = (delta @ weights[k].T) * (1.0 - acts[k] ** 2)
+    return grad, extra
+
+
+def ref_weighted_logp_grad(policy, states, actions, weights):
+    mu, acts = ref_forward(policy, states)
+    var = np.exp(2.0 * policy.log_std)
+    diff = actions - mu
+    grad, grad_log_std = ref_backward(policy, acts, weights[:, None] * diff / var)
+    np.sum(weights[:, None] * (diff**2 / var - 1.0), axis=0, out=grad_log_std)
+    return grad
+
+
+def ref_log_prob(policy, states, actions):
+    mu, _ = ref_forward(policy, np.atleast_2d(states))
+    sigma = np.exp(policy.log_std)
+    z = (np.atleast_2d(actions) - mu) / sigma
+    return -0.5 * np.sum(z**2 + 2.0 * policy.log_std + LOG2PI, axis=1)
+
+
+def ref_predict(value_fn, states):
+    return ref_forward(value_fn, np.atleast_2d(states))[0][:, 0]
+
+
+def ref_mse_and_grad(value_fn, states, targets):
+    pred, acts = ref_forward(value_fn, states)
+    err = pred[:, 0] - targets
+    grad, _ = ref_backward(value_fn, acts, (2.0 / err.size) * err[:, None])
+    return float(np.mean(err**2)), grad
+
+
+def ref_fit_value(value_fn, states, targets, epochs, adam, rng):
+    loss = float("nan")
+    n = states.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, VALUE_BATCH_SIZE):
+            idx = order[start : start + VALUE_BATCH_SIZE]
+            loss, grad = value_fn.mse_and_grad(states[idx], targets[idx])
+            value_fn.params -= adam.step(grad)
+    return loss
+
+
+@pytest.mark.parametrize("hidden", [(32, 32), (16,), (8, 8, 8)])
+@pytest.mark.parametrize("rows", [1, 128, 2048, 20000])
+def test_passes_match_reference_bitwise(rows, hidden):
+    rng = np.random.default_rng(rows + len(hidden))
+    policy = GaussianPolicy(9, 3, hidden=hidden, seed=4)
+    policy.log_std[...] = rng.uniform(-1.0, 0.5, size=3)
+    value_fn = ValueFunction(9, hidden=hidden, seed=5)
+    for net in (policy, value_fn):
+        net.biases[0][...] = rng.normal(size=net.biases[0].shape)
+    states = rng.normal(size=(rows, 9))
+    actions = rng.normal(size=(rows, 3))
+    weights = rng.normal(size=rows)
+    targets = rng.normal(size=rows)
+    inputs = [a.copy() for a in (states, actions, weights, targets)]
+
+    for net in (policy, value_fn):
+        out, acts = net.forward(states)
+        ref_out, ref_acts = ref_forward(net, states)
+        assert np.array_equal(out, ref_out)
+        assert all(np.array_equal(a, b) for a, b in zip(acts, ref_acts))
+        grad_out = rng.normal(size=out.shape)
+        grad, extra = net.backward(acts, grad_out)
+        ref_grad, _ = ref_backward(net, ref_acts, grad_out)
+        assert np.array_equal(grad[: grad.size - extra.size], ref_grad[: grad.size - extra.size])
+    assert np.array_equal(policy.weighted_logp_grad(states, actions, weights),
+                          ref_weighted_logp_grad(policy, states, actions, weights))
+    assert np.array_equal(policy.log_prob(states, actions), ref_log_prob(policy, states, actions))
+    assert np.array_equal(value_fn.predict(states), ref_predict(value_fn, states))
+    loss, grad = value_fn.mse_and_grad(states, targets)
+    ref_loss, ref_grad = ref_mse_and_grad(value_fn, states, targets)
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, (states, actions, weights, targets)))
+
+
 # --- score-function identity ------------------------------------------------
 
 def test_score_function_mean_within_three_standard_errors():
@@ -317,8 +427,11 @@ def expert_demos():
 def test_bc_reduces_demo_nll(expert_demos):
     states, actions = demo_arrays(expert_demos)
     policy = GaussianPolicy(9, 3, seed=0)
+    untrained = float(-np.mean(GaussianPolicy(9, 3, seed=0).log_prob(states, actions)))
     nll = bc_pretrain(policy, states, actions, epochs=10, learning_rate=1e-2, seed=0)
-    assert nll[-1] < nll[0]
+    assert len(nll) == 2
+    assert nll[0] == untrained
+    assert nll[1] < nll[0]
 
 
 def test_expert_demo_files_round_trip(expert_demos, tmp_path):
@@ -358,6 +471,28 @@ def test_fixed_seed_reproduces_curve_bitwise(expert_demos):
     assert a.mean_return == b.mean_return
     assert a.success_rate == b.success_rate
     assert a.demo_weight == b.demo_weight
+
+
+def test_train_matches_reference_passes_bitwise(expert_demos, monkeypatch):
+    import dexretarget.dapg.trainer as trainer_mod
+
+    config = DapgConfig(iterations=3, batch_trajectories=16, bc_epochs=3)
+    fits = []
+    real_fit = trainer_mod.fit_value
+    monkeypatch.setattr(trainer_mod, "fit_value", lambda *args: fits.append(real_fit(*args)))
+    policy, curve = train(expert_demos, config)
+    assert len(fits) == config.iterations - 1
+
+    monkeypatch.setattr(trainer_mod, "fit_value", ref_fit_value)
+    monkeypatch.setattr(_Mlp, "forward", ref_forward)
+    monkeypatch.setattr(_Mlp, "backward", ref_backward)
+    monkeypatch.setattr(GaussianPolicy, "weighted_logp_grad", ref_weighted_logp_grad)
+    monkeypatch.setattr(GaussianPolicy, "log_prob", ref_log_prob)
+    monkeypatch.setattr(ValueFunction, "predict", ref_predict)
+    monkeypatch.setattr(ValueFunction, "mse_and_grad", ref_mse_and_grad)
+    ref_policy, ref_curve = train(expert_demos, config)
+    assert curve.to_table() == ref_curve.to_table()
+    assert policy.params.tobytes() == ref_policy.params.tobytes()
 
 
 def test_lambda0_zero_dapg_without_bc_is_pure_rl(expert_demos):

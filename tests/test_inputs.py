@@ -23,7 +23,7 @@ from dexretarget.assets import asset_path, robot_path, sample_stream_path
 from dexretarget.cli import main
 from dexretarget.dapg import DapgConfig, demos_from_expert, train
 from dexretarget.demopipe import PipelineConfig, read_config_object, read_demo, write_demo
-from dexretarget.errors import DataError, DexError
+from dexretarget.errors import DataError, DexError, atomic_write_text
 from dexretarget.handgen import load_template
 from dexretarget.kinematics import load_robot, write_robot
 from dexretarget.poseio import HandPoseStream, read_stream, stream_to_text, write_stream
@@ -261,6 +261,20 @@ def test_failed_replace_leaves_the_old_file(tmp_path, monkeypatch, name):
     with pytest.raises(OSError, match="injected"):
         WRITERS[name](path)
     assert path.read_bytes() == b"old bytes"
+    assert not path.with_name(name + ".tmp").exists()
     monkeypatch.setattr(os, "replace", real_replace)
     WRITERS[name](path)
     assert path.read_bytes() != b"old bytes"
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    real_write = Path.write_bytes
+
+    def partial_write(self, data):
+        real_write(self, data[:3])
+        raise OSError("injected write failure")
+
+    monkeypatch.setattr(Path, "write_bytes", partial_write)
+    with pytest.raises(OSError, match="injected"):
+        atomic_write_text(tmp_path / "x.csv", "a,b,c\n")
+    assert list(tmp_path.iterdir()) == []
