@@ -77,6 +77,7 @@ class BatchedRelocate:
     def __init__(self, seeds):
         spawns = [_spawn(np.random.default_rng(seed)) for seed in seeds]
         self.q, self.obj, self.tgt = (np.stack(column) for column in zip(*spawns))
+        self.tip = tip_position(self.q)
         self.grasped = np.zeros(len(spawns), dtype=bool)
         self._steps = 0
 
@@ -86,23 +87,21 @@ class BatchedRelocate:
         return self._steps >= HORIZON
 
     def observe(self) -> np.ndarray:
-        return np.concatenate([self.q, tip_position(self.q), self.obj, self.tgt], axis=-1)
+        return np.concatenate([self.q, self.tip, self.obj, self.tgt], axis=-1)
 
     def step(self, actions: np.ndarray) -> np.ndarray:
         if self.done:
             raise RuntimeError("step() called on a finished episode")
         a = np.clip(actions, -MAX_JOINT_SPEED, MAX_JOINT_SPEED)
         self.q = np.clip(self.q + a * DT, -JOINT_LIMIT, JOINT_LIMIT)
-        tip = tip_position(self.q)
+        self.tip = tip = tip_position(self.q)
         tip_obj = np.sqrt(np.sum((tip - self.obj) ** 2, axis=1))
         self.grasped |= tip_obj < GRASP_RADIUS
+        # Only an episode that is still not grasping keeps its object, so its
+        # tip_obj is still the tip-to-object distance.
         self.obj = np.where(self.grasped[:, None], tip, self.obj)
         obj_tgt = np.sqrt(np.sum((self.obj - self.tgt) ** 2, axis=1))
-        rewards = np.where(
-            self.grasped,
-            -obj_tgt + (obj_tgt < SUCCESS_RADIUS),
-            -np.sqrt(np.sum((tip - self.obj) ** 2, axis=1)),
-        )
+        rewards = np.where(self.grasped, -obj_tgt + (obj_tgt < SUCCESS_RADIUS), -tip_obj)
         self._steps += 1
         return rewards
 

@@ -69,15 +69,15 @@ class PipelineConfig:
     calibration_frames: int = 30
     action_mode: str = POSITION
     task: str = "relocate"
-    grad_tol: float = 1e-6
-    max_iterations: int = 100
+    grad_tol: float = SolverSettings.grad_tol
+    max_iterations: int = SolverSettings.max_iterations
     template: str | Path | None = None    # customized-hand template override
 
     def __post_init__(self):
         check_number_fields(
             self,
-            reals=("alpha", "cutoff_hz", "grad_tol") + (("gamma",) if self.gamma is not None else ()),
-            integers=("calibration_frames", "max_iterations"),
+            reals=("alpha", "cutoff_hz") + (("gamma",) if self.gamma is not None else ()),
+            integers=("calibration_frames",),
         )
         if not isinstance(self.task, str):
             raise DataError(must_be("task", "a string", self.task))
@@ -89,10 +89,7 @@ class PipelineConfig:
             raise DataError(f"cutoff_hz must be positive, got {self.cutoff_hz!r}")
         if self.gamma is not None and not 0.0 < self.gamma <= 1.0:
             raise DataError(f"gamma must be in (0, 1], got {self.gamma!r}")
-        if self.grad_tol <= 0:
-            raise DataError(f"grad_tol must be positive, got {self.grad_tol!r}")
-        if self.max_iterations < 1:
-            raise DataError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        SolverSettings(max_iterations=self.max_iterations, grad_tol=self.grad_tol)  # checks the solver fields
         if self.calibration_frames < 10:
             raise DataError("calibration needs at least 10 frames")
 
@@ -271,7 +268,7 @@ def _robot_stage(
         keypoint_map = read_keypoint_map(config.keypoint_map)
     else:
         shared = [n for n in stage.hand.keypoint_names if n in target.keypoint_names]
-        keypoint_map = KeypointMap(tuple((n, n) for n in shared))
+        keypoint_map = KeypointMap.identity(shared)
 
     settings = SolverSettings(max_iterations=config.max_iterations, grad_tol=config.grad_tol)
     problem = RetargetProblem(stage.hand, target, keypoint_map, config.alpha, settings)

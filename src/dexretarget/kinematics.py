@@ -606,7 +606,7 @@ def _keypoint_rows(tree: KinematicTree, names) -> list[int]:
     try:
         return [tree._kp_row[name] for name in names]
     except KeyError as exc:
-        raise DescriptionError("unknown keypoint", element=exc.args[0]) from None
+        raise DescriptionError(f"unknown keypoint on tree '{tree.name}'", element=exc.args[0]) from None
 
 
 def _keypoint_jacobian_stack(tree, rot, pos, points, mask) -> np.ndarray:

@@ -60,6 +60,7 @@ class HandPoseStream:
     def __post_init__(self):
         if len(self.frames) < 2:
             raise StreamFormatError("stream needs at least 2 frames")
+        object.__setattr__(self, "rate_hz", finite_number(self.rate_hz, StreamFormatError, "rate_hz"))
         if self.rate_hz <= 0:
             raise StreamFormatError("rate_hz must be positive")
         for i in range(1, len(self.frames)):
@@ -110,7 +111,6 @@ def read_stream(path: str | Path) -> HandPoseStream:
     header, records = read_records(path, FORMAT_VERSION, StreamFormatError, "stream", "frame")
     if "rate_hz" not in header:
         raise StreamFormatError("stream header missing rate_hz")
-    rate_hz = finite_number(header["rate_hz"], StreamFormatError, "rate_hz")
     s0, sigma = (float_rows([header[key]], SHAPE_DIM, StreamFormatError, [key])[0] if header.get(key) is not None
                  else None for key in ("s0", "sigma"))
     for i, rec in records.items():
@@ -137,7 +137,7 @@ def read_stream(path: str | Path) -> HandPoseStream:
     if s0 is not None:
         s0 = HandShapeParams(s0)
     metadata = {k: v for k, v in header.items() if k not in ("format", "rate_hz", "s0", "sigma")}
-    return HandPoseStream(frames=frames, rate_hz=rate_hz, s0=s0, sigma=sigma, metadata=metadata)
+    return HandPoseStream(frames=frames, rate_hz=header["rate_hz"], s0=s0, sigma=sigma, metadata=metadata)
 
 
 def stream_to_text(stream: HandPoseStream) -> str:

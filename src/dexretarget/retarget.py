@@ -31,12 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from . import kinematics
-from .errors import DataError, DescriptionError, NumericalError, atomic_write_text, read_text
+from .errors import DataError, DescriptionError, NumericalError, atomic_write_text, check_number_fields, read_text
 from .kinematics import KinematicTree
 
 DEFAULT_ALPHA = 4e-3
 ARMIJO_C = 1e-4
-MAX_BACKTRACKS = 40  # damping escalations per iteration
+MAX_DAMPING = 1e14  # a probe rejected past this damping stalls the solve
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,6 @@ class KeypointMap:
     @classmethod
     def identity(cls, names) -> "KeypointMap":
         return cls(tuple((n, n) for n in names))
-
-    def validate_against(self, source: KinematicTree, target: KinematicTree):
-        for s, t in self.pairs:
-            if s not in source.keypoint_names:
-                raise DataError(f"source keypoint '{s}' not on tree '{source.name}'")
-            if t not in target.keypoint_names:
-                raise DataError(f"target keypoint '{t}' not on tree '{target.name}'")
 
 
 def read_keypoint_map(path: str | Path) -> KeypointMap:
@@ -90,6 +83,13 @@ class SolverSettings:
     max_iterations: int = 100
     grad_tol: float = 1e-6       # infinity norm of the projected gradient step
 
+    def __post_init__(self):
+        check_number_fields(self, reals=("grad_tol",), integers=("max_iterations",))
+        if self.grad_tol <= 0:
+            raise DataError(f"grad_tol must be positive, got {self.grad_tol!r}")
+        if self.max_iterations < 1:
+            raise DataError(f"max_iterations must be at least 1, got {self.max_iterations}")
+
 
 @dataclass(frozen=True)
 class RetargetProblem:
@@ -107,9 +107,9 @@ class RetargetProblem:
     _target_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_number_fields(self, reals=("alpha",))
         if self.alpha < 0:
-            raise DataError("alpha must be nonnegative")
-        self.keypoint_map.validate_against(self.source, self.target)
+            raise DataError(f"alpha must be nonnegative, got {self.alpha!r}")
         pairs = self.keypoint_map.pairs
         source_rows = np.array(kinematics._keypoint_rows(self.source, [s for s, _ in pairs]))
         target_rows = np.array(kinematics._keypoint_rows(self.target, [t for _, t in pairs]))
@@ -209,6 +209,11 @@ def _solve(
 ) -> tuple[RetargetResult, tuple[np.ndarray, np.ndarray]]:
     """Damped GN from q_prev (inside the box); each point costs one target FK.
 
+    The Levenberg damping, carried across iterations, falls threefold (to no
+    less than 1e-12) on an accepted probe and rises tenfold on a rejected one
+    (a singular system, a step that projects to nothing or a failed Armijo
+    test); a rejection that lifts it past MAX_DAMPING ends the solve.
+
     `start`, if given, is the keypoints and Jacobian at q_prev (from _point),
     which then costs no FK. Returns the result and the same pair at its q.
     """
@@ -248,17 +253,15 @@ def _solve(
         normal_d = normal.copy()
         undamped, damped = normal.diagonal(), normal_d.reshape(-1)[::nf + 1]  # views
 
-        # Damped Gauss-Newton probes: a rejected step costs one target FK
-        # plus a reduced solve at a stiffer damping; an accepted one keeps
-        # its poses for the next Jacobian.
+        # Damped Gauss-Newton probes under the damping rule above; an
+        # accepted probe keeps its poses for the next Jacobian.
         accepted = None
-        for _ in range(MAX_BACKTRACKS):
+        while True:
             np.add(undamped, problem.alpha + lam * scale, out=damped)
             try:
                 d_f = np.linalg.solve(normal_d, rhs)
             except np.linalg.LinAlgError:
-                lam = max(lam * 10.0, 1e-12)
-                continue
+                d_f = np.zeros(nf)  # no step: rejected below
             if free is None:
                 d = d_f
             else:
@@ -267,41 +270,33 @@ def _solve(
             cand = project(x + d)
             delta = cand - x
             size = np.maximum.reduce(np.abs(delta))
-            if size == 0.0:
-                lam *= 10.0
-                if lam > 1e14:
-                    break
-                continue
             # x is finite, so a non-finite candidate shows as a non-finite
             # step; it is a DescriptionError, as check_q would raise.
             if not math.isfinite(size):
                 raise DescriptionError("joint vector contains non-finite entries")
-            poses = _target_poses(problem, cand)
-            probes += 1
-            f_cand, sq_cand, res, step = _value(problem, poses[2][0], targets, cand, q_prev)
-            if math.isfinite(f_cand) and f_cand <= f + ARMIJO_C * float(g @ delta):
-                accepted = (cand, f_cand, sq_cand, res, step, poses)
-                lam = max(lam / 3.0, 1e-12)
-                break
+            if size > 0.0:
+                poses = _target_poses(problem, cand)
+                probes += 1
+                f_cand, sq_cand, res, step = _value(problem, poses[2][0], targets, cand, q_prev)
+                if math.isfinite(f_cand) and f_cand <= f + ARMIJO_C * float(g @ delta):
+                    accepted = (cand, f_cand, sq_cand, res, step, poses)
+                    lam = max(lam / 3.0, 1e-12)
+                    break
             lam *= 10.0
-            if lam > 1e14:
+            if lam > MAX_DAMPING:
                 break
 
         if accepted is None:
-            # No acceptable descent step: numerical stationarity.
-            converged = np.maximum.reduce(np.abs(project(x - g) - x)) <= cfg.grad_tol
-            break
+            break  # no acceptable descent step: numerical stationarity
         # The probe's value is the objective at the new iterate; only its
         # gradient needs the Jacobian.
         x, f, sq_sum, res, step, poses = accepted
         point = _point(problem, poses)
         g = _gradient(problem, point[1], res, step)
-    else:
-        iterations = cfg.max_iterations
 
     rms = float(np.sqrt(sq_sum / len(targets)))
     result = RetargetResult(q=x, residual=rms, objective=f, iterations=iterations,
-                            converged=bool(converged), probes=probes)
+                            converged=converged, probes=probes)
     return result, point
 
 

@@ -99,6 +99,18 @@ def test_stream_needs_two_frames():
         HandPoseStream(frames=(make_frame(0.0),), rate_hz=25.0)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), "25", True])
+def test_stream_rate_must_be_a_finite_number(rate):
+    frames = (make_frame(0.0), make_frame(0.04))
+    with pytest.raises(StreamFormatError, match="rate_hz must be a finite number"):
+        HandPoseStream(frames=frames, rate_hz=rate)
+
+
+def test_stream_rate_is_stored_as_a_float():
+    assert make_stream(n=2, rate=25).rate_hz == 25.0
+    assert type(make_stream(n=2, rate=25).rate_hz) is float
+
+
 # --- calibration ------------------------------------------------------------
 
 def test_calibrate_constant_shapes_hits_variance_floor():

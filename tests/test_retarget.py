@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -301,6 +302,44 @@ def test_map_validates_names(custom_hand):
         )
 
 
+def test_map_names_the_tree_of_an_unknown_keypoint(custom_hand):
+    target = load_robot(allegro_doc())
+    with pytest.raises(DescriptionError, match=f"unknown keypoint on tree '{target.name}'.*pinky_tip"):
+        RetargetProblem(custom_hand, target, KeypointMap((("index_tip", "pinky_tip"),)))
+    with pytest.raises(DescriptionError, match=f"unknown keypoint on tree '{custom_hand.name}'.*wrist_tip"):
+        RetargetProblem(custom_hand, target, KeypointMap((("wrist_tip", "index_tip"),)))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"max_iterations": -1}, "max_iterations must be at least 1, got -1"),
+    ({"max_iterations": 0}, "max_iterations must be at least 1, got 0"),
+    ({"max_iterations": True}, "max_iterations must be an integer, got True"),
+    ({"max_iterations": 2.0}, "max_iterations must be an integer, got 2.0"),
+    ({"grad_tol": float("nan")}, "grad_tol must be a finite number, got nan"),
+    ({"grad_tol": float("inf")}, "grad_tol must be a finite number, got inf"),
+    ({"grad_tol": -1.0}, "grad_tol must be positive, got -1.0"),
+    ({"grad_tol": 0.0}, "grad_tol must be positive, got 0.0"),
+    ({"grad_tol": "1e-6"}, "grad_tol must be a finite number, got '1e-6'"),
+])
+def test_solver_settings_are_checked_when_built(fields, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        SolverSettings(**fields)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        PipelineConfig(robot="allegro.robot", **fields)
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("0.1", "alpha must be a finite number, got '0.1'"),
+    (float("nan"), "alpha must be a finite number, got nan"),
+    (float("inf"), "alpha must be a finite number, got inf"),
+    (None, "alpha must be a finite number, got None"),
+    (-1e-3, "alpha must be nonnegative, got -0.001"),
+])
+def test_retarget_problem_alpha_is_checked_when_built(custom_hand, alpha, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        RetargetProblem(custom_hand, custom_hand, KeypointMap.identity(("index_tip",)), alpha=alpha)
+
+
 def test_warm_start_outside_bounds_rejected(custom_hand):
     target = load_robot(allegro_doc())
     problem = RetargetProblem(
@@ -510,3 +549,29 @@ def test_nonfinite_candidate_step_raises_not_rejects(self_problem, monkeypatch):
     q_source = np.full(45, 0.2)
     with pytest.raises(DescriptionError, match="^frame 0: .*non-finite"):
         retarget_trajectory(self_problem, q_source[None], q0=np.zeros(45))
+
+
+def test_singular_solves_stall_at_the_warm_start(self_problem, monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    q_prev = np.zeros(45)
+    result = retarget_frame(self_problem, np.full(45, 0.2), q_prev)
+    assert np.array_equal(result.q, q_prev)
+    assert (result.iterations, result.probes, result.converged) == (1, 0, False)
+
+
+def test_rejected_probes_stall_at_the_damping_cap(self_problem, monkeypatch):
+    value, calls = retarget._value, []
+
+    def rejecting(*args):
+        calls.append(args)
+        out = value(*args)
+        return out if len(calls) == 1 else (np.inf, *out[1:])  # only the warm start is finite
+
+    monkeypatch.setattr(retarget, "_value", rejecting)
+    q_prev = np.zeros(45)
+    result = retarget_frame(self_problem, np.full(45, 0.2), q_prev)
+    assert np.array_equal(result.q, q_prev)
+    assert (result.iterations, result.probes, result.converged) == (1, 21, False)
