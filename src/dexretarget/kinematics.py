@@ -7,6 +7,15 @@ own frame (right-handed, zero angle = description pose). Joint vectors are
 plain float arrays ordered by the tree's canonical actuated ordering, which
 is the order of appearance in the description's joint list.
 
+Forward kinematics works on homogeneous 4x4 link frames: _link_poses gives
+every link's world frame (B, n_links, 4, 4), each depth level one product of
+its parents' frames and its local frames [[origin_rot @ joint, origin_trans],
+[0, 0, 0, 1]]. Keypoints are one gather of frames times homogeneous offsets,
+and keypoint Jacobians are built transposed, one row per joint (N, 3K).
+They agree to 1e-12 with the rotation-and-origin reference kernels in
+tests/helpers.py (which associate each rotation as (rot_p @ origin_rot) @
+joint); a rerun is bitwise the same.
+
 Units are fixed globally: meters, radians, seconds, kilograms.
 """
 from __future__ import annotations
@@ -22,17 +31,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DescriptionError, atomic_write_text, finite_number, float_rows, parse_object, read_text
-from .transforms import RigidTransform, _axis_terms, _rodrigues, quat_from_rpy, quat_to_matrix
+from .transforms import _SKEW_BASIS, RigidTransform, _axis_terms, _rodrigues, quat_from_rpy, quat_to_matrix
 
 _AXIS_TOL = 1e-9
 _PSD_TOL = -1e-9
 # Distinct description texts whose trees load_robot keeps (a bundled robot
 # and its text take about 70 KB).
 ROBOT_CACHE_SIZE = 16
-
-# Vector components x, y, z, x, y: slices [1:4] and [2:5] are the cyclic
-# shifts (y, z, x) and (z, x, y) of a cross product.
-_XYZXY = np.array([0, 1, 2, 0, 1])
 
 REVOLUTE = "revolute"
 FIXED = "fixed"
@@ -74,20 +79,15 @@ class Keypoint:
 class _Level(NamedTuple):
     """One tree depth of the slot layout.
 
-    The level's links fill the slots `links`, and their joint rotations the
-    entries `joints` (slot - 1: the root has none). `parents` is a slice of
+    The level's links fill the slots `links`. `parents` is a slice of
     parent slots when it can be one: a single shared parent (a length-1
     slice that broadcasts) or a run of consecutive parents (a chain); it is
     an index array only where the level branches or skips a chain that has
-    ended. `origin_rot` (k, 3, 3) and
-    `origin_trans` (k, 3, 1) are views of the tree's slot-ordered origins.
+    ended.
     """
 
     links: slice
     parents: slice | np.ndarray
-    joints: slice
-    origin_rot: np.ndarray
-    origin_trans: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,10 @@ class KinematicTree:
     _parent_slots: np.ndarray = field(default=None, repr=False)   # -1 for the root
     _origin_rot: np.ndarray = field(default=None, repr=False)     # (n_links, 3, 3)
     _origin_trans: np.ndarray = field(default=None, repr=False)   # (n_links, 3)
+    # (n_links, 4, 4): the root's origin frame in slot 0; every other slot
+    # holds its local frame's origin translation and [0, 0, 0, 1] row, and a
+    # zero rotation block (each FK writes origin_rot @ joint there, in a copy).
+    _frame_template: np.ndarray = field(default=None, repr=False)
     # Per non-root slot: the q column of its joint (num_actuated for a fixed
     # joint) and the Rodrigues terms of its axis (zero for a fixed joint).
     _joint_cols: np.ndarray = field(default=None, repr=False)
@@ -122,9 +126,10 @@ class KinematicTree:
     _actuated: tuple[str, ...] = field(default=(), repr=False)
     _joint_slots: np.ndarray = field(default=None, repr=False)  # slot per q column
     _joint_axes: np.ndarray = field(default=None, repr=False)   # (num_actuated, 3)
+    _axis_columns: np.ndarray = field(default=None, repr=False)  # (num_actuated, 3, 1)
     _kp_row: dict[str, int] = field(default_factory=dict, repr=False)
     _kp_slots: np.ndarray = field(default=None, repr=False)
-    _kp_offsets: np.ndarray = field(default=None, repr=False)
+    _kp_offsets: np.ndarray = field(default=None, repr=False)   # (K, 4, 1) homogeneous: [offset, 1]
     # [k, j]: joint column j lies on the root-to-keypoint-k chain.
     _kp_joint_mask: np.ndarray = field(default=None, repr=False)
 
@@ -279,8 +284,14 @@ def _finalize(tree: KinematicTree) -> KinematicTree:
     joint_outer[revolute] = outer[joint_cols[revolute]]
     joint_skew[revolute] = skew[joint_cols[revolute]]
 
+    frame_template = np.zeros((n, 4, 4))
+    frame_template[:, 3, 3] = 1.0
+    frame_template[:, :3, 3] = origin_trans
+    frame_template[0, :3, :3] = origin_rot[0]
+
     kp_slots = np.array([slot[kp.link] for kp in tree.keypoints], dtype=int)
-    kp_offsets = np.array([kp.offset for kp in tree.keypoints], dtype=float).reshape(-1, 3)
+    kp_offsets = np.ones((len(tree.keypoints), 4, 1))
+    kp_offsets[:, :3, 0] = np.array([kp.offset for kp in tree.keypoints], dtype=float).reshape(-1, 3)
     kp_joint_mask = np.zeros((len(tree.keypoints), len(actuated)), dtype=bool)
     for k, s in enumerate(kp_slots):
         while s >= 0:
@@ -292,8 +303,10 @@ def _finalize(tree: KinematicTree) -> KinematicTree:
     parts += [j.axis for j in tree.joints.values() if j.axis is not None]
     parts += [a for i in tree.inertials.values() for a in (i.com, i.inertia)]
     parts += [kp.offset for kp in tree.keypoints]
-    for arr in parts + [order, parent_slots, origin_rot, origin_trans, joint_cols, joint_outer,
-                        joint_skew, joint_slots, joint_axes, kp_slots, kp_offsets, kp_joint_mask]:
+    axis_columns = joint_axes[:, :, None]
+    for arr in parts + [order, parent_slots, origin_rot, origin_trans, frame_template, joint_cols,
+                        joint_outer, joint_skew, joint_slots, joint_axes, axis_columns, kp_slots,
+                        kp_offsets, kp_joint_mask]:
         arr.flags.writeable = False
 
     levels = []
@@ -303,14 +316,14 @@ def _finalize(tree: KinematicTree) -> KinematicTree:
             parents = slice(int(parents[0]), int(parents[0]) + 1)
         elif np.all(np.diff(parents) == 1):
             parents = slice(int(parents[0]), int(parents[-1]) + 1)
-        levels.append(_Level(slice(start, stop), parents, slice(start - 1, stop - 1),
-                            origin_rot[start:stop], origin_trans[start:stop, :, None]))
+        levels.append(_Level(slice(start, stop), parents))
 
     object.__setattr__(tree, "_index", index)
     object.__setattr__(tree, "_order", order)
     object.__setattr__(tree, "_parent_slots", parent_slots)
     object.__setattr__(tree, "_origin_rot", origin_rot)
     object.__setattr__(tree, "_origin_trans", origin_trans)
+    object.__setattr__(tree, "_frame_template", frame_template)
     object.__setattr__(tree, "_joint_cols", joint_cols)
     object.__setattr__(tree, "_joint_outer", joint_outer)
     object.__setattr__(tree, "_joint_skew", joint_skew)
@@ -318,6 +331,7 @@ def _finalize(tree: KinematicTree) -> KinematicTree:
     object.__setattr__(tree, "_actuated", actuated)
     object.__setattr__(tree, "_joint_slots", joint_slots)
     object.__setattr__(tree, "_joint_axes", joint_axes)
+    object.__setattr__(tree, "_axis_columns", axis_columns)
     object.__setattr__(tree, "_kp_row", {kp.name: k for k, kp in enumerate(tree.keypoints)})
     object.__setattr__(tree, "_kp_slots", kp_slots)
     object.__setattr__(tree, "_kp_offsets", kp_offsets)
@@ -552,20 +566,25 @@ def _joint_rotations(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
     return _rodrigues(tree._joint_outer, tree._joint_skew, q[:, tree._joint_cols][..., None, None])
 
 
-def _link_poses(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World rotations (B, n_links, 3, 3) and origins (B, n_links, 3), in slot
-    order, for a (B, n) stack. Each level reads its parents through a slice
-    where it can and writes one contiguous block, in place."""
-    joint = _joint_rotations(tree, q)
-    rot = np.empty((len(q), len(tree.links), 3, 3))
-    pos = np.empty(rot.shape[:-1])
-    rot[:, 0] = tree._origin_rot[0]
-    pos[:, 0] = tree._origin_trans[0]
-    for links, parents, joints, origin_rot, origin_trans in tree._levels:
-        rot_p = rot[:, parents]
-        np.add((rot_p @ origin_trans)[..., 0], pos[:, parents], out=pos[:, links])
-        np.matmul(rot_p @ origin_rot, joint[:, joints], out=rot[:, links])
-    return rot, pos
+def _link_poses(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
+    """World frames (B, n_links, 4, 4) of every link, in slot order, for a (B, n) stack.
+
+    A link's frame is its parent's frame times its local frame
+    [[origin_rot @ joint, origin_trans], [0, 0, 0, 1]]. The local frames'
+    rotation blocks are one batched product, written into a copy of the
+    tree's frame template, which holds the rest; each depth level is then
+    one product of its parents' frames (read through a slice where it can)
+    and its local frames, written as one block.
+    """
+    template = tree._frame_template
+    local = np.empty((len(q),) + template.shape)
+    local[...] = template
+    np.matmul(tree._origin_rot[1:], _joint_rotations(tree, q), out=local[:, 1:, :3, :3])
+    frames = np.empty_like(local)
+    frames[:, 0] = template[0]
+    for links, parents in tree._levels:
+        np.matmul(frames[:, parents], local[:, links], out=frames[:, links])
+    return frames
 
 
 def _as_batch(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -574,20 +593,16 @@ def _as_batch(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.atleast_2d(q), q.ndim == 1
 
 
-def _keypoint_frames(tree: KinematicTree, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Link slots (K,) and offsets (K, 3, 1) of the keypoints in `rows`."""
-    return tree._kp_slots[rows], tree._kp_offsets[rows, :, None]
-
-
-def _keypoint_positions(rot, pos, frames) -> np.ndarray:
-    """Positions (B, K, 3) under link poses of the keypoints given by their _keypoint_frames."""
-    slots, offsets = frames
-    return (rot[:, slots] @ offsets)[..., 0] + pos[:, slots]
+def _keypoint_positions(frames: np.ndarray, slots: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Positions (..., K, 3) of keypoints on the link `slots` (K,) at homogeneous
+    `offsets` (K, 4, 1), from link frames (..., n_links, 4, 4): one gather and
+    one stacked product."""
+    return (frames[..., slots, :, :] @ offsets)[..., :3, 0]
 
 
 def _keypoints(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
     """Positions (B, K, 3) of all keypoints, in tree order, for a validated (B, n) stack."""
-    return _keypoint_positions(*_link_poses(tree, q), _keypoint_frames(tree, slice(None)))
+    return _keypoint_positions(_link_poses(tree, q), tree._kp_slots, tree._kp_offsets)
 
 
 def forward_kinematics(tree: KinematicTree, q: np.ndarray) -> dict[str, np.ndarray]:
@@ -609,23 +624,32 @@ def _keypoint_rows(tree: KinematicTree, names) -> list[int]:
         raise DescriptionError(f"unknown keypoint on tree '{tree.name}'", element=exc.args[0]) from None
 
 
-def _keypoint_jacobian_stack(tree, rot, pos, points, mask) -> np.ndarray:
-    """Jacobians (B, K, 3, N) of K keypoints from link poses already computed.
+def _jacobian_zeros(tree: KinematicTree, rows) -> np.ndarray:
+    """Mask (N, 3K) of the transposed Jacobian entries of keypoints `rows`
+    whose joint is off the keypoint's root chain."""
+    return np.repeat(~tree._kp_joint_mask[rows].T, 3, axis=1)
 
-    `points` (B, K, 3) are the keypoints' positions under the poses `rot`,
-    `pos`, and `mask` (K, N) their rows of the keypoint x joint ancestor mask.
-    Column j of keypoint k is axis_j x (point_k - origin_j), the cross
-    product of transforms.cross. Its operands are laid out components first
-    and extended to (x, y, z, x, y), so that the cyclic shifts of the cross
-    product are slices and the columns come out C-ordered in the (3, N)
-    layout of a Jacobian.
+
+# (w @ _SKEW_T).reshape(3, 3) is [w]x transposed, so that a row r @ it is w x r.
+_SKEW_T = _SKEW_BASIS.reshape(3, 3, 3).swapaxes(1, 2).reshape(3, 9)
+
+
+def _keypoint_jacobian_t(tree: KinematicTree, frames: np.ndarray, points: np.ndarray,
+                         zeros: np.ndarray) -> np.ndarray:
+    """Transposed keypoint Jacobian (..., N, 3K) from link frames (..., n_links, 4, 4).
+
+    `points` (..., K, 3) are the keypoints under those frames and `zeros`
+    their _jacobian_zeros. Row j holds d(p_k)/d(q_j) = w_j x (p_k - o_j) for
+    each keypoint k in turn, where w_j is joint j's world axis and o_j its
+    link's origin: one product of the arms (p_k - o_j) by [w_j]x transposed.
     """
-    slots = tree._joint_slots
-    axes = (rot[:, slots] @ tree._joint_axes[:, :, None])[..., 0]             # (B, N, 3)
-    axes = axes.swapaxes(-1, -2)[:, None, _XYZXY]                             # (B, 1, 5, N)
-    arms = points[..., _XYZXY, None] - pos[:, slots, _XYZXY[:, None]][:, None]  # (B, K, 5, N)
-    cols = axes[..., 1:4, :] * arms[..., 2:5, :] - axes[..., 2:5, :] * arms[..., 1:4, :]
-    return np.where(mask[:, None, :], cols, 0.0)
+    joint_frames = frames[..., tree._joint_slots, :, :]                        # (..., N, 4, 4)
+    axes = (joint_frames[..., :3, :3] @ tree._axis_columns)[..., 0]            # (..., N, 3)
+    skew_t = (axes @ _SKEW_T).reshape(axes.shape + (3,))                       # (..., N, 3, 3)
+    arms = points[..., None, :, :] - joint_frames[..., None, :3, 3]            # (..., N, K, 3)
+    jac_t = (arms @ skew_t).reshape(arms.shape[:-2] + (-1,))
+    np.copyto(jac_t, 0.0, where=zeros)
+    return jac_t
 
 
 def keypoint_jacobians(
@@ -635,13 +659,16 @@ def keypoint_jacobians(
 
     Column j of a Jacobian is d(position)/d(q_j); joints off the root-to-
     keypoint path contribute zero columns. For a (B, n) stack of joint
-    vectors each position is (B, 3) and each Jacobian (B, 3, N).
+    vectors each position is (B, 3) and each Jacobian (B, 3, N). Both come
+    from the retarget solver's kernels, _keypoint_positions and
+    _keypoint_jacobian_t, whose (B, N, 3K) rows are transposed here.
     """
     rows = _keypoint_rows(tree, names)
     qb, single = _as_batch(tree, q)
-    rot, pos = _link_poses(tree, qb)
-    points = _keypoint_positions(rot, pos, _keypoint_frames(tree, rows))      # (B, K, 3)
-    jac = _keypoint_jacobian_stack(tree, rot, pos, points, tree._kp_joint_mask[rows])
+    frames = _link_poses(tree, qb)
+    points = _keypoint_positions(frames, tree._kp_slots[rows], tree._kp_offsets[rows])  # (B, K, 3)
+    jac_t = _keypoint_jacobian_t(tree, frames, points, _jacobian_zeros(tree, rows))      # (B, N, 3K)
+    jac = jac_t.reshape(len(qb), tree.num_actuated, len(rows), 3).transpose(0, 2, 3, 1)  # (B, K, 3, N)
     if single:
         points, jac = points[0], jac[0]
     positions = {name: points[..., k, :] for k, name in enumerate(names)}

@@ -3,8 +3,9 @@
 Stream files are line-delimited JSON (`dexstream/1`): a header object with
 `format` and `rate_hz`, then one record per frame with fields `t`, `pose`
 (45 angles), `shape` (10 coefficients) and optionally `kp` (named camera-frame
-points). Files written by write_stream are canonical: reading and re-writing
-them reproduces the bytes exactly.
+points). The header may also carry the task's `object_pose` (7 numbers) and
+`target_position` (3 numbers). Files written by write_stream are canonical:
+reading and re-writing them reproduces the bytes exactly.
 """
 from __future__ import annotations
 
@@ -25,6 +26,9 @@ POSE_DIM = 45
 SHAPE_DIM = 10
 VARIANCE_FLOOR = 1e-6
 CONDITIONING_TOL = 1e-8  # second-to-first singular value ratio below which keypoints are collinear
+# Known header fields of a stream and their number of entries: the object's
+# pose (w, x, y, z quaternion, then position) and the task's target position.
+HEADER_FIELDS = {"object_pose": 7, "target_position": 3}
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,13 @@ class HandPoseFrame:
 
 @dataclass(frozen=True)
 class HandPoseStream:
+    """A timestamped frame sequence at a nominal rate, with its header fields.
+
+    Checked when built: at least two frames, a positive finite rate, finite
+    and strictly increasing timestamps, a positive `sigma`, and each of the
+    HEADER_FIELDS present in `metadata` as that many finite numbers.
+    """
+
     frames: tuple[HandPoseFrame, ...]
     rate_hz: float
     s0: HandShapeParams | None = None
@@ -63,9 +74,14 @@ class HandPoseStream:
         object.__setattr__(self, "rate_hz", finite_number(self.rate_hz, StreamFormatError, "rate_hz"))
         if self.rate_hz <= 0:
             raise StreamFormatError("rate_hz must be positive")
-        for i in range(1, len(self.frames)):
-            if self.frames[i].timestamp <= self.frames[i - 1].timestamp:
-                raise StreamFormatError(f"timestamps not strictly increasing at frame {i}")
+        times = float_rows([[frame.timestamp for frame in self.frames]], len(self.frames),
+                           StreamFormatError, ["timestamps"])[0]
+        unordered = np.flatnonzero(times[1:] <= times[:-1])
+        if unordered.size:
+            raise StreamFormatError(f"timestamps not strictly increasing at frame {unordered[0] + 1}")
+        for key, width in HEADER_FIELDS.items():
+            if key in self.metadata:
+                float_rows([self.metadata[key]], width, StreamFormatError, [key])
         if self.sigma is not None:
             sigma = np.asarray(self.sigma, dtype=float)
             if sigma.shape != (SHAPE_DIM,) or not np.all(sigma > 0):

@@ -12,15 +12,22 @@ gradient stay fixed each iteration), accepted under a monotone Armijo test
 after projection onto the joint-limit box. It is deterministic and never
 returns an iterate whose objective exceeds the warm start's.
 
-Each point the solver visits costs one forward kinematics of the target, and
-one function (_value) turns its keypoints and joint step into the objective:
-for the warm start, every probe and retarget_objective alike. The link poses
-computed to probe a step are kept, and if the step is accepted the Jacobian at
-the new iterate is built from them and the gradient from the probe's
-residuals; the probe's value is the new objective. A trajectory's source
+Each point the solver visits costs one forward kinematics of the target (its
+4x4 link frames) and one gather for the mapped keypoints, and one function
+(_value) turns those keypoints and the joint step into the objective: for the
+warm start, every probe and retarget_objective alike. The link frames
+computed to probe a step are kept, and if the step is accepted the transposed
+Jacobian Jt (N, 3K) at the new iterate is built from them and the gradient
+2 Jt @ res + 2 alpha step from the probe's residuals; the probe's value is
+the new objective. The normal matrix is Jt @ Jt.T. A trajectory's source
 keypoints are the mapped rows of the source hand's keypoints, from one batched
 forward kinematics, and each frame after the first starts from the previous
 frame's final point, whose keypoints and Jacobian it reuses.
+
+Exactness: on the bundled robots the solver takes the same decisions
+(iterations, probes, accepted steps) with these kernels as with the
+rotation-and-origin reference kernels in tests/helpers.py, and its joint
+solutions agree with theirs to 1e-12. A rerun gives bitwise the same results.
 """
 from __future__ import annotations
 
@@ -99,12 +106,13 @@ class RetargetProblem:
     alpha: float = DEFAULT_ALPHA
     settings: SolverSettings = field(default_factory=SolverSettings)
     # Read-only caches, filled by __post_init__, in map order: the mapped
-    # keypoints' rows on the source tree, their link slots and offsets on the
-    # target (kinematics._keypoint_frames), and the target's keypoint x joint
-    # ancestor mask restricted to them.
+    # keypoints' rows on the source tree, their link slots and homogeneous
+    # offsets (K, 4, 1) on the target, and the zero mask (N, 3K) of the
+    # target's transposed Jacobian (kinematics._jacobian_zeros).
     _source_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _target_frames: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    _target_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    _target_slots: np.ndarray = field(init=False, repr=False, compare=False)
+    _target_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _jacobian_zeros: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_number_fields(self, reals=("alpha",))
@@ -113,13 +121,15 @@ class RetargetProblem:
         pairs = self.keypoint_map.pairs
         source_rows = np.array(kinematics._keypoint_rows(self.source, [s for s, _ in pairs]))
         target_rows = np.array(kinematics._keypoint_rows(self.target, [t for _, t in pairs]))
-        target_frames = kinematics._keypoint_frames(self.target, target_rows)
-        target_mask = self.target._kp_joint_mask[target_rows]
-        for arr in (source_rows, *target_frames, target_mask):
+        caches = {
+            "_source_rows": source_rows,
+            "_target_slots": self.target._kp_slots[target_rows],
+            "_target_offsets": self.target._kp_offsets[target_rows],
+            "_jacobian_zeros": kinematics._jacobian_zeros(self.target, target_rows),
+        }
+        for name, arr in caches.items():
             arr.flags.writeable = False
-        object.__setattr__(self, "_source_rows", source_rows)
-        object.__setattr__(self, "_target_frames", target_frames)
-        object.__setattr__(self, "_target_mask", target_mask)
+            object.__setattr__(self, name, arr)
 
     def source_points(self, q_source: np.ndarray) -> np.ndarray:
         """Mapped source keypoints: (K, 3) for one joint vector, (T, K, 3) for a (T, n) stack."""
@@ -138,17 +148,17 @@ class RetargetResult:
     probes: int              # objective probes: target FKs, not counting the warm start's
 
 
-def _target_poses(problem: RetargetProblem, q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Link poses and mapped keypoints of the target at q: the one FK of a point."""
-    rot, pos = kinematics._link_poses(problem.target, q[None])
-    return rot, pos, kinematics._keypoint_positions(rot, pos, problem._target_frames)
+def _target_poses(problem: RetargetProblem, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Link frames (n_links, 4, 4) and mapped keypoints (K, 3) of the target
+    at q: the one FK of a point, and one gather for its keypoints."""
+    frames = kinematics._link_poses(problem.target, q[None])[0]
+    return frames, kinematics._keypoint_positions(frames, problem._target_slots, problem._target_offsets)
 
 
-def _point(problem: RetargetProblem, poses: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Mapped keypoints (K, 3) and stacked Jacobian (3K, N) of a point from its poses."""
-    rot, pos, points = poses
-    jac = kinematics._keypoint_jacobian_stack(problem.target, rot, pos, points, problem._target_mask)
-    return points[0], jac.reshape(-1, jac.shape[-1])
+def _point(problem: RetargetProblem, poses: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Mapped keypoints (K, 3) and transposed Jacobian (N, 3K) of a point from its poses."""
+    frames, points = poses
+    return points, kinematics._keypoint_jacobian_t(problem.target, frames, points, problem._jacobian_zeros)
 
 
 def _value(
@@ -169,9 +179,10 @@ def _value(
     return value, sq_sum, diff.reshape(-1), step
 
 
-def _gradient(problem: RetargetProblem, jac: np.ndarray, res: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Objective gradient from the Jacobian, keypoint residuals (3K,) and step q - q_prev."""
-    return 2.0 * (jac.T @ res) + 2.0 * problem.alpha * step
+def _gradient(problem: RetargetProblem, jac_t: np.ndarray, res: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Objective gradient from the transposed Jacobian (N, 3K), keypoint
+    residuals (3K,) and step q - q_prev."""
+    return 2.0 * (jac_t @ res) + 2.0 * problem.alpha * step
 
 
 def _value_at(problem: RetargetProblem, q, q_source, q_prev) -> tuple:
@@ -181,7 +192,7 @@ def _value_at(problem: RetargetProblem, q, q_source, q_prev) -> tuple:
     q = problem.target.check_q(q, batch=False)
     q_prev = problem.target.check_q(q_prev, batch=False)
     poses = _target_poses(problem, q)
-    return (poses, *_value(problem, poses[2][0], targets, q, q_prev))
+    return (poses, *_value(problem, poses[1], targets, q, q_prev))
 
 
 def retarget_objective(problem: RetargetProblem, q, q_source, q_prev) -> float:
@@ -204,8 +215,8 @@ def retarget_frame(
 
 
 def _solve(
-    problem: RetargetProblem, targets: np.ndarray, q_prev: np.ndarray, lower: np.ndarray,
-    upper: np.ndarray, start: tuple[np.ndarray, np.ndarray] | None = None,
+    problem: RetargetProblem, targets: np.ndarray, q_prev: np.ndarray, bounds: np.ndarray,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[RetargetResult, tuple[np.ndarray, np.ndarray]]:
     """Damped GN from q_prev (inside the box); each point costs one target FK.
 
@@ -214,11 +225,13 @@ def _solve(
     (a singular system, a step that projects to nothing or a failed Armijo
     test); a rejection that lifts it past MAX_DAMPING ends the solve.
 
+    `bounds` (2, N) stacks the target's lower and upper joint limits.
     `start`, if given, is the keypoints and Jacobian at q_prev (from _point),
     which then costs no FK. Returns the result and the same pair at its q.
     """
     cfg = problem.settings
     n = problem.target.num_actuated
+    lower, upper = bounds
 
     def project(x):
         return np.minimum(np.maximum(x, lower), upper)
@@ -242,16 +255,19 @@ def _solve(
 
         # Coordinates pinned at a bound with the gradient pushing outward
         # stay fixed this iteration; solving the damped system on the free
-        # subspace keeps the step from being clipped into uselessness.
-        pinned = ((x == lower) & (g > 0)) | ((x == upper) & (g < 0))
-        free = ~pinned if pinned.any() else None
-        jac_f, g_f = (point[1], g) if free is None else (point[1][:, free], g[free])
+        # subspace keeps the step from being clipped into uselessness. The
+        # mask is built only when some coordinate sits on a bound.
+        free = None
+        if (x == bounds).any():
+            pinned = ((x == lower) & (g > 0)) | ((x == upper) & (g < 0))
+            if pinned.any():
+                free = ~pinned
+        jac_f, g_f = (point[1], g) if free is None else (point[1][free], g[free])
         nf = len(g_f)
-        normal = jac_f.T @ jac_f
-        scale = max(1.0, float(normal.trace()) / max(nf, 1))
+        normal = jac_f @ jac_f.T  # (nf, nf); damped in place below
+        undamped, damped = normal.diagonal().copy(), normal.reshape(-1)[::nf + 1]
+        scale = max(1.0, float(undamped.sum()) / max(nf, 1))
         rhs = -0.5 * g_f
-        normal_d = normal.copy()
-        undamped, damped = normal.diagonal(), normal_d.reshape(-1)[::nf + 1]  # views
 
         # Damped Gauss-Newton probes under the damping rule above; an
         # accepted probe keeps its poses for the next Jacobian.
@@ -259,7 +275,7 @@ def _solve(
         while True:
             np.add(undamped, problem.alpha + lam * scale, out=damped)
             try:
-                d_f = np.linalg.solve(normal_d, rhs)
+                d_f = np.linalg.solve(normal, rhs)
             except np.linalg.LinAlgError:
                 d_f = np.zeros(nf)  # no step: rejected below
             if free is None:
@@ -277,7 +293,7 @@ def _solve(
             if size > 0.0:
                 poses = _target_poses(problem, cand)
                 probes += 1
-                f_cand, sq_cand, res, step = _value(problem, poses[2][0], targets, cand, q_prev)
+                f_cand, sq_cand, res, step = _value(problem, poses[1], targets, cand, q_prev)
                 if math.isfinite(f_cand) and f_cand <= f + ARMIJO_C * float(g @ delta):
                     accepted = (cand, f_cand, sq_cand, res, step, poses)
                     lam = max(lam / 3.0, 1e-12)
@@ -323,7 +339,8 @@ def retarget_keypoints(
     point's keypoints and Jacobian carry over instead of being computed again.
     """
     q0 = problem.target.check_q(q0, batch=False)
-    lower, upper = problem.target.joint_limits()
+    bounds = np.array(problem.target.joint_limits())
+    lower, upper = bounds
     if np.any(q0 < lower - 1e-9) or np.any(q0 > upper + 1e-9):
         raise DataError("initial guess lies outside the target joint limits")
     targets = np.asarray(source_points, dtype=float)
@@ -337,7 +354,7 @@ def retarget_keypoints(
     q_prev, point = np.clip(q0, lower, upper), None
     for t, frame_targets in enumerate(targets):
         try:
-            result, point = _solve(problem, frame_targets, q_prev, lower, upper, point)
+            result, point = _solve(problem, frame_targets, q_prev, bounds, point)
         except (DataError, NumericalError) as exc:
             raise type(exc)(f"frame {t}: {exc}") from exc
         results.append(result)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from dexretarget.dapg.env import JOINT_LIMIT, LINK_LENGTHS
-from dexretarget.kinematics import KinematicTree, load_robot
+from dexretarget.kinematics import KinematicTree, _joint_rotations, load_robot
 
 
 def planar_two_link_doc(l1: float = 1.0, l2: float = 1.0) -> dict:
@@ -97,6 +97,39 @@ def arm_tree() -> KinematicTree:
                "limit_upper": JOINT_LIMIT} for i in range(len(starts))]
     tip = {"name": "tip", "link": links[-1]["id"], "offset": [LINK_LENGTHS[-1], 0, 0]}
     return load_robot({"name": "toy-relocate-arm", "links": links, "joints": joints, "keypoints": [tip]})
+
+
+# --- reference kernels: rotation-and-origin FK and cross-product Jacobians ---
+
+def rotation_origin_fk(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """World rotations (B, n_links, 3, 3) and origins (B, n_links, 3), in slot
+    order, for a (B, n) stack: each level from its parents as
+    pos = rot_p @ origin_trans + pos_p and rot = (rot_p @ origin_rot) @ joint."""
+    joint = _joint_rotations(tree, q)  # slot s holds joint s - 1
+    rot = np.empty((len(q), len(tree.links), 3, 3))
+    pos = np.empty(rot.shape[:-1])
+    rot[:, 0] = tree._origin_rot[0]
+    pos[:, 0] = tree._origin_trans[0]
+    for links, parents in tree._levels:
+        rot_p = rot[:, parents]
+        pos[:, links] = (rot_p @ tree._origin_trans[links, :, None])[..., 0] + pos[:, parents]
+        rot[:, links] = (rot_p @ tree._origin_rot[links]) @ joint[:, links.start - 1:links.stop - 1]
+    return rot, pos
+
+
+def cross_product_jacobians(tree: KinematicTree, q: np.ndarray, names) -> tuple[np.ndarray, np.ndarray]:
+    """Keypoint positions (B, K, 3) and Jacobians (B, K, 3, N) of `names` from
+    rotation_origin_fk: column j of keypoint k is axis_j x (point_k - origin_j),
+    zero where joint j is off the keypoint's chain."""
+    rot, pos = rotation_origin_fk(tree, q)
+    rows = [tree.keypoint_names.index(name) for name in names]
+    slots, offsets = tree._kp_slots[rows], tree._kp_offsets[rows, :3]
+    points = (rot[:, slots] @ offsets)[..., 0] + pos[:, slots]
+    axes = (rot[:, tree._joint_slots] @ tree._joint_axes[:, :, None])[..., 0]  # (B, N, 3)
+    arms = points[:, :, None, :] - pos[:, None, tree._joint_slots]              # (B, K, N, 3)
+    cols = np.cross(axes[:, None], arms)                                        # (B, K, N, 3)
+    mask = tree._kp_joint_mask[rows]
+    return points, np.where(mask[None, :, None, :], cols.swapaxes(-1, -2), 0.0)
 
 
 # --- independent oracle: naive 4x4 homogeneous-matrix forward kinematics ----

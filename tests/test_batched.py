@@ -33,6 +33,8 @@ from dexretarget.transforms import (
     quat_to_rotvec,
 )
 
+from helpers import cross_product_jacobians, random_chain_doc, rotation_origin_fk
+
 ROBOTS = ("allegro", "schunk", "adroit")
 BATCH = 5
 
@@ -62,13 +64,37 @@ def joint_stack(tree, rng, batch=BATCH):
 
 def test_link_poses_stack_equals_single_frames(tree):
     qs = joint_stack(tree, np.random.default_rng(0))
-    rot, pos = _link_poses(tree, qs)
-    assert rot.shape == (BATCH, len(tree.links), 3, 3)
-    assert pos.shape == (BATCH, len(tree.links), 3)
+    frames = _link_poses(tree, qs)
+    assert frames.shape == (BATCH, len(tree.links), 4, 4)
+    rot, pos = frames[..., :3, :3], frames[..., :3, 3]
+    assert np.all(frames[..., 3, :] == [0.0, 0.0, 0.0, 1.0])
     for b in range(BATCH):
-        r, p = _link_poses(tree, qs[b : b + 1])
-        np.testing.assert_array_equal(rot[b], r[0])
-        np.testing.assert_array_equal(pos[b], p[0])
+        single = _link_poses(tree, qs[b : b + 1])
+        np.testing.assert_array_equal(rot[b], single[0, :, :3, :3])
+        np.testing.assert_array_equal(pos[b], single[0, :, :3, 3])
+
+
+@pytest.mark.parametrize("source", ROBOTS + (4, 7, 12))
+def test_frame_kernels_match_rotation_origin_kernels(source):
+    # The 4x4 frames and the transposed Jacobian against the reference
+    # rotation-and-origin FK and cross-product Jacobians, on the bundled
+    # robots and on random chains of 4, 7 and 12 joints: the rotations
+    # associate differently, so they agree to rounding, not bitwise.
+    if source in ROBOTS:
+        tree = make_tree(source)
+    else:
+        tree = load_robot(random_chain_doc(np.random.default_rng(source), source))
+    qs = joint_stack(tree, np.random.default_rng(13), batch=20)
+    frames = _link_poses(tree, qs)
+    rot, pos = rotation_origin_fk(tree, qs)
+    np.testing.assert_allclose(frames[..., :3, :3], rot, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(frames[..., :3, 3], pos, rtol=0, atol=1e-12)
+    names = tree.keypoint_names
+    positions, jacobians = keypoint_jacobians(tree, qs, names)
+    points, jacs = cross_product_jacobians(tree, qs, names)
+    for k, name in enumerate(names):
+        np.testing.assert_allclose(positions[name], points[:, k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(jacobians[name], jacs[:, k], rtol=0, atol=1e-12)
 
 
 def test_forward_kinematics_stack_equals_single_frames(tree):
@@ -205,27 +231,29 @@ def layout_tree():
 
 
 def per_link_fk(tree, q):
-    """Each link from its parent, one at a time, in topological order."""
-    rot = np.empty((len(q), len(tree.links), 3, 3))
-    pos = np.empty((len(q), len(tree.links), 3))
+    """Each link's world frame from its parent's, one link at a time, in
+    topological order: parent_frame @ [[origin_rot @ turn, t], [0, 1]]."""
+    frames = np.empty((len(q), len(tree.links), 4, 4))
     column = {child: j for j, child in enumerate(tree.actuated_joints)}
     done = set()
     while len(done) < len(tree.links):
         for i, link in enumerate(tree.links):
             if i in done or (link.parent is not None and tree._index[link.parent] not in done):
                 continue
-            origin_rot, origin_trans = link.origin.matrix(), link.origin.translation
+            local = np.zeros((len(q), 4, 4))
+            local[:, :3, 3] = link.origin.translation
+            local[:, 3, 3] = 1.0
             if link.parent is None:
-                rot[:, i], pos[:, i] = origin_rot, origin_trans
+                local[:, :3, :3] = link.origin.matrix()
+                frames[:, i] = local
             else:
-                p = tree._index[link.parent]
                 joint = tree.joints[link.id]
                 turn = (axis_angle_matrix(joint.axis, q[:, column[link.id]])
                         if joint.type == "revolute" else np.broadcast_to(np.eye(3), (len(q), 3, 3)))
-                pos[:, i] = (rot[:, p] @ origin_trans[:, None])[..., 0] + pos[:, p]
-                rot[:, i] = (rot[:, p] @ origin_rot) @ turn
+                local[:, :3, :3] = link.origin.matrix() @ turn
+                frames[:, i] = frames[:, tree._index[link.parent]] @ local
             done.add(i)
-    return rot, pos
+    return frames
 
 
 def test_slot_layout_levels():
@@ -245,23 +273,23 @@ def test_slot_layout_levels():
 def test_slot_layout_fk_equals_per_link_fk_bitwise(batch):
     tree = layout_tree()
     q = joint_stack(tree, np.random.default_rng(12), batch=batch)
-    expected_rot, expected_pos = per_link_fk(tree, q)
-    rot, pos = _link_poses(tree, q)  # slot s holds link tree._order[s]
-    assert rot.tobytes() == expected_rot[:, tree._order].tobytes()
-    assert pos.tobytes() == expected_pos[:, tree._order].tobytes()
+    expected = per_link_fk(tree, q)
+    frames = _link_poses(tree, q)  # slot s holds link tree._order[s]
+    assert frames.tobytes() == expected[:, tree._order].tobytes()
     points = forward_kinematics(tree, q)
     for kp in tree.keypoints:
-        i = tree._index[kp.link]
-        expected = (expected_rot[:, i] @ kp.offset[:, None])[..., 0] + expected_pos[:, i]
-        assert points[kp.name].tobytes() == expected.tobytes()
+        point = (expected[:, tree._index[kp.link]] @ np.append(kp.offset, 1.0)[:, None])[..., :3, 0]
+        assert points[kp.name].tobytes() == point.tobytes()
 
 
 def test_tree_caches_are_read_only(tree):
     arrays = [v for v in vars(tree).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) >= 12
+    assert len(arrays) >= 14
+    assert tree._frame_template.shape == (len(tree.links), 4, 4)
+    assert tree._axis_columns.shape == (tree.num_actuated, 3, 1)
+    assert tree._kp_offsets.shape == (len(tree.keypoints), 4, 1)
     for level in tree._levels:
-        assert isinstance(level.links, slice) and isinstance(level.joints, slice)
-        arrays += [level.origin_rot, level.origin_trans]
+        assert isinstance(level.links, slice)
         if not isinstance(level.parents, slice):
             arrays.append(level.parents)
     for arr in arrays:

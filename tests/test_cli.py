@@ -193,6 +193,29 @@ def test_translate_corrupt_stream_exit_2(allegro_config_file, tmp_path, capsys):
     assert "frame 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("object_pose", "[NaN, 0, 0, 0, 0, 0, 0]"),
+    ("object_pose", "[1, 2]"),
+    ("object_pose", '"abc"'),
+    ("target_position", "[0, Infinity, 0]"),
+    ("target_position", "[0, 0]"),
+])
+def test_translate_bad_stream_header_field_exit_2(key, value, short_stream_file, allegro_config_file,
+                                                  tmp_path, capsys):
+    # Unchecked, a NaN would reach a demo that read_demo rejects, and a wrong
+    # length or a string would end in a raw ValueError (exit 1).
+    lines = short_stream_file.read_text().splitlines()
+    lines[0] = lines[0][:-1] + f', "{key}": {value}}}'
+    short_stream_file.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o.demo"
+    code = main(["translate", "--stream", str(short_stream_file), "--config", str(allegro_config_file),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{key} must be" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_translate_flag_overrides_config(short_stream_file, allegro_config_file, tmp_path):
     out_a = tmp_path / "a.demo"
     out_b = tmp_path / "b.demo"

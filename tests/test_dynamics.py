@@ -153,7 +153,8 @@ def test_energy_consistency_second_order_in_dt():
             q = amp * np.sin(freq * t)
             qd = amp * freq * np.cos(freq * t)
             kin = 0.5 * qd @ mass_matrix(tree, q) @ qd
-            rot, pos = _link_poses(tree, q[None])
+            frames = _link_poses(tree, q[None])
+            rot, pos = frames[..., :3, :3], frames[..., :3, 3]
             pot = 0.0
             for s, i in enumerate(tree._order):  # slot s holds link i
                 inert = tree.inertials[tree.links[i].id]

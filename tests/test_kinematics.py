@@ -277,7 +277,7 @@ def test_invalid_description_text_is_not_cached():
 def tree_arrays(tree) -> list[np.ndarray]:
     """Every array a tree holds, its traversal caches included."""
     arrays = [v for v in vars(tree).values() if isinstance(v, np.ndarray)]
-    arrays += [a for level in tree._levels for a in (level.origin_rot, level.origin_trans)]
+    arrays += [level.parents for level in tree._levels if not isinstance(level.parents, slice)]
     arrays += [a for link in tree.links for a in (link.origin.rotation, link.origin.translation)]
     arrays += [j.axis for j in tree.joints.values() if j.axis is not None]
     arrays += [a for i in tree.inertials.values() for a in (i.com, i.inertia)]

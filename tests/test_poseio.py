@@ -111,6 +111,33 @@ def test_stream_rate_is_stored_as_a_float():
     assert type(make_stream(n=2, rate=25).rate_hz) is float
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_stream_timestamps_must_be_finite(bad, at):
+    # A NaN compares false both ways, so a pairwise order test alone lets it
+    # through, and write_stream then writes a file that read_stream rejects.
+    times = [0.0, 0.04, 0.08]
+    times[at] = bad
+    with pytest.raises(StreamFormatError, match="timestamps must be 3 finite numbers"):
+        HandPoseStream(tuple(make_frame(t) for t in times), 25.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("object_pose", [float("nan"), 0, 0, 0, 0, 0, 0]),
+    ("object_pose", [1, 2]),
+    ("object_pose", "abc"),
+    ("object_pose", None),
+    ("object_pose", [1, 0, 0, 0, 0, 0, "0"]),
+    ("target_position", [0.0, float("inf"), 0.0]),
+    ("target_position", [0, 0, 0, 0]),
+    ("target_position", {"x": 0}),
+])
+def test_stream_header_fields_are_checked_when_built(key, value):
+    width = {"object_pose": 7, "target_position": 3}[key]
+    with pytest.raises(StreamFormatError, match=f"^{key} must be {width} finite numbers$"):
+        make_stream(n=3, metadata={key: value})
+
+
 # --- calibration ------------------------------------------------------------
 
 def test_calibrate_constant_shapes_hits_variance_floor():

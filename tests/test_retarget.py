@@ -463,13 +463,13 @@ def test_reported_objective_is_retarget_objective(robot, custom_hand, monkeypatc
     poses = read_stream(sample_stream_path()).pose_matrix()
     q_prev = np.clip(np.zeros(problem.target.num_actuated), *problem.target.joint_limits())
     results = retarget_trajectory(problem, poses, q_prev)
-    jacobians, real_jacobian = [], kinematics._keypoint_jacobian_stack
+    jacobians, real_jacobian = [], kinematics._keypoint_jacobian_t
 
     def jacobian(*args):
         jacobians.append(args)
         return real_jacobian(*args)
 
-    monkeypatch.setattr(kinematics, "_keypoint_jacobian_stack", jacobian)
+    monkeypatch.setattr(kinematics, "_keypoint_jacobian_t", jacobian)
     mismatched = []
     for t, result in enumerate(results):
         if retarget_objective(problem, result.q, poses[t], q_prev) != result.objective:
