@@ -146,17 +146,14 @@ def _wrist_trajectory(
     """Per-frame wrist rotation (T, 4) and translation (T, 3) from observed
     keypoints, given the customized hand's (T, K, 3) keypoints `names` at
     the stream's poses; frames without keypoints get the identity."""
-    frames = stream.frames
-    rotation = np.tile([1.0, 0.0, 0.0, 0.0], (len(frames), 1))
-    translation = np.zeros((len(frames), 3))
-    seen = [i for i, frame in enumerate(frames) if frame.observed_keypoints]
-    canonical = {name: keypoints[seen, k] for k, name in enumerate(names)}
-    rotation[seen], translation[seen], _, errors = solve_wrists(
-        canonical, [frames[i].observed_keypoints for i in seen]
-    )
-    if errors:
-        j = min(errors)
-        raise DataError(f"wrist solve failed at frame {seen[j]}: {errors[j]}")
+    shared = [j for j, name in enumerate(stream.keypoint_names) if name in names]
+    canonical = keypoints[:, [names.index(stream.keypoint_names[j]) for j in shared]]
+    rotation, translation, _, errors = solve_wrists(canonical, stream.kp[:, shared], stream.kp_mask[:, shared])
+    seen = stream.kp_mask.any(axis=1)
+    failed = min((b for b in errors if seen[b]), default=None)
+    if failed is not None:
+        raise DataError(f"wrist solve failed at frame {failed}: {errors[failed]}")
+    rotation[~seen], translation[~seen] = [1.0, 0.0, 0.0, 0.0], 0.0
     return rotation, translation
 
 
@@ -223,24 +220,17 @@ class _StreamStage:
     @classmethod
     def build(cls, stream: HandPoseStream, config: PipelineConfig) -> "_StreamStage":
         # Shape calibration: stored stream calibration wins over recomputation.
-        if stream.s0 is not None:
-            s0 = stream.s0
-        else:
-            k = min(config.calibration_frames, len(stream.frames))
-            s0, _ = calibrate(stream.frames[:k])
+        s0 = stream.s0 if stream.s0 is not None else calibrate(stream.shape[:config.calibration_frames])[0]
         template = load_template(config.template) if config.template else default_template()
         hand = build_custom_hand(s0, template)
-        try:
-            # The customized hand's one FK. It gives every robot's retarget
-            # its source keypoints and the wrist solve its canonical
-            # keypoints; a bad pose is reported as the retarget stage's input.
-            keypoints = kinematics._keypoints(hand, hand.check_q(stream.pose_matrix()))
-        except DataError as exc:
-            raise type(exc)(f"retarget stage: {exc}") from exc
+        # The customized hand's one FK, on the stream's checked (T, 45) poses.
+        # It gives every robot's retarget its source keypoints and the wrist
+        # solve its canonical keypoints.
+        keypoints = kinematics._keypoints(hand, stream.pose)
         rotation, translation = _wrist_trajectory(stream, hand.keypoint_names, keypoints)
         palm_vel = _palm_velocities(rotation, translation, stream.dt)
 
-        n_frames = len(stream.frames)
+        n_frames = len(stream.t)
         object_pose = np.asarray(stream.metadata.get("object_pose", [1, 0, 0, 0, 0, 0, 0]), dtype=float)
         target_position = np.asarray(stream.metadata.get("target_position", [0, 0, 0]), dtype=float)
         # The last state repeats the last palm velocity: there is no next frame.
@@ -334,10 +324,11 @@ def write_demo(demo: Demonstration, path: str | Path):
         "provenance": demo.provenance,
     }
     lines = [json.dumps(header, sort_keys=True)]
-    for t in range(demo.states.shape[0]):
-        rec = {"i": t, "state": [float(v) for v in demo.states[t]]}
-        if t < demo.actions.shape[0]:
-            rec["action"] = [float(v) for v in demo.actions[t]]
+    actions = demo.actions.tolist()
+    for t, state in enumerate(demo.states.tolist()):
+        rec = {"i": t, "state": state}
+        if t < len(actions):
+            rec["action"] = actions[t]
         lines.append(json.dumps(rec, sort_keys=True))
     atomic_write_text(path, "\n".join(lines) + "\n")
 

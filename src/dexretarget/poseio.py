@@ -6,19 +6,27 @@ Stream files are line-delimited JSON (`dexstream/1`): a header object with
 points). The header may also carry the task's `object_pose` (7 numbers) and
 `target_position` (3 numbers). Files written by write_stream are canonical:
 reading and re-writing them reproduces the bytes exactly.
+
+A HandPoseStream holds read-only columns: `t` (T,), `pose` (T, 45), `shape`
+(T, 10) clamped to +-BETA_CLAMP when built, the sorted `keypoint_names` (K)
+observed in any frame, their points `kp` (T, K, 3) (zero where unobserved)
+and the (T, K) mask `kp_mask`. `frames` is a view that builds HandPoseFrame
+records on demand. calibrate takes (K, 10) shape rows; solve_wrists takes
+(B, K, 3) canonical and observed stacks and a (B, K) mask.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, StreamFormatError, atomic_write_text, finite_number, float_rows, read_records
-from .handgen import HandShapeParams
+from .handgen import BETA_CLAMP, HandShapeParams
 from .transforms import matrix_to_quat
 
 FORMAT_VERSION = "dexstream/1"
@@ -29,71 +37,100 @@ CONDITIONING_TOL = 1e-8  # second-to-first singular value ratio below which keyp
 # Known header fields of a stream and their number of entries: the object's
 # pose (w, x, y, z quaternion, then position) and the task's target position.
 HEADER_FIELDS = {"object_pose": 7, "target_position": 3}
+# Header keys the stream writes itself; no metadata key may take their place.
+RESERVED_KEYS = ("format", "rate_hz", "s0", "sigma")
 
 
 @dataclass(frozen=True)
 class HandPoseFrame:
-    """One timestamped detector sample."""
+    """One timestamped detector sample: a plain record that HandPoseStream checks."""
 
     timestamp: float
     pose: np.ndarray                     # 45 angles, customized-hand order
     shape: HandShapeParams
     observed_keypoints: dict[str, np.ndarray] | None = None
 
-    def __post_init__(self):
-        pose = np.asarray(self.pose, dtype=float)
-        if pose.shape != (POSE_DIM,) or not np.isfinite(pose).all():
-            raise StreamFormatError(f"pose must be {POSE_DIM} finite angles")
-        object.__setattr__(self, "pose", pose)
-        if self.observed_keypoints is not None:
-            kp = {k: np.asarray(v, dtype=float) for k, v in self.observed_keypoints.items()}
-            for name, v in kp.items():
-                if v.shape != (3,) or not np.isfinite(v).all():
-                    raise StreamFormatError(f"keypoint '{name}' must be a finite 3-vector")
-            object.__setattr__(self, "observed_keypoints", kp)
+
+def _listed(value):
+    """An array as nested lists, which float_rows' number rule takes."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-@dataclass(frozen=True)
 class HandPoseStream:
-    """A timestamped frame sequence at a nominal rate, with its header fields.
+    """A timestamped frame sequence at a nominal rate and its header fields, as
+    read-only columns, built from HandPoseFrame records or (read_stream) file
+    records. _check validates both: what it accepts, write_stream writes and
+    read_stream reads back."""
 
-    Checked when built: at least two frames, a positive finite rate, finite
-    and strictly increasing timestamps, a positive `sigma`, and each of the
-    HEADER_FIELDS present in `metadata` as that many finite numbers.
-    """
+    def __init__(self, frames: Sequence[HandPoseFrame], rate_hz: float, s0: HandShapeParams | None = None,
+                 sigma: np.ndarray | None = None, metadata: dict | None = None):
+        records = [{"t": f.timestamp, "pose": _listed(f.pose), "shape": _listed(f.shape.beta),
+                    "kp": {n: _listed(v) for n, v in (f.observed_keypoints or {}).items()}} for f in frames]
+        self._check(dict(enumerate(records)), rate_hz, s0, sigma, metadata)
 
-    frames: tuple[HandPoseFrame, ...]
-    rate_hz: float
-    s0: HandShapeParams | None = None
-    sigma: np.ndarray | None = None      # 10 positive diagonal entries
-    metadata: dict = field(default_factory=dict)
+    @classmethod
+    def _from_records(cls, *args) -> HandPoseStream:
+        (stream := cls.__new__(cls))._check(*args)
+        return stream
 
-    def __post_init__(self):
-        if len(self.frames) < 2:
+    def _check(self, records: dict[int, dict], rate_hz, s0, sigma, metadata):
+        """Check frame records {i: {t, pose, shape, kp}} (frame i named by key i;
+        a missing field counts as null) and the header; store them as columns."""
+        if len(records) < 2:
             raise StreamFormatError("stream needs at least 2 frames")
-        object.__setattr__(self, "rate_hz", finite_number(self.rate_hz, StreamFormatError, "rate_hz"))
-        if self.rate_hz <= 0:
+        rate_hz = finite_number(rate_hz, StreamFormatError, "rate_hz")
+        if rate_hz <= 0:
             raise StreamFormatError("rate_hz must be positive")
-        times = float_rows([[frame.timestamp for frame in self.frames]], len(self.frames),
-                           StreamFormatError, ["timestamps"])[0]
-        unordered = np.flatnonzero(times[1:] <= times[:-1])
+        index, rows = list(records), records.values()
+        t = np.array([finite_number(rec.get("t"), StreamFormatError, f"frame {i}: t") for i, rec in records.items()])
+        unordered = np.flatnonzero(t[1:] <= t[:-1])
         if unordered.size:
-            raise StreamFormatError(f"timestamps not strictly increasing at frame {unordered[0] + 1}")
-        for key, width in HEADER_FIELDS.items():
-            if key in self.metadata:
-                float_rows([self.metadata[key]], width, StreamFormatError, [key])
-        if self.sigma is not None:
-            sigma = np.asarray(self.sigma, dtype=float)
-            if sigma.shape != (SHAPE_DIM,) or not np.all(sigma > 0):
+            raise StreamFormatError(f"timestamps not strictly increasing at frame {index[unordered[0] + 1]}")
+
+        def column(key: str, width: int) -> np.ndarray:
+            return float_rows([rec.get(key) for rec in rows], width, StreamFormatError,
+                              (f"frame {i}: {key}" for i in index))
+
+        pose, shape = column("pose", POSE_DIM), np.clip(column("shape", SHAPE_DIM), -BETA_CLAMP, BETA_CLAMP)
+        kps = [{} if rec.get("kp") is None else rec["kp"] for rec in rows]
+        for i, kp in zip(index, kps):
+            if not (isinstance(kp, dict) and all(isinstance(name, str) for name in kp)):
+                raise StreamFormatError(f"frame {i}: kp must be an object of named points")
+        names = tuple(sorted(set().union(*kps)))
+        points = float_rows([v for kp in kps for v in kp.values()], 3, StreamFormatError,
+                            (f"frame {i}: keypoint '{name}'" for i, kp in zip(index, kps) for name in kp))
+        at = ([b for b, kp in enumerate(kps) for _ in kp], [names.index(name) for kp in kps for name in kp])
+        kp_points, kp_mask = np.zeros((len(t), len(names), 3)), np.zeros((len(t), len(names)), dtype=bool)
+        kp_points[at], kp_mask[at] = points, True
+        if sigma is not None:
+            sigma = float_rows([_listed(sigma)], SHAPE_DIM, StreamFormatError, ["sigma"])[0]
+            if not np.all(sigma > 0):
                 raise StreamFormatError("sigma must be 10 positive entries")
-            object.__setattr__(self, "sigma", sigma)
+        metadata = dict(metadata or {})
+        if clash := [key for key in RESERVED_KEYS if key in metadata]:
+            raise StreamFormatError(f"metadata key {clash[0]!r} is a stream header field")
+        for key, width in HEADER_FIELDS.items():
+            if key in metadata:
+                float_rows([metadata[key]], width, StreamFormatError, [key])
+        for array in (t, pose, shape, kp_points, kp_mask):
+            array.flags.writeable = False
+        vars(self).update(t=t, pose=pose, shape=shape, keypoint_names=names, kp=kp_points, kp_mask=kp_mask,
+                          rate_hz=rate_hz, s0=s0, sigma=sigma, metadata=metadata)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HandPoseStream is read-only: cannot set {name!r}")
 
     @property
     def dt(self) -> float:
         return 1.0 / self.rate_hz
 
+    @property
+    def frames(self) -> _Frames:
+        return _Frames(self)
+
     def pose_matrix(self) -> np.ndarray:
-        return np.stack([f.pose for f in self.frames])
+        """The read-only (T, 45) `pose` column."""
+        return self.pose
 
     @functools.cached_property
     def sha256(self) -> str:
@@ -101,18 +138,29 @@ class HandPoseStream:
         return hashlib.sha256(stream_to_text(self).encode()).hexdigest()
 
 
-def calibrate(frames) -> tuple[HandShapeParams, np.ndarray]:
-    """Per-coordinate mean and floored population variance of frame shapes.
+@dataclass(frozen=True)
+class _Frames(Sequence):
+    """A stream's read-only frame sequence: an index builds one HandPoseFrame, a slice a tuple."""
 
-    Pass the first K frames of a stream; K must be at least 10.
-    """
-    frames = list(frames)
-    if len(frames) < 10:
-        raise DataError(f"calibration needs at least 10 frames, got {len(frames)}")
-    shapes = np.stack([f.shape.beta for f in frames])
-    s0 = shapes.mean(axis=0)
-    var = shapes.var(axis=0)  # population variance (n divisor)
-    return HandShapeParams(s0), np.maximum(var, VARIANCE_FLOOR)
+    stream: HandPoseStream
+
+    def __len__(self) -> int:
+        return len(self.stream.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        s, i = self.stream, range(len(self))[index]
+        kp = {name: s.kp[i, k] for k, name in enumerate(s.keypoint_names) if s.kp_mask[i, k]}
+        return HandPoseFrame(float(s.t[i]), s.pose[i], HandShapeParams(s.shape[i]), kp or None)
+
+
+def calibrate(shapes: np.ndarray) -> tuple[HandShapeParams, np.ndarray]:
+    """Per-coordinate mean and floored population variance (n divisor) of
+    K >= 10 shape rows (K, 10), such as the first K rows of a stream's `shape`."""
+    if len(shapes) < 10:
+        raise DataError(f"calibration needs at least 10 frames, got {len(shapes)}")
+    return HandShapeParams(shapes.mean(axis=0)), np.maximum(shapes.var(axis=0), VARIANCE_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -125,54 +173,27 @@ def _dump_line(obj) -> str:
 
 def read_stream(path: str | Path) -> HandPoseStream:
     header, records = read_records(path, FORMAT_VERSION, StreamFormatError, "stream", "frame")
-    if "rate_hz" not in header:
-        raise StreamFormatError("stream header missing rate_hz")
-    s0, sigma = (float_rows([header[key]], SHAPE_DIM, StreamFormatError, [key])[0] if header.get(key) is not None
-                 else None for key in ("s0", "sigma"))
-    for i, rec in records.items():
-        missing = [key for key in ("t", "pose", "shape") if key not in rec]
-        if missing:
-            raise StreamFormatError(f"frame {i} missing field {missing[0]!r}")
-        if rec.get("kp") is not None and not isinstance(rec["kp"], dict):
-            raise StreamFormatError(f"frame {i}: kp must be a JSON object")
-    times = [finite_number(rec["t"], StreamFormatError, f"frame {i}: t") for i, rec in records.items()]
-
-    def column(key: str, width: int) -> np.ndarray:
-        return float_rows([rec[key] for rec in records.values()], width, StreamFormatError,
-                          (f"frame {i}: {key}" for i in records))
-
-    poses, shapes = column("pose", POSE_DIM), column("shape", SHAPE_DIM)
-    kps = [rec.get("kp") or {} for rec in records.values()]
-    points = iter(float_rows([v for kp in kps for v in kp.values()], 3, StreamFormatError,
-                             (f"frame {i}: keypoint '{name}'" for i, kp in zip(records, kps) for name in kp)))
-    frames = tuple(
-        HandPoseFrame(timestamp=t, pose=pose, shape=HandShapeParams(shape),
-                      observed_keypoints={name: next(points) for name in kp} if kp else None)
-        for t, pose, shape, kp in zip(times, poses, shapes, kps)
-    )
+    s0 = header.get("s0")
     if s0 is not None:
-        s0 = HandShapeParams(s0)
-    metadata = {k: v for k, v in header.items() if k not in ("format", "rate_hz", "s0", "sigma")}
-    return HandPoseStream(frames=frames, rate_hz=header["rate_hz"], s0=s0, sigma=sigma, metadata=metadata)
+        s0 = HandShapeParams(float_rows([s0], SHAPE_DIM, StreamFormatError, ["s0"])[0])
+    metadata = {k: v for k, v in header.items() if k not in RESERVED_KEYS}
+    return HandPoseStream._from_records(records, header.get("rate_hz"), s0, header.get("sigma"), metadata)
 
 
 def stream_to_text(stream: HandPoseStream) -> str:
     """Canonical serialization; read + re-serialize is byte-stable."""
     header = {"format": FORMAT_VERSION, "rate_hz": stream.rate_hz}
     if stream.s0 is not None:
-        header["s0"] = [float(v) for v in stream.s0.beta]
+        header["s0"] = stream.s0.beta.tolist()
     if stream.sigma is not None:
-        header["sigma"] = [float(v) for v in stream.sigma]
+        header["sigma"] = stream.sigma.tolist()
     header.update(stream.metadata)
     out = [_dump_line(header)]
-    for frame in stream.frames:
-        rec = {
-            "t": float(frame.timestamp),
-            "pose": [float(v) for v in frame.pose],
-            "shape": [float(v) for v in frame.shape.beta],
-        }
-        if frame.observed_keypoints is not None:
-            rec["kp"] = {k: [float(x) for x in v] for k, v in sorted(frame.observed_keypoints.items())}
+    for t, pose, shape, kp, seen in zip(stream.t.tolist(), stream.pose.tolist(), stream.shape.tolist(),
+                                        stream.kp.tolist(), stream.kp_mask.tolist()):
+        rec = {"t": t, "pose": pose, "shape": shape}
+        if any(seen):
+            rec["kp"] = {name: point for name, point, s in zip(stream.keypoint_names, kp, seen) if s}
         out.append(_dump_line(rec))
     return "\n".join(out) + "\n"
 
@@ -208,36 +229,30 @@ def _align(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 
 def solve_wrists(
-    canonical_keypoints: dict[str, np.ndarray],
-    observed_keypoints: list[dict[str, np.ndarray]],
+    canonical: np.ndarray, observed: np.ndarray, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
     """Least-squares rigid transforms T_b with T_b(canonical_b) ~ observed_b
     for B frames.
 
-    `canonical_keypoints` maps each name to its (B, 3) positions, one row per
-    frame; `observed_keypoints` holds the B frames' observations.
-    Correspondences are matched by shared name, and a frame needs at least 3
-    non-collinear points. Frames that share the same keypoint names are
-    solved with one stacked SVD. Returns the (B, 4) proper-rotation
-    quaternions, (B, 3) translations and (B,) RMS residuals in meters, and a
-    {frame: message} map of the frames rejected; their rows are NaN.
+    `canonical` and `observed` are (B, K, 3) stacks of the same K keypoints,
+    and the (B, K) `mask` marks the keypoints each frame observed; a frame
+    needs at least 3 observed, non-collinear points. Frames with the same
+    mask row are solved with one stacked SVD, their points in column order.
+    Returns the (B, 4) proper-rotation quaternions, (B, 3) translations and
+    (B,) RMS residuals in meters, and a {frame: message} map of the frames
+    rejected; their rows are NaN.
     """
-    n_frames = len(observed_keypoints)
-    rotation, translation = np.full((n_frames, 4), np.nan), np.full((n_frames, 3), np.nan)
-    residual = np.full(n_frames, np.nan)
+    rotation, translation = np.full((len(mask), 4), np.nan), np.full((len(mask), 3), np.nan)
+    residual = np.full(len(mask), np.nan)
     errors: dict[int, str] = {}
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for b, observed in enumerate(observed_keypoints):
-        names = tuple(sorted(set(canonical_keypoints) & set(observed)))
-        groups.setdefault(names, []).append(b)
-    for names, rows in groups.items():
-        if len(names) < 3:
-            errors.update(dict.fromkeys(rows, f"need at least 3 shared keypoints, got {len(names)}"))
+    patterns, group = np.unique(mask, axis=0, return_inverse=True)
+    for g, pattern in enumerate(patterns):
+        rows, cols = np.flatnonzero(group == g), np.flatnonzero(pattern)
+        if len(cols) < 3:
+            errors.update(dict.fromkeys(rows.tolist(), f"need at least 3 shared keypoints, got {len(cols)}"))
             continue
-        src = np.stack([np.asarray(canonical_keypoints[n], dtype=float)[rows] for n in names], axis=1)
-        dst = np.array([[observed_keypoints[b][n] for n in names] for b in rows], dtype=float)
-        rot, trans, res, collinear = _align(src, dst)
-        rows = np.array(rows)
+        at = np.ix_(rows, cols)
+        rot, trans, res, collinear = _align(canonical[at], observed[at])
         errors.update(dict.fromkeys(rows[collinear].tolist(),
                                     "keypoint configuration is collinear; wrist rotation is ambiguous"))
         good = ~collinear

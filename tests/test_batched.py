@@ -326,31 +326,26 @@ def test_quaternion_helpers_broadcast_like_single_calls():
 
 def test_solve_wrists_matches_single_solves_and_flags_bad_frames():
     rng = np.random.default_rng(10)
-    names = [f"p{i}" for i in range(5)]
-    canonical, observed = {n: [] for n in names}, []
-    for _ in range(8):
-        pts = {n: rng.uniform(-0.1, 0.1, size=3) for n in names}
+    canonical, observed = np.zeros((8, 5, 3)), np.zeros((8, 5, 3))
+    mask = np.ones((8, 5), dtype=bool)
+    for b in range(8):
+        canonical[b] = rng.uniform(-0.1, 0.1, size=(5, 3))
         truth = RigidTransform(quat_from_rpy(*rng.uniform(-np.pi, np.pi, 3)), rng.uniform(-1, 1, 3))
-        for n in names:
-            canonical[n].append(pts[n])
-        observed.append({n: truth.apply(v) + rng.normal(scale=1e-3, size=3) for n, v in pts.items()})
-    for i, n in enumerate(names):  # frame 2 collinear
-        canonical[n][2] = np.array([0.02 * i, 0.0, 0.0])
-        observed[2][n] = np.array([0.02 * i, 0.0, 0.0])
-    observed[4] = {n: observed[4][n] for n in names[:2]}  # frame 4: two shared points
-    # Frames 6 and 7 share four names and are both collinear: a group whose
-    # stack of good rows is empty.
+        observed[b] = [truth.apply(v) + rng.normal(scale=1e-3, size=3) for v in canonical[b]]
+    canonical[2] = observed[2] = [[0.02 * i, 0.0, 0.0] for i in range(5)]  # frame 2 collinear
+    mask[4, 2:] = False  # frame 4: two observed points
+    # Frames 6 and 7 observe four points and are both collinear: a group
+    # whose stack of good rows is empty.
+    mask[6:, 4] = False
     for b in (6, 7):
-        observed[b] = {n: np.array([0.0, 0.03 * i, 0.0]) for i, n in enumerate(names[:4])}
-        for i, n in enumerate(names[:4]):
-            canonical[n][b] = np.array([0.0, 0.0, 0.01 * i])
-    canonical = {n: np.array(v) for n, v in canonical.items()}
+        observed[b, :4] = [[0.0, 0.03 * i, 0.0] for i in range(4)]
+        canonical[b, :4] = [[0.0, 0.0, 0.01 * i] for i in range(4)]
 
-    rotation, translation, residual, errors = solve_wrists(canonical, observed)
+    rotation, translation, residual, errors = solve_wrists(canonical, observed, mask)
     assert rotation.shape == (8, 4) and translation.shape == (8, 3) and residual.shape == (8,)
     assert sorted(errors) == [2, 4, 6, 7]
     for b in range(8):
-        single = solve_wrists({n: v[b : b + 1] for n, v in canonical.items()}, observed[b : b + 1])
+        single = solve_wrists(canonical[b : b + 1], observed[b : b + 1], mask[b : b + 1])
         assert single[3] == ({0: errors[b]} if b in errors else {})
         if b in errors:
             assert np.isnan(rotation[b]).all() and np.isnan(translation[b]).all()

@@ -23,10 +23,10 @@ from dexretarget.demopipe import (
     translate_timed,
     write_demo,
 )
-from dexretarget.errors import DataError, DemoFormatError
+from dexretarget.errors import DataError, DemoFormatError, StreamFormatError
 from dexretarget.handgen import HandShapeParams, build_custom_hand
 from dexretarget.kinematics import forward_kinematics, load_robot, write_robot
-from dexretarget.poseio import HandPoseFrame, HandPoseStream, read_stream
+from dexretarget.poseio import HandPoseFrame, HandPoseStream, read_stream, write_stream
 from dexretarget.retarget import KeypointMap, RetargetProblem, retarget_frame, write_keypoint_map
 from dexretarget.transforms import RigidTransform, quat_from_rpy
 
@@ -319,6 +319,26 @@ def test_translate_all_serializes_the_stream_once(sample_stream, monkeypatch):
     assert {d.provenance["stream_sha256"] for d, _ in results.values()} == {digest}
 
 
+def test_stream_io_and_translation_build_no_frame_records(short_stream, tmp_path, monkeypatch):
+    built = []
+    real = HandPoseFrame.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(HandPoseFrame, "__init__", counting)
+    write_stream(short_stream, tmp_path / "short.jsonl")
+    stream = read_stream(tmp_path / "short.jsonl")
+    assert len(stream.frames) == 40
+    results, errors = translate_all(stream, {n: make_config(n) for n in ("schunk", "adroit", "allegro")})
+    assert errors == {} and len(results) == 3
+    assert built == []
+    # The counter sees the records that the frames view builds on demand.
+    assert stream.frames[-1].timestamp == stream.t[-1] and len(built) == 1
+    assert len(stream.frames[2:5]) == 3 and len(built) == 4
+
+
 def _count_stream_stage_calls(monkeypatch) -> dict[str, int]:
     """Count the stream stage's expensive calls: the customized hand's build,
     its FK and the wrist solve."""
@@ -379,13 +399,12 @@ def test_translate_timed_raises_what_translate_all_reports(short_stream, tmp_pat
     assert type(info.value) is type(errors["one"]) and str(info.value) == str(errors["one"])
 
 
-def test_nonfinite_source_frame_is_named_by_the_retarget_stage(sample_stream):
+def test_nonfinite_source_frame_is_named_when_the_stream_is_built(sample_stream):
     frames = [replace(f, pose=f.pose.copy()) for f in sample_stream.frames[:40]]
-    # Frames reject non-finite poses when built; changing the array afterwards
-    # reaches the retarget stage's own check of the whole trajectory.
+    # Frame records are not checked; the stream checks every pose column once.
     frames[17].pose[3] = np.nan
-    with pytest.raises(DataError, match="^retarget stage: frame 17: .*non-finite"):
-        translate(HandPoseStream(tuple(frames), sample_stream.rate_hz), make_config("allegro"))
+    with pytest.raises(StreamFormatError, match="^frame 17: pose must be 45 finite numbers$"):
+        HandPoseStream(tuple(frames), sample_stream.rate_hz)
 
 
 def test_demonstration_validates_shapes():

@@ -17,6 +17,7 @@ import os
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dexretarget.assets import asset_path, robot_path, sample_stream_path
@@ -24,9 +25,9 @@ from dexretarget.cli import main
 from dexretarget.dapg import DapgConfig, demos_from_expert, train
 from dexretarget.demopipe import PipelineConfig, read_config_object, read_demo, write_demo
 from dexretarget.errors import DataError, DexError, atomic_write_text
-from dexretarget.handgen import load_template
+from dexretarget.handgen import HandShapeParams, load_template
 from dexretarget.kinematics import load_robot, write_robot
-from dexretarget.poseio import HandPoseStream, read_stream, stream_to_text, write_stream
+from dexretarget.poseio import HandPoseFrame, HandPoseStream, read_stream, stream_to_text, write_stream
 from dexretarget.retarget import read_keypoint_map, write_keypoint_map
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -228,6 +229,64 @@ def test_only_errors_module_reads_files():
 
 def test_only_errors_module_writes_files():
     _check_only_errors_module_calls(FILE_WRITES)
+
+
+def test_only_poseio_names_frame_records():
+    """The pipeline works on a stream's columns: no module but poseio names
+    HandPoseFrame or reads a `frames` attribute."""
+    offenders = {}
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "poseio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.Name) and node.id == "HandPoseFrame")
+                    or (isinstance(node, ast.alias) and node.name == "HandPoseFrame")
+                    or (isinstance(node, ast.Attribute) and node.attr in ("HandPoseFrame", "frames"))):
+                offenders.setdefault(str(path.relative_to(SRC)), []).append(node.lineno)
+    assert offenders == {}
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_SHAPE = st.lists(_FINITE, min_size=10, max_size=10).map(lambda beta: HandShapeParams(np.array(beta)))
+_KEYPOINTS = st.none() | st.dictionaries(st.sampled_from(["index_tip", "thumb_tip", "wrist", "é"]),
+                                         st.lists(_FINITE, min_size=3, max_size=3).map(np.array))
+
+
+@st.composite
+def _streams(draw) -> HandPoseStream:
+    """Streams of 2-6 frames whose keypoint name sets differ and have gaps."""
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=6))
+    times = np.cumsum(steps) + draw(st.floats(min_value=-1e3, max_value=1e3))
+    frames = [HandPoseFrame(float(t), np.array(draw(st.lists(_FINITE, min_size=45, max_size=45))), draw(_SHAPE),
+                            draw(_KEYPOINTS)) for t in times]
+    metadata = draw(st.fixed_dictionaries({}, optional={
+        "object_pose": st.lists(_FINITE, min_size=7, max_size=7),
+        "target_position": st.lists(_FINITE, min_size=3, max_size=3),
+        "operator": st.text(max_size=8),
+    }))
+    return HandPoseStream(frames, draw(_POSITIVE), s0=draw(st.none() | _SHAPE),
+                          sigma=draw(st.none() | st.lists(_POSITIVE, min_size=10, max_size=10)), metadata=metadata)
+
+
+@FUZZ
+@given(stream=_streams())
+def test_accepted_streams_round_trip(stream, tmp_path):
+    """Whatever HandPoseStream accepts, write_stream writes, read_stream reads
+    back with equal columns, and a re-write reproduces byte for byte."""
+    path = tmp_path / "s.jsonl"
+    write_stream(stream, path)
+    first = path.read_bytes()
+    back = read_stream(path)
+    for column in ("t", "pose", "shape", "kp", "kp_mask", "sigma"):
+        np.testing.assert_array_equal(getattr(back, column), getattr(stream, column))
+    assert back.keypoint_names == stream.keypoint_names
+    assert (back.rate_hz, back.metadata) == (stream.rate_hz, stream.metadata)
+    assert (back.s0 is None) == (stream.s0 is None)
+    if stream.s0 is not None:
+        np.testing.assert_array_equal(back.s0.beta, stream.s0.beta)
+    write_stream(back, path)
+    assert path.read_bytes() == first
 
 
 def _train(path: Path):

@@ -118,7 +118,7 @@ def test_stream_timestamps_must_be_finite(bad, at):
     # through, and write_stream then writes a file that read_stream rejects.
     times = [0.0, 0.04, 0.08]
     times[at] = bad
-    with pytest.raises(StreamFormatError, match="timestamps must be 3 finite numbers"):
+    with pytest.raises(StreamFormatError, match=f"^frame {at}: t must be a finite number"):
         HandPoseStream(tuple(make_frame(t) for t in times), 25.0)
 
 
@@ -138,36 +138,83 @@ def test_stream_header_fields_are_checked_when_built(key, value):
         make_stream(n=3, metadata={key: value})
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"sigma": np.r_[np.full(9, 0.01), np.inf]}, "sigma"),
+    ({"metadata": {"format": "x"}}, "'format'"),
+    ({"metadata": {"rate_hz": 50.0}}, "'rate_hz'"),
+    ({"metadata": {"s0": [0.0] * 10}}, "'s0'"),
+    ({"metadata": {"sigma": [1.0] * 10}}, "'sigma'"),
+], ids=["sigma-inf", "metadata-format", "metadata-rate_hz", "metadata-s0", "metadata-sigma"])
+def test_stream_rejects_what_its_file_could_not_hold(kwargs, field):
+    # Each would otherwise be written into a file that read_stream rejects.
+    with pytest.raises(StreamFormatError, match=field):
+        make_stream(n=3, **kwargs)
+
+
+def test_stream_holds_read_only_columns():
+    kp = {"b": np.array([1.0, 2.0, 3.0]), "a": np.array([4.0, 5.0, 6.0])}
+    frames = (make_frame(0.0, kp=kp), make_frame(0.04), make_frame(0.08, kp={"c": np.zeros(3)}))
+    stream = HandPoseStream(frames, 25.0)
+    assert stream.keypoint_names == ("a", "b", "c")
+    assert stream.kp_mask.tolist() == [[True, True, False], [False, False, False], [False, False, True]]
+    assert stream.kp[0].tolist() == [[4.0, 5.0, 6.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]
+    assert stream.t.shape == (3,) and stream.pose.shape == (3, 45) and stream.shape.shape == (3, 10)
+    for column in (stream.t, stream.pose, stream.shape, stream.kp, stream.kp_mask):
+        assert not column.flags.writeable
+    with pytest.raises(AttributeError):
+        stream.rate_hz = 30.0
+
+
+def test_frames_view_builds_records_on_demand():
+    frames = (make_frame(0.0, kp={"a": np.ones(3)}), make_frame(0.04), make_frame(0.08))
+    view = HandPoseStream(frames, 25.0).frames
+    assert len(view) == 3 and view[1].observed_keypoints is None
+    assert view[0].observed_keypoints["a"].tolist() == [1.0, 1.0, 1.0]
+    assert view[-1].timestamp == 0.08 and [f.timestamp for f in view[1:]] == [0.04, 0.08]
+    assert isinstance(view[:2], tuple) and len(view[:2]) == 2
+    with pytest.raises(IndexError):
+        view[3]
+
+
+def test_read_stream_clamps_shapes_once(tmp_path):
+    path = tmp_path / "s.jsonl"
+    write_stream(make_stream(n=3), path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace('"shape": [0.0, 0.0', '"shape": [7.5, -6.0')
+    path.write_text("\n".join(lines) + "\n")
+    stream = read_stream(path)
+    assert stream.shape[1, :3].tolist() == [5.0, -5.0, 0.0]
+    assert stream.frames[1].shape.beta[:2].tolist() == [5.0, -5.0]
+    write_stream(stream, path)
+    assert '"shape": [5.0, -5.0' in path.read_text().splitlines()[2]
+
+
 # --- calibration ------------------------------------------------------------
 
 def test_calibrate_constant_shapes_hits_variance_floor():
     s = np.linspace(-0.5, 0.5, 10)
-    frames = [make_frame(i * 0.04, shape=s) for i in range(12)]
-    s0, sigma = calibrate(frames)
+    s0, sigma = calibrate(np.tile(s, (12, 1)))
     assert s0.beta == pytest.approx(s, abs=1e-15)
     assert sigma == pytest.approx(np.full(10, 1e-6))
 
 
 def test_calibrate_two_point_distribution_variance():
     d = np.linspace(0.1, 1.0, 10)
-    frames = [make_frame(i * 0.04, shape=((-1) ** i) * d) for i in range(20)]
-    s0, sigma = calibrate(frames)
+    s0, sigma = calibrate(np.array([((-1) ** i) * d for i in range(20)]))
     assert s0.beta == pytest.approx(np.zeros(10), abs=1e-12)
     assert sigma == pytest.approx(d**2, rel=1e-12)
 
 
 def test_calibrate_requires_ten_frames():
-    frames = [make_frame(i * 0.04) for i in range(3)]
     with pytest.raises(DataError):
-        calibrate(frames)
+        calibrate(np.zeros((3, 10)))
 
 
 def test_calibrate_is_permutation_invariant():
     rng = np.random.default_rng(4)
-    frames = [make_frame(i * 0.04, shape=rng.normal(size=10)) for i in range(15)]
-    s0a, va = calibrate(frames)
-    perm = [frames[i] for i in rng.permutation(15)]
-    s0b, vb = calibrate(perm)
+    shapes = rng.normal(size=(15, 10))
+    s0a, va = calibrate(shapes)
+    s0b, vb = calibrate(shapes[rng.permutation(15)])
     assert s0a.beta == pytest.approx(s0b.beta, abs=1e-12)
     assert va == pytest.approx(vb, rel=1e-9)
 
@@ -180,10 +227,14 @@ def canonical_points(rng=None, n=5):
 
 
 def solve_one(canonical, observed):
-    """solve_wrists on a one-frame stack: the transform (None if the frame is
-    rejected), the RMS residual and the {frame: message} map."""
+    """solve_wrists on a one-frame stack of the keypoints both name: the
+    transform (None if the frame is rejected), the RMS residual and the
+    {frame: message} map."""
+    names = sorted(set(canonical) & set(observed))
     rotation, translation, residual, errors = solve_wrists(
-        {k: np.asarray(v)[None] for k, v in canonical.items()}, [observed])
+        np.array([[canonical[n] for n in names]], dtype=float).reshape(1, len(names), 3),
+        np.array([[observed[n] for n in names]], dtype=float).reshape(1, len(names), 3),
+        np.ones((1, len(names)), dtype=bool))
     return None if errors else RigidTransform(rotation[0], translation[0]), residual[0], errors
 
 
