@@ -9,6 +9,9 @@ computes actions (filtered position targets or torques) and assembles them.
 Demonstration files are line-delimited JSON (`dexdemo/1`): a header with the
 layouts, then one record per step. The convention is one action per
 transition, so a demonstration always has len(states) == len(actions) + 1.
+Demonstration's constructor is the one place that decides what a
+demonstration is; read_demo keeps only the file framing and hands the
+header values to it.
 """
 from __future__ import annotations
 
@@ -112,8 +115,47 @@ class PipelineConfig:
         return json.dumps(doc, sort_keys=True)
 
 
+def _layout(layout, key: str) -> tuple[tuple[str, int], ...]:
+    """A layout as a tuple of (name, width) pairs: a list or tuple of pairs
+    of a string and a non-negative integer."""
+    if not isinstance(layout, (list, tuple)):
+        raise DemoFormatError(f"{key} must be a list of [name, width] pairs")
+    for i, entry in enumerate(layout):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], str)
+                and is_number(entry[1], Integral) and entry[1] >= 0):
+            raise DemoFormatError(must_be(f"{key}[{i}]", "a [name, width] pair with a width >= 0", entry))
+    return tuple((name, int(width)) for name, width in layout)
+
+
+def _width(layout, key: str) -> int:
+    return sum(width for _, width in _layout(layout, key))
+
+
+def _rows(rows, width: int, kind: str) -> np.ndarray:
+    """`rows` as a (T, width) array of finite floats."""
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DemoFormatError(f"{kind}s must be an array of numbers") from exc
+    if arr.ndim != 2:
+        raise DemoFormatError(f"{kind}s must be a 2-D array, got shape {arr.shape}")
+    if arr.shape[1] != width:
+        raise DemoFormatError(f"{kind} width does not match {kind}_layout")
+    if not np.isfinite(arr).all():
+        raise DemoFormatError(f"{kind}s must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class Demonstration:
+    """One demonstration. Its constructor is the one check of what a
+    demonstration is, so what it accepts, write_demo writes and read_demo
+    reads back: `robot` and `task` are strings, `dt` is a finite positive
+    number, each layout is (name, width) pairs of a string and a
+    non-negative integer (lists are taken and stored as tuples), `states`
+    and `actions` are finite 2-D arrays of their layout's total width, and
+    there is one more state than actions."""
+
     robot: str
     task: str
     dt: float
@@ -124,20 +166,20 @@ class Demonstration:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
-        actions = np.asarray(self.actions, dtype=float)
+        if not (isinstance(self.robot, str) and isinstance(self.task, str) and isinstance(self.provenance, dict)):
+            raise DemoFormatError("robot and task must be strings and provenance a JSON object")
+        if not is_number(self.dt):
+            raise DemoFormatError(must_be("dt", "a number", self.dt))
         if not 0 < self.dt < math.inf:  # NaN fails too
             raise DemoFormatError("dt must be positive and finite")
-        if states.shape[0] != actions.shape[0] + 1:
-            raise DemoFormatError(
-                f"expected len(states) == len(actions) + 1, got {states.shape[0]} vs {actions.shape[0]}"
-            )
-        if states.shape[1] != sum(w for _, w in self.state_layout):
-            raise DemoFormatError("state width does not match state_layout")
-        if actions.shape[1] != sum(w for _, w in self.action_layout):
-            raise DemoFormatError("action width does not match action_layout")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
+        state_layout = _layout(self.state_layout, "state_layout")
+        action_layout = _layout(self.action_layout, "action_layout")
+        states = _rows(self.states, sum(w for _, w in state_layout), "state")
+        actions = _rows(self.actions, sum(w for _, w in action_layout), "action")
+        if len(states) != len(actions) + 1:
+            raise DemoFormatError(f"expected len(states) == len(actions) + 1, got {len(states)} vs {len(actions)}")
+        vars(self).update(dt=float(self.dt), state_layout=state_layout, action_layout=action_layout,
+                          states=states, actions=actions)
 
 
 def _wrist_trajectory(
@@ -333,30 +375,16 @@ def write_demo(demo: Demonstration, path: str | Path):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _layout(header: dict, key: str) -> tuple[tuple[str, int], ...]:
-    """A header layout: [name, width] pairs of a string and a non-negative integer."""
-    layout = header[key]
-    if not isinstance(layout, list):
-        raise DemoFormatError(f"{key} must be a list of [name, width] pairs")
-    for i, entry in enumerate(layout):
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-                and is_number(entry[1], Integral) and entry[1] >= 0):
-            raise DemoFormatError(must_be(f"{key}[{i}]", "a [name, width] pair with a width >= 0", entry))
-    return tuple(map(tuple, layout))
-
-
 def read_demo(path: str | Path) -> Demonstration:
+    """Read a demonstration file; the header values go to the Demonstration
+    constructor, which checks them. Rows are read at their layouts' widths,
+    each named by its record."""
     header, records = read_records(path, DEMO_FORMAT, DemoFormatError, "demonstration", "record")
     try:
         robot, task, dt = header["robot"], header["task"], header["dt"]
-        state_layout, action_layout = _layout(header, "state_layout"), _layout(header, "action_layout")
+        state_layout, action_layout = header["state_layout"], header["action_layout"]
     except KeyError as exc:
         raise DemoFormatError(f"demonstration header missing {exc}") from exc
-    provenance = {} if header.get("provenance") is None else header["provenance"]
-    if not (isinstance(robot, str) and isinstance(task, str) and isinstance(provenance, dict)):
-        raise DemoFormatError("robot and task must be strings and provenance a JSON object")
-    if not is_number(dt):
-        raise DemoFormatError(must_be("dt", "a number", dt))
     for i, rec in records.items():
         if "state" not in rec:
             raise DemoFormatError(f"record {i} has no state")
@@ -364,12 +392,12 @@ def read_demo(path: str | Path) -> Demonstration:
     return Demonstration(
         robot=robot,
         task=task,
-        dt=float(dt),
+        dt=dt,
         state_layout=state_layout,
         action_layout=action_layout,
-        states=float_rows([rec["state"] for rec in records.values()], sum(w for _, w in state_layout),
+        states=float_rows([rec["state"] for rec in records.values()], _width(state_layout, "state_layout"),
                           DemoFormatError, (f"record {i}: state" for i in records)),
-        actions=float_rows([records[i]["action"] for i in acted], sum(w for _, w in action_layout),
+        actions=float_rows([records[i]["action"] for i in acted], _width(action_layout, "action_layout"),
                            DemoFormatError, (f"record {i}: action" for i in acted)),
-        provenance=provenance,
+        provenance={} if header.get("provenance") is None else header["provenance"],
     )

@@ -5,6 +5,11 @@ plus a linear basis that maps a 10-coefficient shape vector onto per-segment
 bone-length offsets. Every anatomical joint is three stacked single-axis
 revolute joints in x, y, z order, so the hand has 5 * 3 * 3 = 45 actuated
 joints and one fingertip keypoint per finger.
+
+build_custom_hand writes the hand's robot description document (links,
+revolute joints, inertials, keypoints and geometry) and loads it with
+kinematics.load_robot, the one way to build a tree, so the hand is checked
+as a `.robot` file is and dump_robot writes the document it was built from.
 """
 from __future__ import annotations
 
@@ -18,8 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DataError, float_rows, parse_object, read_text
-from .kinematics import Inertial, Joint, Keypoint, KinematicTree, Link, build_tree
-from .transforms import RigidTransform, quat_from_rpy
+from .kinematics import KinematicTree, load_robot
 
 SHAPE_DIM = 10
 FINGERS = ("thumb", "index", "middle", "ring", "pinky")
@@ -27,7 +31,7 @@ SEGMENTS_PER_FINGER = 3
 NUM_BONES = len(FINGERS) * SEGMENTS_PER_FINGER
 JOINT_LIMIT = 1.6  # rad, applied symmetrically to every stacked axis
 BETA_CLAMP = 5.0
-_AXES = (("x", np.array([1.0, 0.0, 0.0])), ("y", np.array([0.0, 1.0, 0.0])), ("z", np.array([0.0, 0.0, 1.0])))
+_AXES = (("x", [1.0, 0.0, 0.0]), ("y", [0.0, 1.0, 0.0]), ("z", [0.0, 0.0, 1.0]))
 _BONE_DENSITY = 1000.0  # kg/m^3, water-like soft tissue stand-in
 # Distinct template texts whose templates load_template keeps, and
 # (shape, template, name) keys whose hands build_custom_hand keeps (about
@@ -148,8 +152,11 @@ def _template_from_text(text: str) -> HandTemplate:
         raise DataError(f"malformed hand template: {exc}") from exc
 
 
+@functools.cache
 def default_template() -> HandTemplate:
-    """The shipped average-adult-male template (total length 0.193 m)."""
+    """The shipped average-adult-male template (total length 0.193 m). Its
+    file is read once per process: it ships with the package and is not
+    edited while the package runs, unlike a template given by path."""
     ref = resources.files("dexretarget").joinpath("assets/hand_template.json")
     return load_template(Path(str(ref)))
 
@@ -171,72 +178,50 @@ def build_custom_hand(shape: HandShapeParams, template: HandTemplate | None = No
     return _custom_hand(shape.beta.tobytes(), template, name)
 
 
+def _inertial(link: str, mass: float, com_x: float, diagonal: tuple[float, float, float]) -> dict:
+    """An `inertials` entry: a body whose COM lies on its link's x-axis and
+    whose inertia about it is diagonal in the link frame."""
+    ixx, iyy, izz = diagonal
+    return {"link": link, "mass": mass, "com": [com_x, 0.0, 0.0], "inertia_6": [ixx, 0.0, 0.0, iyy, 0.0, izz]}
+
+
 @functools.lru_cache(maxsize=HAND_CACHE_SIZE)
 def _custom_hand(beta: bytes, template: HandTemplate, name: str) -> KinematicTree:
     # The key holds the template, so its identity cannot be reused while the hand lives.
-    lengths = template.bone_lengths(HandShapeParams(np.frombuffer(beta)))
+    lengths = template.bone_lengths(HandShapeParams(np.frombuffer(beta))).tolist()
 
-    palm = template.palm_box
+    palm = template.palm_box.tolist()
     palm_mass = 0.2
-    links = [Link("palm", None, RigidTransform())]
-    joints: list[Joint] = []
-    inertials = [
-        Inertial(
-            "palm",
-            palm_mass,
-            np.array([palm[0] / 2, 0.0, 0.0]),
-            np.diag(
-                [
-                    palm_mass / 12 * (palm[1] ** 2 + palm[2] ** 2),
-                    palm_mass / 12 * (palm[0] ** 2 + palm[2] ** 2),
-                    palm_mass / 12 * (palm[0] ** 2 + palm[1] ** 2),
-                ]
-            ),
-        )
-    ]
+    links = [{"id": "palm", "parent": None, "origin_xyz": [0.0, 0.0, 0.0], "origin_rpy": [0.0, 0.0, 0.0]}]
+    joints = []
+    palm_inertia = (palm_mass / 12 * (palm[1] ** 2 + palm[2] ** 2), palm_mass / 12 * (palm[0] ** 2 + palm[2] ** 2),
+                    palm_mass / 12 * (palm[0] ** 2 + palm[1] ** 2))
+    inertials = [_inertial("palm", palm_mass, palm[0] / 2, palm_inertia)]
     keypoints = []
-    geometry = [{"link": "palm", "kind": "box", "size": [float(v) for v in palm]}]
+    geometry = [{"link": "palm", "kind": "box", "size": palm}]
 
     for fi, finger in enumerate(FINGERS):
         spec = template.fingers[finger]
         parent = "palm"
-        origin_xyz = spec.base_xyz
-        origin_rpy = tuple(float(v) for v in spec.base_rpy)
+        origin_xyz, origin_rpy = spec.base_xyz.tolist(), spec.base_rpy.tolist()
         for seg in range(SEGMENTS_PER_FINGER):
-            length = float(lengths[fi * SEGMENTS_PER_FINGER + seg])
+            length = lengths[fi * SEGMENTS_PER_FINGER + seg]
             radius = float(spec.radii[seg])
             for axis_name, axis in _AXES:
                 lid = f"{finger}_{seg + 1}{axis_name}"
-                if axis_name == "x":
-                    origin = RigidTransform(quat_from_rpy(*origin_rpy), origin_xyz)
-                    links.append(Link(lid, parent, origin, origin_rpy))
-                else:
-                    links.append(Link(lid, parent, RigidTransform(), (0.0, 0.0, 0.0)))
-                joints.append(
-                    Joint(lid, "revolute", axis, -JOINT_LIMIT, JOINT_LIMIT, 0.0)
-                )
+                # The x link carries the segment's origin; y and z stack on it.
+                links.append({"id": lid, "parent": parent, "origin_xyz": origin_xyz, "origin_rpy": origin_rpy})
+                joints.append({"child_link": lid, "type": "revolute", "axis": axis,
+                               "limit_lower": -JOINT_LIMIT, "limit_upper": JOINT_LIMIT, "damping": 0.0})
+                origin_xyz, origin_rpy = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
                 parent = lid
             # The z link carries the bone; its frame x-axis runs along the bone.
             bone_mass = _BONE_DENSITY * np.pi * radius**2 * length
-            inertials.append(
-                Inertial(
-                    parent,
-                    bone_mass,
-                    np.array([length / 2, 0.0, 0.0]),
-                    np.diag(
-                        [
-                            0.5 * bone_mass * radius**2,
-                            bone_mass * (3 * radius**2 + length**2) / 12,
-                            bone_mass * (3 * radius**2 + length**2) / 12,
-                        ]
-                    ),
-                )
-            )
-            geometry.append(
-                {"link": parent, "kind": "capsule", "radius": radius, "length": length}
-            )
-            origin_xyz = np.array([length, 0.0, 0.0])
-            origin_rpy = (0.0, 0.0, 0.0)
-        keypoints.append(Keypoint(f"{finger}_tip", parent, origin_xyz.copy()))
+            bending = bone_mass * (3 * radius**2 + length**2) / 12
+            inertials.append(_inertial(parent, bone_mass, length / 2, (0.5 * bone_mass * radius**2, bending, bending)))
+            geometry.append({"link": parent, "kind": "capsule", "radius": radius, "length": length})
+            origin_xyz = [length, 0.0, 0.0]
+        keypoints.append({"name": f"{finger}_tip", "link": parent, "offset": origin_xyz})
 
-    return build_tree(name, links, joints, inertials, keypoints, geometry)
+    return load_robot({"name": name, "links": links, "joints": joints, "inertials": inertials,
+                       "keypoints": keypoints, "geometry": geometry})

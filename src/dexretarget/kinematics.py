@@ -7,6 +7,13 @@ own frame (right-handed, zero angle = description pose). Joint vectors are
 plain float arrays ordered by the tree's canonical actuated ordering, which
 is the order of appearance in the description's joint list.
 
+A tree is built only from its description document: load_robot checks each
+field by the number rule in errors.py and _finalize checks the tree, so
+what load_robot accepts, write_robot writes and load_robot reads back.
+Every other tree, the customized hand included (handgen), is a document
+given to load_robot. Link, Joint, Inertial and Keypoint are the tree's
+read-only element records; each Link keeps the origin_rpy it was read with.
+
 Forward kinematics works on homogeneous 4x4 link frames: _link_poses gives
 every link's world frame (B, n_links, 4, 4), each depth level one product of
 its parents' frames and its local frames [[origin_rot @ joint, origin_trans],
@@ -48,7 +55,7 @@ class Link:
     id: str
     parent: str | None
     origin: RigidTransform
-    rpy: tuple[float, float, float] | None = None  # as written in the description
+    rpy: tuple[float, float, float]  # origin_rpy as written in the description
 
 
 @dataclass(frozen=True)
@@ -188,7 +195,8 @@ def _plain(value):
 
 
 def _finalize(tree: KinematicTree) -> KinematicTree:
-    """Validate all invariants, attach traversal caches and make the tree read-only."""
+    """Validate all invariants, attach traversal caches and make the tree
+    read-only: the last step of reading a description document."""
     index = {}
     for link in tree.links:
         if link.id in index:
@@ -339,36 +347,6 @@ def _finalize(tree: KinematicTree) -> KinematicTree:
     return tree
 
 
-def build_tree(
-    name: str,
-    links: list[Link],
-    joints: list[Joint],
-    inertials: list[Inertial] = (),
-    keypoints: list[Keypoint] = (),
-    geometry: list[dict] = (),
-) -> KinematicTree:
-    """Assemble and validate a tree from parts (joint order is canonical)."""
-    joint_map: dict[str, Joint] = {}
-    for j in joints:
-        if j.child_link in joint_map:
-            raise DescriptionError("link has multiple joints", element=j.child_link)
-        joint_map[j.child_link] = j
-    inert_map = {}
-    for inert in inertials:
-        if inert.link in inert_map:
-            raise DescriptionError("link has multiple inertials", element=inert.link)
-        inert_map[inert.link] = inert
-    tree = KinematicTree(
-        name=name,
-        links=tuple(links),
-        joints=MappingProxyType(joint_map),
-        inertials=MappingProxyType(inert_map),
-        keypoints=tuple(keypoints),
-        geometry=tuple(_frozen(g) for g in geometry),
-    )
-    return _finalize(tree)
-
-
 # ---------------------------------------------------------------------------
 # Description document I/O
 # ---------------------------------------------------------------------------
@@ -436,40 +414,31 @@ def _tree_from_document(doc: dict) -> KinematicTree:
         parent = _name(raw, "parent", lid, required=False)
         xyz = _vec(raw.get("origin_xyz", (0, 0, 0)), 3, "origin_xyz", lid)
         rpy = _vec(raw.get("origin_rpy", (0, 0, 0)), 3, "origin_rpy", lid)
-        links.append(Link(lid, parent, RigidTransform(quat_from_rpy(*rpy), xyz), tuple(float(v) for v in rpy)))
+        links.append(Link(lid, parent, RigidTransform(quat_from_rpy(*rpy), xyz), tuple(rpy.tolist())))
     if not links:
         raise DescriptionError("robot description has no links")
 
-    joints = []
+    joints: dict[str, Joint] = {}  # keyed by child link, in description order
     for i, raw in enumerate(_entries(doc, "joints")):
         child = _name(raw, "child_link", f"joints[{i}]")
+        if child in joints:
+            raise DescriptionError("link has multiple joints", element=child)
         jtype = raw.get("type", REVOLUTE)
-        axis = None
-        if jtype == REVOLUTE:
-            axis = _vec(raw.get("axis", (0, 0, 1)), 3, "axis", child)
-        joints.append(
-            Joint(
-                child_link=child,
-                type=jtype,
-                axis=axis,
-                lower=_number(raw, "limit_lower", 0.0, child),
-                upper=_number(raw, "limit_upper", 0.0, child),
-                damping=_number(raw, "damping", 0.0, child),
-            )
-        )
+        axis = _vec(raw.get("axis", (0, 0, 1)), 3, "axis", child) if jtype == REVOLUTE else None
+        joints[child] = Joint(child_link=child, type=jtype, axis=axis,
+                              lower=_number(raw, "limit_lower", 0.0, child),
+                              upper=_number(raw, "limit_upper", 0.0, child),
+                              damping=_number(raw, "damping", 0.0, child))
 
-    inertials = []
+    inertials: dict[str, Inertial] = {}
     for i, raw in enumerate(_entries(doc, "inertials")):
         link = _name(raw, "link", f"inertials[{i}]")
+        if link in inertials:
+            raise DescriptionError("link has multiple inertials", element=link)
         ixx, ixy, ixz, iyy, iyz, izz = _vec(raw.get("inertia_6", (0, 0, 0, 0, 0, 0)), 6, "inertia_6", link)
-        inertials.append(
-            Inertial(
-                link=link,
-                mass=_number(raw, "mass", 0.0, link),
-                com=_vec(raw.get("com", (0, 0, 0)), 3, "com", link),
-                inertia=np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]]),
-            )
-        )
+        inertials[link] = Inertial(link=link, mass=_number(raw, "mass", 0.0, link),
+                                   com=_vec(raw.get("com", (0, 0, 0)), 3, "com", link),
+                                   inertia=np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]]))
 
     keypoints = []
     for i, raw in enumerate(_entries(doc, "keypoints")):
@@ -479,23 +448,18 @@ def _tree_from_document(doc: dict) -> KinematicTree:
                      offset=_vec(raw.get("offset", (0, 0, 0)), 3, "offset", kname))
         )
 
-    return build_tree(name, links, joints, inertials, keypoints, _entries(doc, "geometry"))
+    return _finalize(KinematicTree(
+        name=name,
+        links=tuple(links),
+        joints=MappingProxyType(joints),
+        inertials=MappingProxyType(inertials),
+        keypoints=tuple(keypoints),
+        geometry=tuple(_frozen(g) for g in _entries(doc, "geometry")),
+    ))
 
 
 def tree_to_document(tree: KinematicTree) -> dict:
     """Inverse of load_robot; field order is fixed for canonical output."""
-    def rpy_of(origin: RigidTransform) -> list[float]:
-        # Fixed-axis XYZ angles recovered from the rotation matrix.
-        m = origin.matrix()
-        pitch = np.arcsin(np.clip(-m[2, 0], -1.0, 1.0))
-        if abs(m[2, 0]) < 1.0 - 1e-12:
-            roll = np.arctan2(m[2, 1], m[2, 2])
-            yaw = np.arctan2(m[1, 0], m[0, 0])
-        else:  # gimbal lock: fold everything into roll
-            roll = np.arctan2(-m[1, 2], m[1, 1])
-            yaw = 0.0
-        return [float(roll), float(pitch), float(yaw)]
-
     doc = {
         "name": tree.name,
         "links": [
@@ -503,7 +467,7 @@ def tree_to_document(tree: KinematicTree) -> dict:
                 "id": l.id,
                 "parent": l.parent,
                 "origin_xyz": [float(v) for v in l.origin.translation],
-                "origin_rpy": list(l.rpy) if l.rpy is not None else rpy_of(l.origin),
+                "origin_rpy": list(l.rpy),
             }
             for l in tree.links
         ],

@@ -26,12 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, StreamFormatError, atomic_write_text, finite_number, float_rows, read_records
-from .handgen import BETA_CLAMP, HandShapeParams
+from .handgen import BETA_CLAMP, SHAPE_DIM, HandShapeParams
 from .transforms import matrix_to_quat
 
 FORMAT_VERSION = "dexstream/1"
 POSE_DIM = 45
-SHAPE_DIM = 10
 VARIANCE_FLOOR = 1e-6
 CONDITIONING_TOL = 1e-8  # second-to-first singular value ratio below which keypoints are collinear
 # Known header fields of a stream and their number of entries: the object's
@@ -167,10 +166,6 @@ def calibrate(shapes: np.ndarray) -> tuple[HandShapeParams, np.ndarray]:
 # Stream file I/O
 # ---------------------------------------------------------------------------
 
-def _dump_line(obj) -> str:
-    return json.dumps(obj, separators=(", ", ": "))
-
-
 def read_stream(path: str | Path) -> HandPoseStream:
     header, records = read_records(path, FORMAT_VERSION, StreamFormatError, "stream", "frame")
     s0 = header.get("s0")
@@ -188,13 +183,13 @@ def stream_to_text(stream: HandPoseStream) -> str:
     if stream.sigma is not None:
         header["sigma"] = stream.sigma.tolist()
     header.update(stream.metadata)
-    out = [_dump_line(header)]
+    out = [json.dumps(header)]
     for t, pose, shape, kp, seen in zip(stream.t.tolist(), stream.pose.tolist(), stream.shape.tolist(),
                                         stream.kp.tolist(), stream.kp_mask.tolist()):
         rec = {"t": t, "pose": pose, "shape": shape}
         if any(seen):
             rec["kp"] = {name: point for name, point, s in zip(stream.keypoint_names, kp, seen) if s}
-        out.append(_dump_line(rec))
+        out.append(json.dumps(rec))
     return "\n".join(out) + "\n"
 
 

@@ -38,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kinematics
-from .errors import DataError, DescriptionError, NumericalError, atomic_write_text, check_number_fields, read_text
+from .errors import (DataError, DescriptionError, NumericalError, atomic_write_text, check_number_fields, must_be,
+                     read_text)
 from .kinematics import KinematicTree
 
 DEFAULT_ALPHA = 4e-3
@@ -48,13 +49,24 @@ MAX_DAMPING = 1e14  # a probe rejected past this damping stalls the solve
 
 @dataclass(frozen=True)
 class KeypointMap:
-    """Ordered (source keypoint, target keypoint) name pairs."""
+    """Ordered (source keypoint, target keypoint) name pairs, stored as
+    tuples. A name must be one its file can hold: a non-empty string without
+    '#', '->', a line break or surrounding whitespace."""
 
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
         if not self.pairs:
             raise DataError("keypoint map is empty")
+        for pair in self.pairs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise DataError(must_be("keypoint map entry", "a (source, target) pair", pair))
+            for name in pair:
+                if not (isinstance(name, str) and name.splitlines() == [name] and name.strip() == name
+                        and "#" not in name and "->" not in name):
+                    raise DataError(must_be("keypoint name", "a non-empty string without '#', '->', "
+                                            "line breaks or surrounding whitespace", name))
+        object.__setattr__(self, "pairs", tuple(map(tuple, self.pairs)))
         targets = [t for _, t in self.pairs]
         if len(set(targets)) != len(targets):
             raise DataError("keypoint map has duplicate targets")

@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import DataError
 
-_UNIT_TOL = 1e-9
 _CONJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
@@ -179,10 +178,6 @@ class RigidTransform:
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls()
-
     def matrix(self) -> np.ndarray:
         return quat_to_matrix(self.rotation)
 
@@ -190,18 +185,3 @@ class RigidTransform:
         """Transform one point (3,) or a stack of points (n, 3)."""
         pts = np.asarray(points, dtype=float)
         return pts @ self.matrix().T + self.translation
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        q = quat_multiply(self.rotation, other.rotation)
-        t = self.apply(other.translation)
-        return RigidTransform(q, t)
-
-    def inverse(self) -> "RigidTransform":
-        qc = quat_conjugate(self.rotation)
-        return RigidTransform(qc, -(quat_to_matrix(qc) @ self.translation))
-
-    def almost_equal(self, other: "RigidTransform", tol: float = 1e-9) -> bool:
-        return bool(
-            np.allclose(self.rotation, other.rotation, atol=tol)
-            and np.allclose(self.translation, other.translation, atol=tol)
-        )

@@ -5,6 +5,7 @@ import numpy as np
 
 from dexretarget.dapg.env import JOINT_LIMIT, LINK_LENGTHS
 from dexretarget.kinematics import KinematicTree, _joint_rotations, load_robot
+from dexretarget.transforms import RigidTransform, quat_conjugate, quat_multiply, quat_to_matrix
 
 
 def planar_two_link_doc(l1: float = 1.0, l2: float = 1.0) -> dict:
@@ -97,6 +98,22 @@ def arm_tree() -> KinematicTree:
                "limit_upper": JOINT_LIMIT} for i in range(len(starts))]
     tip = {"name": "tip", "link": links[-1]["id"], "offset": [LINK_LENGTHS[-1], 0, 0]}
     return load_robot({"name": "toy-relocate-arm", "links": links, "joints": joints, "keypoints": [tip]})
+
+
+# --- rigid-transform algebra, used only to state expectations ---------------
+
+def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
+    """a after b: the transform x -> a(b(x))."""
+    return RigidTransform(quat_multiply(a.rotation, b.rotation), a.apply(b.translation))
+
+
+def inverse(a: RigidTransform) -> RigidTransform:
+    qc = quat_conjugate(a.rotation)
+    return RigidTransform(qc, -(quat_to_matrix(qc) @ a.translation))
+
+
+def almost_equal(a: RigidTransform, b: RigidTransform, tol: float = 1e-9) -> bool:
+    return bool(np.allclose(a.rotation, b.rotation, atol=tol) and np.allclose(a.translation, b.translation, atol=tol))
 
 
 # --- reference kernels: rotation-and-origin FK and cross-product Jacobians ---

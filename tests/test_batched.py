@@ -12,16 +12,7 @@ from dexretarget.assets import robot_path
 from dexretarget.dynamics import DynamicsInput, inverse_dynamics, mass_matrix
 from dexretarget.errors import DataError, DescriptionError
 from dexretarget.handgen import HandShapeParams, build_custom_hand
-from dexretarget.kinematics import (
-    Joint,
-    Keypoint,
-    Link,
-    _link_poses,
-    build_tree,
-    forward_kinematics,
-    keypoint_jacobians,
-    load_robot,
-)
+from dexretarget.kinematics import _link_poses, forward_kinematics, keypoint_jacobians, load_robot
 from dexretarget.poseio import solve_wrists
 from dexretarget.transforms import (
     RigidTransform,
@@ -215,19 +206,22 @@ def layout_tree():
                "a3": "a2", "c3": "c2", "c3x": "c2", "d3": "d2",
                "a4": "a3", "c4": "c3x", "a5": "a4"}
     order = ["d3", "a1", "c3x", "b2", "a5", "c1", "a3", "d1", "c4", "b1", "a2", "d2", "c2", "a4", "c3"]
-    origin = RigidTransform(quat_from_rpy(0.3, -0.2, 0.5), np.array([0.1, -0.05, 0.2]))
-    links = [Link("base", None, origin)]
+    links = [{"id": "base", "parent": None, "origin_xyz": [0.1, -0.05, 0.2], "origin_rpy": [0.3, -0.2, 0.5]}]
     joints = []
     for lid in order:
         rpy = rng.uniform(-1.0, 1.0, size=3)
-        links.append(Link(lid, parents[lid], RigidTransform(quat_from_rpy(*rpy), rng.uniform(-0.1, 0.1, 3))))
+        links.append({"id": lid, "parent": parents[lid], "origin_xyz": rng.uniform(-0.1, 0.1, 3).tolist(),
+                      "origin_rpy": rpy.tolist()})
         axis = rng.normal(size=3)
-        kind = "fixed" if lid == "b2" else "revolute"
-        joints.append(Joint(lid, kind, axis / np.linalg.norm(axis) if kind == "revolute" else None,
-                            -2.0, 2.0, 0.0))
+        if lid == "b2":
+            joints.append({"child_link": lid, "type": "fixed"})
+        else:
+            joints.append({"child_link": lid, "type": "revolute", "axis": (axis / np.linalg.norm(axis)).tolist(),
+                           "limit_lower": -2.0, "limit_upper": 2.0})
     joints.reverse()
-    keypoints = [Keypoint(f"{lid}_tip", lid, rng.uniform(-0.05, 0.05, 3)) for lid in ("a5", "b2", "c3x", "c4", "d3")]
-    return build_tree("layout", links, joints, keypoints=keypoints)
+    keypoints = [{"name": f"{lid}_tip", "link": lid, "offset": rng.uniform(-0.05, 0.05, 3).tolist()}
+                 for lid in ("a5", "b2", "c3x", "c4", "d3")]
+    return load_robot({"name": "layout", "links": links, "joints": joints, "keypoints": keypoints})
 
 
 def per_link_fk(tree, q):

@@ -375,6 +375,21 @@ def test_translate_all_builds_one_stream_stage_per_calibration(short_stream, mon
     assert not np.array_equal(results["a"][0].states, results["b"][0].states)
 
 
+def test_stream_stages_read_the_default_template_once_per_process(short_stream, monkeypatch):
+    handgen.default_template()  # the process's one read, unless an earlier test made it
+    reads = []
+    real = handgen.read_text
+
+    def counting(path, *args):
+        reads.append(path)
+        return real(path, *args)
+
+    monkeypatch.setattr(handgen, "read_text", counting)
+    for frames in (20, 30):
+        demopipe._StreamStage.build(short_stream, make_config("allegro", calibration_frames=frames))
+    assert reads == []
+
+
 @pytest.mark.parametrize("mode", ["position", "torque"])
 def test_translate_all_equals_translate(short_stream, mode):
     configs = {n: make_config(n, action_mode=mode) for n in ("schunk", "adroit", "allegro")}
@@ -418,6 +433,36 @@ def test_demonstration_validates_shapes():
             states=np.zeros((5, 2)),
             actions=np.zeros((5, 2)),  # must be 4
         )
+
+
+DEMO_FIELDS = dict(robot="x", task="t", dt=0.04, state_layout=(("joints", 2),), action_layout=(("u", 2),),
+                   states=np.zeros((5, 2)), actions=np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("states", np.where(np.eye(5, 2) == 1, np.nan, 0.0), "states must be finite"),
+    ("actions", np.full((4, 2), np.inf), "actions must be finite"),
+    ("state_layout", (("joints", 3), ("tip", -1)), r"state_layout\[1\] must be a \[name, width\] pair"),
+    ("action_layout", [["u", 2, 0]], r"action_layout\[0\] must be"),
+    ("action_layout", {"u": 2}, "action_layout must be a list"),
+    ("robot", 7, "robot and task must be strings"),
+    ("task", None, "robot and task must be strings"),
+    ("provenance", [], "robot and task must be strings and provenance a JSON object"),
+    ("dt", "0.04", "dt must be a number"),
+    ("dt", float("inf"), "dt must be positive"),
+    ("states", np.zeros(5), "states must be a 2-D array"),
+    ("states", [["a", "b"]] * 5, "states must be an array of numbers"),
+], ids=["state-nan", "action-inf", "width-negative", "pair-of-three", "layout-object", "robot-number",
+        "task-null", "provenance-list", "dt-string", "dt-inf", "states-1d", "states-strings"])
+def test_demonstration_rejects_what_its_file_cannot_hold(field, value, message):
+    with pytest.raises(DemoFormatError, match=f"^{message}"):
+        Demonstration(**{**DEMO_FIELDS, field: value})
+
+
+def test_demonstration_stores_layouts_as_tuples_of_ints():
+    demo = Demonstration(**{**DEMO_FIELDS, "state_layout": [["joints", np.int64(2)]], "dt": 1})
+    assert demo.state_layout == (("joints", 2),) and type(demo.state_layout[0][1]) is int
+    assert demo.dt == 1.0 and type(demo.dt) is float
 
 
 def make_wrist_stream(n=24, rate=25.0, velocity=(0.1, 0.0, 0.0), yaw_rate=0.5, metadata=None):

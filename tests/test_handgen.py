@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +123,18 @@ def test_custom_hand_description_round_trips():
             forward_kinematics(tree, q)[name], abs=1e-12
         )
     assert len(again.geometry) == 16
+
+
+def test_custom_hand_is_built_from_its_description_document():
+    hand = build_custom_hand(HandShapeParams(np.linspace(-1.0, 1.0, 10)), name="hand-doc")
+    doc = json.loads(dump_robot(hand))
+    # The palm's origin_rpy is the document's [0, 0, 0], not angles recovered from its rotation.
+    assert [math.copysign(1.0, v) for v in doc["links"][0]["origin_rpy"]] == [1.0, 1.0, 1.0]
+    again = load_robot(doc)
+    assert dump_robot(again) == dump_robot(hand)
+    for key in ("_origin_rot", "_origin_trans", "_joint_axes", "_kp_offsets", "_frame_template"):
+        assert getattr(again, key).tobytes() == getattr(hand, key).tobytes()
+    assert [link.rpy for link in again.links] == [link.rpy for link in hand.links]
 
 
 def test_shape_params_reject_bad_input():

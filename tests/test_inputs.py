@@ -23,12 +23,12 @@ import pytest
 from dexretarget.assets import asset_path, robot_path, sample_stream_path
 from dexretarget.cli import main
 from dexretarget.dapg import DapgConfig, demos_from_expert, train
-from dexretarget.demopipe import PipelineConfig, read_config_object, read_demo, write_demo
+from dexretarget.demopipe import Demonstration, PipelineConfig, read_config_object, read_demo, write_demo
 from dexretarget.errors import DataError, DexError, atomic_write_text
-from dexretarget.handgen import HandShapeParams, load_template
-from dexretarget.kinematics import load_robot, write_robot
+from dexretarget.handgen import FINGERS, FingerSpec, HandShapeParams, HandTemplate, load_template
+from dexretarget.kinematics import load_robot, tree_to_document, write_robot
 from dexretarget.poseio import HandPoseFrame, HandPoseStream, read_stream, stream_to_text, write_stream
-from dexretarget.retarget import read_keypoint_map, write_keypoint_map
+from dexretarget.retarget import KeypointMap, read_keypoint_map, write_keypoint_map
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -246,6 +246,21 @@ def test_only_poseio_names_frame_records():
     assert offenders == {}
 
 
+def test_only_kinematics_builds_tree_elements():
+    """A tree is built only from its description document: no module but
+    kinematics constructs a Link, Joint, Inertial or Keypoint or calls _finalize."""
+    builders = {"Link", "Joint", "Inertial", "Keypoint", "_finalize"}
+
+    def calls(path: Path) -> list[int]:
+        return [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) in builders]
+
+    offenders = {str(path.relative_to(SRC)): calls(path) for path in sorted(SRC.rglob("*.py"))
+                 if path != SRC / "kinematics.py"}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
+    assert calls(SRC / "kinematics.py")
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _SHAPE = st.lists(_FINITE, min_size=10, max_size=10).map(lambda beta: HandShapeParams(np.array(beta)))
@@ -287,6 +302,171 @@ def test_accepted_streams_round_trip(stream, tmp_path):
         np.testing.assert_array_equal(back.s0.beta, stream.s0.beta)
     write_stream(back, path)
     assert path.read_bytes() == first
+
+
+# Values that a constructor must check: non-finite, negative, zero, huge,
+# too large for a float, and a boolean.
+_BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e300, 10**400, True]
+_UNIT = st.floats(min_value=-1.0, max_value=1.0)
+
+
+def _vector(n: int):
+    return st.lists(_UNIT, min_size=n, max_size=n)
+
+
+def _leaf(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _with_flaw(data, doc):
+    """doc, or doc with one of its numbers replaced by a bad one."""
+    numbers = [path for path in _paths(doc) if path and isinstance(_leaf(doc, path), (int, float))]
+    if not data.draw(st.booleans(), label="flawed"):
+        return doc
+    return _replaced(doc, data.draw(st.sampled_from(numbers), label="path"),
+                     data.draw(st.sampled_from(_BAD_NUMBERS), label="value"))
+
+
+@st.composite
+def _robot_docs(draw) -> dict:
+    """Chains of 1-4 joints in the style of helpers.random_chain_doc: random
+    origins, unit or fixed joints, ordered limits, diagonal inertias."""
+    links = [{"id": "base", "parent": None, "origin_xyz": draw(_vector(3)), "origin_rpy": draw(_vector(3))}]
+    joints, inertials = [], []
+    for i in range(draw(st.integers(1, 4))):
+        lid = f"l{i}"
+        links.append({"id": lid, "parent": links[-1]["id"], "origin_xyz": draw(_vector(3)),
+                      "origin_rpy": draw(_vector(3))})
+        lower, upper = sorted(draw(_vector(2)))
+        joints.append({"child_link": lid, "type": "fixed"} if draw(st.booleans()) else
+                      {"child_link": lid, "type": "revolute", "axis": draw(st.permutations([0.0, 0.0, 1.0])),
+                       "limit_lower": lower, "limit_upper": upper, "damping": abs(draw(_UNIT))})
+        ixx, iyy, izz = map(abs, draw(_vector(3)))
+        inertials.append({"link": lid, "mass": abs(draw(_UNIT)), "com": draw(_vector(3)),
+                          "inertia_6": [ixx, 0.0, 0.0, iyy, 0.0, izz]})
+    keypoints = [{"name": "tip", "link": links[-1]["id"], "offset": draw(_vector(3))}]
+    return {"name": "chain", "links": links, "joints": joints, "inertials": inertials, "keypoints": keypoints}
+
+
+@FUZZ
+@given(data=st.data())
+def test_accepted_robot_documents_round_trip(data, tmp_path):
+    """Whatever load_robot accepts, write_robot writes and load_robot reads back
+    as the same tree, and a re-write reproduces byte for byte; whatever it
+    rejects raises a DataError."""
+    doc = _with_flaw(data, data.draw(_robot_docs(), label="doc"))
+    try:
+        tree = load_robot(doc)
+    except DataError:
+        return
+    path = tmp_path / "chain.robot"
+    write_robot(tree, path)
+    first = path.read_bytes()
+    back = load_robot(path)
+    assert tree_to_document(back) == tree_to_document(tree)
+    for key in ("_origin_rot", "_origin_trans", "_joint_axes", "_kp_offsets"):
+        assert getattr(back, key).tobytes() == getattr(tree, key).tobytes()
+    write_robot(back, path)
+    assert path.read_bytes() == first
+
+
+@st.composite
+def _demo_fields(draw) -> dict:
+    def layout():
+        return draw(st.lists(st.tuples(st.text(max_size=4), st.integers(0, 3)), min_size=1, max_size=3))
+
+    def rows(n: int, layout):
+        width = sum(w for _, w in layout)
+        return np.array(draw(st.lists(_FINITE, min_size=n * width, max_size=n * width))).reshape(n, width)
+
+    steps = draw(st.integers(1, 4))
+    state_layout, action_layout = layout(), layout()
+    provenance = draw(st.dictionaries(st.text(max_size=4), st.integers(-9, 9) | st.text(max_size=4) | _FINITE,
+                                      max_size=3))
+    return {"robot": draw(st.text(max_size=8)), "task": draw(st.text(max_size=8)),
+            "dt": draw(st.floats(min_value=1e-6, max_value=1e3)), "state_layout": state_layout,
+            "action_layout": action_layout, "states": rows(steps, state_layout),
+            "actions": rows(steps - 1, action_layout), "provenance": provenance}
+
+
+_BAD_DEMO_FIELDS = {
+    "robot": st.sampled_from([7, None, b"x"]),
+    "task": st.sampled_from([7, None, ["t"]]),
+    "dt": st.sampled_from(_BAD_NUMBERS + ["0.1", None]),
+    "state_layout": st.sampled_from([[["a", -1]], [["a", 1.5]], [["a", True]], [["a"]], [[1, 1]], {"a": 1}, "a"]),
+    "action_layout": st.sampled_from([[["a", -1]], [["a", 2, 0]], None]),
+    "states": st.sampled_from([np.full((2, 2), np.nan), np.zeros(3), np.full((1, 1), np.inf), [["a"]]]),
+    "actions": st.sampled_from([np.full((1, 2), -np.inf), np.zeros((9, 9)), [[10**400]]]),
+    "provenance": st.sampled_from([None, [], "p"]),
+}
+
+
+@FUZZ
+@given(data=st.data())
+def test_accepted_demonstrations_round_trip(data, tmp_path):
+    """Whatever Demonstration accepts, write_demo writes and read_demo reads
+    back equal, and a re-write reproduces byte for byte; whatever it rejects
+    raises a DataError."""
+    fields = data.draw(_demo_fields(), label="fields")
+    flaw = data.draw(st.none() | st.sampled_from(sorted(_BAD_DEMO_FIELDS)), label="flaw")
+    if flaw is not None:
+        fields[flaw] = data.draw(_BAD_DEMO_FIELDS[flaw], label="value")
+    try:
+        demo = Demonstration(**fields)
+    except DataError:
+        return
+    path = tmp_path / "d.demo"
+    write_demo(demo, path)
+    first = path.read_bytes()
+    back = read_demo(path)
+    for key in ("robot", "task", "dt", "state_layout", "action_layout", "provenance"):
+        assert getattr(back, key) == getattr(demo, key)
+    for key in ("states", "actions"):
+        assert getattr(back, key).shape == getattr(demo, key).shape
+        assert getattr(back, key).tobytes() == getattr(demo, key).tobytes()
+    write_demo(back, path)
+    assert path.read_bytes() == first
+
+
+_MAP_NAMES = st.sampled_from(["a", "b", "c d", "é", "x-y>"])
+# Names a map file cannot hold, and names built from their characters.
+_BAD_MAP_NAMES = st.sampled_from(["a#b", " a", "", "a->b", 1, "a\nb", "a\u2028b", "b\t"])
+_ANY_MAP_NAMES = _BAD_MAP_NAMES | st.text(alphabet="ab -#>\n\u2028", max_size=4)
+
+
+@FUZZ
+@given(data=st.data())
+def test_accepted_keypoint_maps_round_trip(data, tmp_path):
+    """Whatever KeypointMap accepts, write_keypoint_map writes and
+    read_keypoint_map reads back equal, and a re-write reproduces byte for
+    byte; whatever it rejects raises a DataError."""
+    pairs = data.draw(st.lists(st.lists(_MAP_NAMES, min_size=2, max_size=2), max_size=4), label="pairs")
+    if pairs and data.draw(st.booleans(), label="flawed"):
+        pair = data.draw(st.sampled_from(pairs), label="pair")
+        pair[data.draw(st.integers(0, 1), label="side")] = data.draw(_ANY_MAP_NAMES, label="name")
+    try:
+        keypoint_map = KeypointMap(tuple(pairs))
+    except DataError:
+        return
+    path = tmp_path / "m.map"
+    write_keypoint_map(keypoint_map, path)
+    first = path.read_bytes()
+    back = read_keypoint_map(path)
+    assert back == keypoint_map
+    write_keypoint_map(back, path)
+    assert path.read_bytes() == first
+
+
+@FUZZ
+@given(data=st.data())
+def test_template_constructors_raise_only_data_errors(data):
+    """HandTemplate has no writer: whatever it and FingerSpec reject raises a DataError."""
+    doc = _with_flaw(data, json.loads(asset_path("hand_template.json").read_text()))
+    with contextlib.suppress(DataError):
+        fingers = {name: FingerSpec(**doc["fingers"][name]) for name in FINGERS}
+        HandTemplate(doc["palm_box"], fingers, doc["length_basis"])
 
 
 def _train(path: Path):

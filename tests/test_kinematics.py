@@ -222,11 +222,16 @@ def _malformed(edit):
     (_malformed(lambda d: d["keypoints"][0].update(offset=[1, 0, "0"])), "tip"),
     (_malformed(lambda d: d["joints"][0].update(limit_upper=10**400)), "l1"),
     (_malformed(lambda d: d["links"][1].update(origin_xyz=[10**400, 0, 0])), "l1"),
+    (_malformed(lambda d: d["keypoints"][0].update(offset=[float("nan"), 0, 0])), "tip"),
+    (_malformed(lambda d: d["joints"][1].update(axis=[0, 0, float("nan")])), "l2"),
+    (_malformed(lambda d: d["joints"][0].update(limit_lower=float("-inf"))), "l1"),
+    (_malformed(lambda d: d["inertials"][2].update(com=[0, float("nan"), 0])), "l2"),
 ], ids=["link-not-object", "links-not-list", "link-id-list", "parent-list", "origin-string",
         "limit-string", "damping-list", "joint-not-object", "inertia-scalar", "mass-string",
         "keypoint-link-object", "geometry-not-object", "limit-nan", "damping-nan",
         "origin-number-strings", "limit-number-string", "damping-bool", "axis-bool", "mass-bool",
-        "offset-number-string", "limit-overflow", "origin-overflow"])
+        "offset-number-string", "limit-overflow", "origin-overflow", "offset-nan", "axis-nan",
+        "limit-inf", "com-nan"])
 def test_malformed_description_names_the_element(doc, element):
     with pytest.raises(DescriptionError) as info:
         load_robot(doc)

@@ -15,6 +15,8 @@ from dexretarget.poseio import (
 )
 from dexretarget.transforms import RigidTransform, quat_from_rpy
 
+from helpers import almost_equal, compose, inverse
+
 
 def make_frame(t, pose_fill=0.0, shape=None, kp=None):
     return HandPoseFrame(
@@ -242,7 +244,7 @@ def test_identity_when_observed_equals_canonical():
     pts = canonical_points()
     transform, residual, _ = solve_one(pts, pts)
     assert residual == pytest.approx(0.0, abs=1e-12)
-    assert transform.almost_equal(RigidTransform.identity(), tol=1e-9)
+    assert almost_equal(transform, RigidTransform(), tol=1e-9)
 
 
 def test_recovers_random_rigid_transform():
@@ -295,7 +297,7 @@ def test_equivariance_under_common_pre_rotation():
     moved_src = {k: g.apply(v) for k, v in pts.items()}
     moved_dst = {k: g.apply(v) for k, v in observed.items()}
     got, _, _ = solve_one(moved_src, moved_dst)
-    conjugated = g.compose(truth).compose(g.inverse())
+    conjugated = compose(compose(g, truth), inverse(g))
     assert np.abs(got.matrix() - conjugated.matrix()).max() < 1e-9
     assert got.translation == pytest.approx(conjugated.translation, abs=1e-9)
 
@@ -314,5 +316,5 @@ def test_returned_transform_is_a_local_cost_minimum():
     for _ in range(40):
         drot = rng.normal(scale=eps, size=3)
         dtrans = rng.normal(scale=eps, size=3)
-        perturbed = RigidTransform(quat_from_rpy(*drot), dtrans).compose(got)
+        perturbed = compose(RigidTransform(quat_from_rpy(*drot), dtrans), got)
         assert cost(perturbed) >= base - 1e-15

@@ -292,6 +292,22 @@ def test_map_rejects_duplicate_targets():
         KeypointMap((("a", "x"), ("b", "x")))
 
 
+@pytest.mark.parametrize("name", ["a#b", " a", "", "a->b", 1, "a\nb", "a\u2028b", "a "],
+                         ids=["comment", "leading-space", "empty", "arrow", "integer", "newline",
+                              "line-separator", "trailing-space"])
+def test_map_rejects_names_its_file_cannot_hold(name):
+    for pair in ((name, "x"), ("x", name)):
+        with pytest.raises(DataError, match="^keypoint name must be a non-empty string"):
+            KeypointMap((pair,))
+
+
+def test_map_stores_pairs_as_tuples(tmp_path):
+    keypoint_map = KeypointMap([["a b", "c"], ("d", "e-f>")])
+    assert keypoint_map.pairs == (("a b", "c"), ("d", "e-f>"))
+    write_keypoint_map(keypoint_map, tmp_path / "pairs.map")
+    assert read_keypoint_map(tmp_path / "pairs.map") == keypoint_map
+
+
 def test_map_validates_names(custom_hand):
     target = load_robot(allegro_doc())
     with pytest.raises(DataError, match="pinky_tip"):
