@@ -98,7 +98,7 @@ def cmd_gen_hand(args) -> int:
     tree = build_custom_hand(shape, template)
     atomic_write_text(args.out, dump_robot(tree))
     _say(f"wrote {args.out}: {tree.num_actuated} actuated joints, "
-         f"{len(tree.keypoints)} fingertip keypoints")
+         f"{len(tree.keypoint_names)} fingertip keypoints")
     return 0
 
 

@@ -29,8 +29,8 @@ import numpy as np
 from . import kinematics
 from .control import gamma_from_cutoff
 from .dynamics import POSITION, TORQUE, compute_actions
-from .errors import (DataError, DemoFormatError, NumericalError, atomic_write_text, check_number_fields, float_rows,
-                     is_number, must_be, parse_object, read_records, read_text)
+from .errors import (DataError, DemoFormatError, NumericalError, atomic_write_text, check_json_object,
+                     check_number_fields, float_rows, is_number, must_be, parse_object, read_records, read_text)
 from .handgen import build_custom_hand, default_template, load_template
 from .kinematics import KinematicTree, load_robot
 from .poseio import HandPoseStream, calibrate, solve_wrists
@@ -153,8 +153,9 @@ class Demonstration:
     reads back: `robot` and `task` are strings, `dt` is a finite positive
     number, each layout is (name, width) pairs of a string and a
     non-negative integer (lists are taken and stored as tuples), `states`
-    and `actions` are finite 2-D arrays of their layout's total width, and
-    there is one more state than actions."""
+    and `actions` are finite 2-D arrays of their layout's total width,
+    there is one more state than actions, and `provenance` is a JSON object
+    that reads back unchanged (errors.check_json_object)."""
 
     robot: str
     task: str
@@ -168,6 +169,7 @@ class Demonstration:
     def __post_init__(self):
         if not (isinstance(self.robot, str) and isinstance(self.task, str) and isinstance(self.provenance, dict)):
             raise DemoFormatError("robot and task must be strings and provenance a JSON object")
+        check_json_object(self.provenance, DemoFormatError, "provenance")
         if not is_number(self.dt):
             raise DemoFormatError(must_be("dt", "a number", self.dt))
         if not 0 < self.dt < math.inf:  # NaN fails too

@@ -59,24 +59,20 @@ def inverse_dynamics(tree: KinematicTree, inp: DynamicsInput) -> np.ndarray:
     vectorised over the T states.
     """
     q = tree.check_q(inp.q)
-    for link in tree.links:
-        if link.id not in tree.inertials:
-            raise DataError(f"link '{link.id}' has no inertial data")
+    if tree._no_inertial is not None:
+        raise DataError(f"link '{tree._no_inertial}' has no inertial data")
     single = q.ndim == 1
     q = np.atleast_2d(q)
     qd, qdd = np.atleast_2d(inp.qd), np.atleast_2d(inp.qdd)
     # Everything per link runs in the tree's slot order (root = slot 0).
-    n_links = len(tree.links)
+    n_links = len(tree.link_ids)
     joints = tree._joint_slots
-    inertials = [tree.inertials[tree.links[i].id] for i in tree._order]
-    mass = np.array([i.mass for i in inertials])[:, None]
-    com = np.array([i.com for i in inertials])
-    inertia = np.array([i.inertia for i in inertials])
+    mass, com, inertia = tree._mass, tree._com, tree._inertia
     off = tree._origin_trans  # joint origin in the parent frame
 
     # Per-link joint axis and rates; zero for fixed joints and the root.
     axis = np.zeros((n_links, 3))
-    axis[joints] = tree._joint_axes
+    axis[joints] = tree.joint_axes
     qd_l = np.zeros(q.shape[:1] + (n_links, 1))
     qdd_l = np.zeros_like(qd_l)
     qd_l[:, joints, 0] = qd
@@ -117,8 +113,7 @@ def inverse_dynamics(tree: KinematicTree, inp: DynamicsInput) -> np.ndarray:
         np.add.at(f, (slice(None), parents), fc)
         np.add.at(nt, (slice(None), parents), nc)
 
-    damping = np.array([tree.joints[c].damping for c in tree.actuated_joints])
-    tau = np.vecdot(nt[:, joints], tree._joint_axes) + damping * qd
+    tau = np.vecdot(nt[:, joints], tree.joint_axes) + tree.joint_damping * qd
     return tau[0] if single else tau
 
 

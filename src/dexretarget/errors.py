@@ -7,7 +7,9 @@ these onto exit codes 2 and 3 respectively.
 
 Every input file goes through read_text (and parse_object or read_records),
 and every number in it through is_number or float_rows; a bad value is echoed
-through must_be. Every output file goes through atomic_write_text.
+through must_be. A free-form object that a file holds (a demonstration's
+provenance, a stream's metadata) goes through check_json_object. Every
+output file goes through atomic_write_text.
 """
 import io
 import json
@@ -134,11 +136,13 @@ def finite_number(value, error, what: str) -> float:
     raise error(must_be(what, "a finite number", value))
 
 
-def float_rows(rows, width: int, error, names) -> np.ndarray:
+def float_rows(rows, width: int, error, names, field: str | None = None) -> np.ndarray:
     """The number lists `rows` as one (len(rows), width) float array. Each
     must be a list (or tuple) of `width` finite numbers by is_number; the
-    first that is not raises `error` naming it by its entry of `names`.
-    Rows of JSON numbers are checked in bulk, a few passes at C speed."""
+    first that is not raises `error` naming it by its entry of `names`, or,
+    with a `field`, raises error("<field> must be ...", name), so that a
+    DescriptionError names the row's element. Rows of JSON numbers are
+    checked in bulk, a few passes at C speed."""
     if (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {width}
             and set(map(type, chain.from_iterable(rows))) <= {int, float}):
         try:
@@ -150,8 +154,22 @@ def float_rows(rows, width: int, error, names) -> np.ndarray:
     for row, name in zip(rows, names):
         if not (isinstance(row, (list, tuple)) and len(row) == width and all(map(is_number, row))
                 and np.isfinite(np.array(row, dtype=float)).all()):
-            raise error(f"{name} must be {width} finite numbers")
+            if field is None:
+                raise error(f"{name} must be {width} finite numbers")
+            raise error(f"{field} must be {width} finite numbers", name)
     return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+def check_json_object(value, error, what: str):
+    """Raise `error` unless value is a dict that a JSON round trip gives back
+    equal: string keys and JSON values only (no NaN or infinity, tuple or
+    array), so that what is written is what is read back."""
+    try:
+        same = isinstance(value, dict) and json.loads(json.dumps(value)) == value
+    except (TypeError, ValueError, RecursionError):  # a value JSON cannot hold, or a circular one
+        same = False
+    if not same:
+        raise error(must_be(what, "a JSON object that reads back unchanged", value))
 
 
 def check_number_fields(config, reals=(), integers=()):

@@ -7,12 +7,26 @@ own frame (right-handed, zero angle = description pose). Joint vectors are
 plain float arrays ordered by the tree's canonical actuated ordering, which
 is the order of appearance in the description's joint list.
 
+A tree is columnar: each section of its description document is held as
+read-only columns in description order, with no per-element records.
+- links: link_ids, link_parents, origin_xyz (n_links, 3) and origin_rpy
+  (n_links, 3), the angles as the document gave them;
+- joints: joint_links (each joint's child link) and joint_types; the
+  revolute joints, in actuated order, also have joint_axes (N, 3) and
+  joint_lower, joint_upper and joint_damping (N,). A fixed joint's limits
+  and damping are checked but not kept;
+- inertials: inertial_links, masses (M,), coms (M, 3) and inertias
+  (M, 3, 3), about the COM in the link frame;
+- keypoints: keypoint_names, keypoint_links and keypoint_offsets (K, 3);
+- geometry: read-only copies of the document's entries.
+
 A tree is built only from its description document: load_robot checks each
-field by the number rule in errors.py and _finalize checks the tree, so
-what load_robot accepts, write_robot writes and load_robot reads back.
-Every other tree, the customized hand included (handgen), is a document
-given to load_robot. Link, Joint, Inertial and Keypoint are the tree's
-read-only element records; each Link keeps the origin_rpy it was read with.
+vector column with one float_rows call (errors.py) and each number with
+finite_number, each naming the failing element, then checks the tree as
+array operations and builds it once, its slot-order arrays included. So
+what load_robot accepts, write_robot writes from the columns and load_robot
+reads back. Every other tree, the customized hand included (handgen), is a
+document given to load_robot.
 
 Forward kinematics works on homogeneous 4x4 link frames: _link_poses gives
 every link's world frame (B, n_links, 4, 4), each depth level one product of
@@ -30,7 +44,7 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -38,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DescriptionError, atomic_write_text, finite_number, float_rows, parse_object, read_text
-from .transforms import _SKEW_BASIS, RigidTransform, _axis_terms, _rodrigues, quat_from_rpy, quat_to_matrix
+from .transforms import _SKEW_BASIS, _axis_terms, _rodrigues, quat_from_rpy, quat_normalize, quat_to_matrix
 
 _AXIS_TOL = 1e-9
 _PSD_TOL = -1e-9
@@ -49,38 +63,11 @@ ROBOT_CACHE_SIZE = 16
 REVOLUTE = "revolute"
 FIXED = "fixed"
 
-
-@dataclass(frozen=True)
-class Link:
-    id: str
-    parent: str | None
-    origin: RigidTransform
-    rpy: tuple[float, float, float]  # origin_rpy as written in the description
-
-
-@dataclass(frozen=True)
-class Joint:
-    child_link: str
-    type: str
-    axis: np.ndarray | None
-    lower: float
-    upper: float
-    damping: float
-
-
-@dataclass(frozen=True)
-class Inertial:
-    link: str
-    mass: float
-    com: np.ndarray
-    inertia: np.ndarray  # 3x3 about the COM, link frame
-
-
-@dataclass(frozen=True)
-class Keypoint:
-    name: str
-    link: str
-    offset: np.ndarray
+# inertia_6 lists (ixx, ixy, ixz, iyy, iyz, izz): _TENSOR_FROM_6 picks its
+# entries for the 3x3 tensor row by row, and _UPPER_ROWS, _UPPER_COLS are the
+# tensor entries that it lists.
+_TENSOR_FROM_6 = [0, 1, 2, 1, 3, 4, 2, 4, 5]
+_UPPER_ROWS, _UPPER_COLS = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
 
 
 class _Level(NamedTuple):
@@ -97,66 +84,84 @@ class _Level(NamedTuple):
     parents: slice | np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class KinematicTree:
     """Immutable articulated chain; safe to share across threads.
 
-    Every array it holds is read-only, `joints` and `inertials` are
-    read-only mappings and each `geometry` entry is a read-only copy, so
-    one tree can serve every caller that loads the same description.
+    Every array it holds is read-only, as is `_kp_row`, and each `geometry`
+    entry is a read-only copy, so one tree can serve every caller that loads
+    the same description. Built only by load_robot.
     """
 
     name: str
-    links: tuple[Link, ...]
-    joints: Mapping[str, Joint]       # keyed by child link id
-    inertials: Mapping[str, Inertial]
-    keypoints: tuple[Keypoint, ...]
-    geometry: tuple[Mapping, ...] = ()
-    # Derived read-only caches, filled by _finalize. Link poses are computed
-    # in slot order: the root is slot 0, then the links level by level, each
-    # level ordered by its links' parent slots (siblings in description order).
-    _index: dict[str, int] = field(default_factory=dict, repr=False)  # description order
-    _order: np.ndarray = field(default=None, repr=False)          # link index per slot
-    _parent_slots: np.ndarray = field(default=None, repr=False)   # -1 for the root
-    _origin_rot: np.ndarray = field(default=None, repr=False)     # (n_links, 3, 3)
-    _origin_trans: np.ndarray = field(default=None, repr=False)   # (n_links, 3)
+    # The description's columns, in description order.
+    link_ids: tuple[str, ...]
+    link_parents: tuple[str | None, ...]
+    origin_xyz: np.ndarray        # (n_links, 3)
+    origin_rpy: np.ndarray        # (n_links, 3)
+    joint_links: tuple[str, ...]  # each joint's child link
+    joint_types: tuple[str, ...]
+    actuated_joints: tuple[str, ...]  # child links of the revolute joints, canonical order
+    joint_axes: np.ndarray        # (N, 3), actuated order
+    joint_lower: np.ndarray       # (N,)
+    joint_upper: np.ndarray       # (N,)
+    joint_damping: np.ndarray     # (N,)
+    inertial_links: tuple[str, ...]
+    masses: np.ndarray            # (M,)
+    coms: np.ndarray              # (M, 3)
+    inertias: np.ndarray          # (M, 3, 3)
+    keypoint_names: tuple[str, ...]
+    keypoint_links: tuple[str, ...]
+    keypoint_offsets: np.ndarray  # (K, 3)
+    geometry: tuple[Mapping, ...]
+    # Slot-order arrays. Link poses are computed in slot order: the root is
+    # slot 0, then the links level by level, each level ordered by its links'
+    # parent slots (siblings in description order).
+    _order: np.ndarray            # description index per slot
+    _parent_slots: np.ndarray     # -1 for the root
+    _origin_rot: np.ndarray       # (n_links, 3, 3)
+    _origin_trans: np.ndarray     # (n_links, 3)
     # (n_links, 4, 4): the root's origin frame in slot 0; every other slot
     # holds its local frame's origin translation and [0, 0, 0, 1] row, and a
     # zero rotation block (each FK writes origin_rot @ joint there, in a copy).
-    _frame_template: np.ndarray = field(default=None, repr=False)
+    _frame_template: np.ndarray
     # Per non-root slot: the q column of its joint (num_actuated for a fixed
     # joint) and the Rodrigues terms of its axis (zero for a fixed joint).
-    _joint_cols: np.ndarray = field(default=None, repr=False)
-    _joint_outer: np.ndarray = field(default=None, repr=False)
-    _joint_skew: np.ndarray = field(default=None, repr=False)
-    _levels: tuple[_Level, ...] = field(default=(), repr=False)
-    _actuated: tuple[str, ...] = field(default=(), repr=False)
-    _joint_slots: np.ndarray = field(default=None, repr=False)  # slot per q column
-    _joint_axes: np.ndarray = field(default=None, repr=False)   # (num_actuated, 3)
-    _axis_columns: np.ndarray = field(default=None, repr=False)  # (num_actuated, 3, 1)
-    _kp_row: dict[str, int] = field(default_factory=dict, repr=False)
-    _kp_slots: np.ndarray = field(default=None, repr=False)
-    _kp_offsets: np.ndarray = field(default=None, repr=False)   # (K, 4, 1) homogeneous: [offset, 1]
+    _joint_cols: np.ndarray
+    _joint_outer: np.ndarray
+    _joint_skew: np.ndarray
+    _levels: tuple[_Level, ...]
+    _joint_slots: np.ndarray      # slot per q column
+    _axis_columns: np.ndarray     # (num_actuated, 3, 1)
+    _kp_row: Mapping[str, int]
+    _kp_slots: np.ndarray
+    _kp_offsets: np.ndarray       # (K, 4, 1) homogeneous: [offset, 1]
     # [k, j]: joint column j lies on the root-to-keypoint-k chain.
-    _kp_joint_mask: np.ndarray = field(default=None, repr=False)
+    _kp_joint_mask: np.ndarray
+    # RNEA's mass (n_links, 1), COM (n_links, 3) and inertia (n_links, 3, 3)
+    # per slot; None when a link has no inertial, the first of which
+    # _no_inertial names.
+    _mass: np.ndarray | None
+    _com: np.ndarray | None
+    _inertia: np.ndarray | None
+    _no_inertial: str | None
+
+    def __post_init__(self):
+        arrays = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
+        arrays += [level.parents for level in self._levels if not isinstance(level.parents, slice)]
+        for array in arrays:
+            array.flags.writeable = False
+
+    def __repr__(self) -> str:
+        return f"KinematicTree({self.name!r}, {len(self.link_ids)} links, {self.num_actuated} actuated joints)"
 
     @property
     def num_actuated(self) -> int:
-        return len(self._actuated)
-
-    @property
-    def actuated_joints(self) -> tuple[str, ...]:
-        """Child-link ids of the revolute joints, canonical order."""
-        return self._actuated
-
-    @property
-    def keypoint_names(self) -> tuple[str, ...]:
-        return tuple(k.name for k in self.keypoints)
+        return len(self.actuated_joints)
 
     def joint_limits(self) -> tuple[np.ndarray, np.ndarray]:
-        lower = np.array([self.joints[c].lower for c in self._actuated])
-        upper = np.array([self.joints[c].upper for c in self._actuated])
-        return lower, upper
+        """The read-only lower and upper limit columns (N,), actuated order."""
+        return self.joint_lower, self.joint_upper
 
     def check_q(self, q: np.ndarray, batch: bool = True) -> np.ndarray:
         """Validate one joint vector (n,) or, with `batch`, a stack of them (B, n).
@@ -194,170 +199,9 @@ def _plain(value):
     return value
 
 
-def _finalize(tree: KinematicTree) -> KinematicTree:
-    """Validate all invariants, attach traversal caches and make the tree
-    read-only: the last step of reading a description document."""
-    index = {}
-    for link in tree.links:
-        if link.id in index:
-            raise DescriptionError("duplicate link id", element=link.id)
-        index[link.id] = len(index)
-
-    roots = [l.id for l in tree.links if l.parent is None]
-    if len(roots) != 1:
-        raise DescriptionError(f"tree must have exactly one root link, found {roots}")
-    root = roots[0]
-
-    children: dict[str, list[str]] = {l.id: [] for l in tree.links}
-    for link in tree.links:
-        if link.parent is None:
-            continue
-        if link.parent not in index:
-            raise DescriptionError("link references missing parent", element=link.id)
-        children[link.parent].append(link.id)
-
-    # Slot order: the root, then depth by depth each link's children in
-    # description order, so a level's links follow their parents' slots.
-    # Anything unreached is a cycle or orphan.
-    slot_ids = [root]
-    bounds = []  # slot range of each depth 1, 2, ...
-    start = 0
-    while level := [c for lid in slot_ids[start:] for c in children[lid]]:
-        start = len(slot_ids)
-        slot_ids.extend(level)
-        bounds.append((start, len(slot_ids)))
-    if len(slot_ids) != len(tree.links):
-        missing = sorted(set(index) - set(slot_ids))
-        raise DescriptionError("cycle in parent graph", element=missing[0])
-
-    for link in tree.links:
-        if link.parent is None:
-            if link.id in tree.joints:
-                raise DescriptionError("root link cannot have a joint", element=link.id)
-            continue
-        joint = tree.joints.get(link.id)
-        if joint is None:
-            raise DescriptionError("non-root link has no joint", element=link.id)
-        if joint.type not in (REVOLUTE, FIXED):
-            raise DescriptionError(f"unknown joint type '{joint.type}'", element=link.id)
-        if joint.type == REVOLUTE:
-            if joint.axis is None or abs(np.linalg.norm(joint.axis) - 1.0) > _AXIS_TOL:
-                raise DescriptionError("joint axis is not unit length", element=link.id)
-            # Written so that NaN fails too: it would reach the solver or the torques.
-            if not joint.lower <= joint.upper:
-                raise DescriptionError("joint limits must satisfy lower <= upper", element=link.id)
-            if not 0 <= joint.damping < np.inf:
-                raise DescriptionError("joint damping must be finite and nonnegative", element=link.id)
-
-    for extra in set(tree.joints) - set(index):
-        raise DescriptionError("joint references missing child link", element=extra)
-
-    for inert in tree.inertials.values():
-        if inert.link not in index:
-            raise DescriptionError("inertial references missing link", element=inert.link)
-        if inert.mass < 0 or not np.isfinite(inert.mass):
-            raise DescriptionError("invalid mass", element=inert.link)
-        if not np.allclose(inert.inertia, inert.inertia.T, atol=1e-12):
-            raise DescriptionError("inertia tensor not symmetric", element=inert.link)
-        eigs = np.linalg.eigvalsh(inert.inertia)
-        if eigs.min() < _PSD_TOL:
-            raise DescriptionError("inertia tensor not positive semi-definite", element=inert.link)
-
-    seen = set()
-    for kp in tree.keypoints:
-        if kp.name in seen:
-            raise DescriptionError("duplicate keypoint name", element=kp.name)
-        seen.add(kp.name)
-        if kp.link not in index:
-            raise DescriptionError("keypoint references missing link", element=kp.name)
-
-    n = len(slot_ids)
-    slot = {lid: s for s, lid in enumerate(slot_ids)}
-    links = [tree.links[index[lid]] for lid in slot_ids]
-    order = np.array([index[lid] for lid in slot_ids], dtype=int)
-    parent_slots = np.array([-1] + [slot[link.parent] for link in links[1:]], dtype=int)
-    origin_rot = quat_to_matrix(np.array([link.origin.rotation for link in links]).reshape(n, 4))
-    origin_trans = np.array([link.origin.translation for link in links]).reshape(n, 3)
-
-    actuated = tuple(c for c, j in tree.joints.items() if j.type == REVOLUTE)
-    column = {c: col for col, c in enumerate(actuated)}  # link id -> q column
-    joint_slots = np.array([slot[c] for c in actuated], dtype=int)
-    joint_axes = np.array([tree.joints[c].axis for c in actuated], dtype=float).reshape(-1, 3)
-    # Computed on the column-ordered axes, exactly as axis_angle_matrix would.
-    outer, skew = _axis_terms(joint_axes)
-    joint_cols = np.array([column.get(link.id, len(actuated)) for link in links[1:]], dtype=int)
-    revolute = joint_cols < len(actuated)
-    joint_outer = np.zeros((n - 1, 3, 3))
-    joint_skew = np.zeros((n - 1, 3, 3))
-    joint_outer[revolute] = outer[joint_cols[revolute]]
-    joint_skew[revolute] = skew[joint_cols[revolute]]
-
-    frame_template = np.zeros((n, 4, 4))
-    frame_template[:, 3, 3] = 1.0
-    frame_template[:, :3, 3] = origin_trans
-    frame_template[0, :3, :3] = origin_rot[0]
-
-    kp_slots = np.array([slot[kp.link] for kp in tree.keypoints], dtype=int)
-    kp_offsets = np.ones((len(tree.keypoints), 4, 1))
-    kp_offsets[:, :3, 0] = np.array([kp.offset for kp in tree.keypoints], dtype=float).reshape(-1, 3)
-    kp_joint_mask = np.zeros((len(tree.keypoints), len(actuated)), dtype=bool)
-    for k, s in enumerate(kp_slots):
-        while s >= 0:
-            if links[s].id in column:
-                kp_joint_mask[k, column[links[s].id]] = True
-            s = parent_slots[s]
-
-    parts = [a for link in tree.links for a in (link.origin.rotation, link.origin.translation)]
-    parts += [j.axis for j in tree.joints.values() if j.axis is not None]
-    parts += [a for i in tree.inertials.values() for a in (i.com, i.inertia)]
-    parts += [kp.offset for kp in tree.keypoints]
-    axis_columns = joint_axes[:, :, None]
-    for arr in parts + [order, parent_slots, origin_rot, origin_trans, frame_template, joint_cols,
-                        joint_outer, joint_skew, joint_slots, joint_axes, axis_columns, kp_slots,
-                        kp_offsets, kp_joint_mask]:
-        arr.flags.writeable = False
-
-    levels = []
-    for start, stop in bounds:
-        parents = parent_slots[start:stop]
-        if parents[0] == parents[-1]:
-            parents = slice(int(parents[0]), int(parents[0]) + 1)
-        elif np.all(np.diff(parents) == 1):
-            parents = slice(int(parents[0]), int(parents[-1]) + 1)
-        levels.append(_Level(slice(start, stop), parents))
-
-    object.__setattr__(tree, "_index", index)
-    object.__setattr__(tree, "_order", order)
-    object.__setattr__(tree, "_parent_slots", parent_slots)
-    object.__setattr__(tree, "_origin_rot", origin_rot)
-    object.__setattr__(tree, "_origin_trans", origin_trans)
-    object.__setattr__(tree, "_frame_template", frame_template)
-    object.__setattr__(tree, "_joint_cols", joint_cols)
-    object.__setattr__(tree, "_joint_outer", joint_outer)
-    object.__setattr__(tree, "_joint_skew", joint_skew)
-    object.__setattr__(tree, "_levels", tuple(levels))
-    object.__setattr__(tree, "_actuated", actuated)
-    object.__setattr__(tree, "_joint_slots", joint_slots)
-    object.__setattr__(tree, "_joint_axes", joint_axes)
-    object.__setattr__(tree, "_axis_columns", axis_columns)
-    object.__setattr__(tree, "_kp_row", {kp.name: k for k, kp in enumerate(tree.keypoints)})
-    object.__setattr__(tree, "_kp_slots", kp_slots)
-    object.__setattr__(tree, "_kp_offsets", kp_offsets)
-    object.__setattr__(tree, "_kp_joint_mask", kp_joint_mask)
-    return tree
-
-
 # ---------------------------------------------------------------------------
 # Description document I/O
 # ---------------------------------------------------------------------------
-
-def _vec(raw, length, what, element) -> np.ndarray:
-    return float_rows([raw], length, functools.partial(DescriptionError, element=element), [what])[0]
-
-
-def _number(raw: dict, key: str, default: float, element: str) -> float:
-    return finite_number(raw.get(key, default), functools.partial(DescriptionError, element=element), key)
-
 
 def _entries(doc: dict, key: str) -> list[dict]:
     """The JSON objects listed under `key` (none when it is absent)."""
@@ -382,6 +226,36 @@ def _name(raw: dict, key: str, element: str, required: bool = True) -> str | Non
     return value
 
 
+def _vectors(entries: list[dict], key: str, width: int, elements, default=None) -> np.ndarray:
+    """The `key` vectors of `entries` (zeros, or `default`, where absent) as
+    one (len, width) array: one float_rows call, a bad row named by its element."""
+    default = [0] * width if default is None else default
+    return float_rows([raw.get(key, default) for raw in entries], width, DescriptionError, elements, key)
+
+
+def _numbers(entries: list[dict], key: str, elements) -> np.ndarray:
+    """The `key` numbers of `entries` (0 where absent), each checked by finite_number."""
+    return np.array([finite_number(raw.get(key, 0.0), functools.partial(DescriptionError, element=element), key)
+                     for raw, element in zip(entries, elements)], dtype=float)
+
+
+def _repeat(values) -> str | None:
+    """The first value that appears a second time, if any."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
+
+
+def _reject(flags, elements, message: str):
+    """Raise DescriptionError(message) naming the first element whose flag is set."""
+    flags = np.asarray(flags, dtype=bool)
+    if flags.any():
+        raise DescriptionError(message, element=elements[int(np.argmax(flags))])
+
+
 def load_robot(source: str | Path | dict) -> KinematicTree:
     """Load and validate a robot description (path, JSON text, or dict).
 
@@ -404,103 +278,183 @@ def _load_text(text: str) -> KinematicTree:
 
 
 def _tree_from_document(doc: dict) -> KinematicTree:
+    """Read the document's sections into columns, check the tree and build it."""
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise DescriptionError("missing robot name")
 
-    links = []
-    for i, raw in enumerate(_entries(doc, "links")):
-        lid = _name(raw, "id", f"links[{i}]")
-        parent = _name(raw, "parent", lid, required=False)
-        xyz = _vec(raw.get("origin_xyz", (0, 0, 0)), 3, "origin_xyz", lid)
-        rpy = _vec(raw.get("origin_rpy", (0, 0, 0)), 3, "origin_rpy", lid)
-        links.append(Link(lid, parent, RigidTransform(quat_from_rpy(*rpy), xyz), tuple(rpy.tolist())))
-    if not links:
+    links = _entries(doc, "links")
+    ids = tuple(_name(raw, "id", f"links[{i}]") for i, raw in enumerate(links))
+    parents = tuple(_name(raw, "parent", lid, required=False) for raw, lid in zip(links, ids))
+    origin_xyz = _vectors(links, "origin_xyz", 3, ids)
+    origin_rpy = _vectors(links, "origin_rpy", 3, ids)
+    if not ids:
         raise DescriptionError("robot description has no links")
 
-    joints: dict[str, Joint] = {}  # keyed by child link, in description order
-    for i, raw in enumerate(_entries(doc, "joints")):
-        child = _name(raw, "child_link", f"joints[{i}]")
-        if child in joints:
-            raise DescriptionError("link has multiple joints", element=child)
-        jtype = raw.get("type", REVOLUTE)
-        axis = _vec(raw.get("axis", (0, 0, 1)), 3, "axis", child) if jtype == REVOLUTE else None
-        joints[child] = Joint(child_link=child, type=jtype, axis=axis,
-                              lower=_number(raw, "limit_lower", 0.0, child),
-                              upper=_number(raw, "limit_upper", 0.0, child),
-                              damping=_number(raw, "damping", 0.0, child))
+    joints = _entries(doc, "joints")
+    joint_links = tuple(_name(raw, "child_link", f"joints[{i}]") for i, raw in enumerate(joints))
+    if (repeat := _repeat(joint_links)) is not None:
+        raise DescriptionError("link has multiple joints", element=repeat)
+    joint_types = tuple(raw.get("type", REVOLUTE) for raw in joints)
+    revolute = np.array([t == REVOLUTE for t in joint_types], dtype=bool)
+    actuated = tuple(c for c, r in zip(joint_links, revolute) if r)
+    joint_axes = _vectors([raw for raw, r in zip(joints, revolute) if r], "axis", 3, actuated, default=[0, 0, 1])
+    lower, upper, damping = (_numbers(joints, key, joint_links)[revolute]
+                             for key in ("limit_lower", "limit_upper", "damping"))
 
-    inertials: dict[str, Inertial] = {}
-    for i, raw in enumerate(_entries(doc, "inertials")):
-        link = _name(raw, "link", f"inertials[{i}]")
-        if link in inertials:
-            raise DescriptionError("link has multiple inertials", element=link)
-        ixx, ixy, ixz, iyy, iyz, izz = _vec(raw.get("inertia_6", (0, 0, 0, 0, 0, 0)), 6, "inertia_6", link)
-        inertials[link] = Inertial(link=link, mass=_number(raw, "mass", 0.0, link),
-                                   com=_vec(raw.get("com", (0, 0, 0)), 3, "com", link),
-                                   inertia=np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]]))
+    inertials = _entries(doc, "inertials")
+    inertial_links = tuple(_name(raw, "link", f"inertials[{i}]") for i, raw in enumerate(inertials))
+    if (repeat := _repeat(inertial_links)) is not None:
+        raise DescriptionError("link has multiple inertials", element=repeat)
+    inertias = _vectors(inertials, "inertia_6", 6, inertial_links)[:, _TENSOR_FROM_6].reshape(-1, 3, 3)
+    masses = _numbers(inertials, "mass", inertial_links)
+    coms = _vectors(inertials, "com", 3, inertial_links)
 
-    keypoints = []
-    for i, raw in enumerate(_entries(doc, "keypoints")):
-        kname = _name(raw, "name", f"keypoints[{i}]")
-        keypoints.append(
-            Keypoint(name=kname, link=_name(raw, "link", kname, required=False) or "",
-                     offset=_vec(raw.get("offset", (0, 0, 0)), 3, "offset", kname))
-        )
+    keypoints = _entries(doc, "keypoints")
+    kp_names = tuple(_name(raw, "name", f"keypoints[{i}]") for i, raw in enumerate(keypoints))
+    kp_links = tuple(_name(raw, "link", kname, required=False) or "" for raw, kname in zip(keypoints, kp_names))
+    kp_offsets = _vectors(keypoints, "offset", 3, kp_names)
+    geometry = tuple(_frozen(g) for g in _entries(doc, "geometry"))
 
-    return _finalize(KinematicTree(
-        name=name,
-        links=tuple(links),
-        joints=MappingProxyType(joints),
-        inertials=MappingProxyType(inertials),
-        keypoints=tuple(keypoints),
-        geometry=tuple(_frozen(g) for g in _entries(doc, "geometry")),
-    ))
+    # The tree checks, each naming the first failing element.
+    if (repeat := _repeat(ids)) is not None:
+        raise DescriptionError("duplicate link id", element=repeat)
+    index = {lid: i for i, lid in enumerate(ids)}
+    roots = [lid for lid, parent in zip(ids, parents) if parent is None]
+    if len(roots) != 1:
+        raise DescriptionError(f"tree must have exactly one root link, found {roots}")
+    root = roots[0]
+    _reject([p is not None and p not in index for p in parents], ids, "link references missing parent")
+
+    # Slot order: the root, then depth by depth each link's children in
+    # description order, so a level's links follow their parents' slots.
+    # Anything unreached is a cycle or orphan.
+    children: dict[str, list[str]] = {lid: [] for lid in ids}
+    for lid, parent in zip(ids, parents):
+        if parent is not None:
+            children[parent].append(lid)
+    slot_ids = [root]
+    bounds = []  # slot range of each depth 1, 2, ...
+    start = 0
+    while level := [c for lid in slot_ids[start:] for c in children[lid]]:
+        start = len(slot_ids)
+        slot_ids.extend(level)
+        bounds.append((start, len(slot_ids)))
+    if len(slot_ids) != len(ids):
+        missing = sorted(set(ids) - set(slot_ids))
+        raise DescriptionError("cycle in parent graph", element=missing[0])
+
+    jointed = set(joint_links)
+    if root in jointed:
+        raise DescriptionError("root link cannot have a joint", element=root)
+    _reject([lid != root and lid not in jointed for lid in ids], ids, "non-root link has no joint")
+    if unknown := [(c, t) for c, t in zip(joint_links, joint_types) if t not in (REVOLUTE, FIXED)]:
+        raise DescriptionError(f"unknown joint type '{unknown[0][1]}'", element=unknown[0][0])
+    _reject(np.abs(np.linalg.norm(joint_axes, axis=1) - 1.0) > _AXIS_TOL, actuated, "joint axis is not unit length")
+    _reject(~(lower <= upper), actuated, "joint limits must satisfy lower <= upper")
+    _reject(damping < 0, actuated, "joint damping must be finite and nonnegative")
+    _reject([c not in index for c in joint_links], joint_links, "joint references missing child link")
+
+    _reject([link not in index for link in inertial_links], inertial_links, "inertial references missing link")
+    _reject(masses < 0, inertial_links, "invalid mass")
+    _reject(np.linalg.eigvalsh(inertias).min(axis=1) < _PSD_TOL, inertial_links,
+            "inertia tensor not positive semi-definite")
+
+    if (repeat := _repeat(kp_names)) is not None:
+        raise DescriptionError("duplicate keypoint name", element=repeat)
+    _reject([link not in index for link in kp_links], kp_names, "keypoint references missing link")
+
+    # Slot-order arrays.
+    n = len(slot_ids)
+    slot = {lid: s for s, lid in enumerate(slot_ids)}
+    order = np.array([index[lid] for lid in slot_ids], dtype=int)
+    parent_slots = np.array([-1] + [slot[parents[i]] for i in order[1:]], dtype=int)
+    # Normalized a second time, so that each origin rounds to the bits of
+    # RigidTransform(quat_from_rpy(*rpy)), one link at a time (one normalize
+    # differs in the last bit on some angles).
+    origin_rot = quat_to_matrix(quat_normalize(quat_from_rpy(*origin_rpy.T))[order])
+    origin_trans = origin_xyz[order]
+
+    column = {c: col for col, c in enumerate(actuated)}  # link id -> q column
+    joint_slots = np.array([slot[c] for c in actuated], dtype=int)
+    # Computed on the column-ordered axes, exactly as axis_angle_matrix would.
+    outer, skew = _axis_terms(joint_axes)
+    joint_cols = np.array([column.get(lid, len(actuated)) for lid in slot_ids[1:]], dtype=int)
+    turns = joint_cols < len(actuated)
+    joint_outer = np.zeros((n - 1, 3, 3))
+    joint_skew = np.zeros((n - 1, 3, 3))
+    joint_outer[turns] = outer[joint_cols[turns]]
+    joint_skew[turns] = skew[joint_cols[turns]]
+
+    frame_template = np.zeros((n, 4, 4))
+    frame_template[:, 3, 3] = 1.0
+    frame_template[:, :3, 3] = origin_trans
+    frame_template[0, :3, :3] = origin_rot[0]
+
+    kp_slots = np.array([slot[link] for link in kp_links], dtype=int)
+    kp_offsets_h = np.ones((len(kp_names), 4, 1))
+    kp_offsets_h[:, :3, 0] = kp_offsets
+    kp_joint_mask = np.zeros((len(kp_names), len(actuated)), dtype=bool)
+    for k, s in enumerate(kp_slots):
+        while s >= 0:
+            if slot_ids[s] in column:
+                kp_joint_mask[k, column[slot_ids[s]]] = True
+            s = parent_slots[s]
+
+    levels = []
+    for start, stop in bounds:
+        level_parents = parent_slots[start:stop]
+        if level_parents[0] == level_parents[-1]:
+            level_parents = slice(int(level_parents[0]), int(level_parents[0]) + 1)
+        elif np.all(np.diff(level_parents) == 1):
+            level_parents = slice(int(level_parents[0]), int(level_parents[-1]) + 1)
+        levels.append(_Level(slice(start, stop), level_parents))
+
+    inertial_row = {link: m for m, link in enumerate(inertial_links)}
+    no_inertial = next((lid for lid in ids if lid not in inertial_row), None)
+    mass = com = inertia = None
+    if no_inertial is None:
+        rows = [inertial_row[lid] for lid in slot_ids]
+        mass, com, inertia = masses[rows][:, None], coms[rows], inertias[rows]
+
+    return KinematicTree(
+        name=name, link_ids=ids, link_parents=parents, origin_xyz=origin_xyz, origin_rpy=origin_rpy,
+        joint_links=joint_links, joint_types=joint_types, actuated_joints=actuated, joint_axes=joint_axes,
+        joint_lower=lower, joint_upper=upper, joint_damping=damping,
+        inertial_links=inertial_links, masses=masses, coms=coms, inertias=inertias,
+        keypoint_names=kp_names, keypoint_links=kp_links, keypoint_offsets=kp_offsets, geometry=geometry,
+        _order=order, _parent_slots=parent_slots, _origin_rot=origin_rot, _origin_trans=origin_trans,
+        _frame_template=frame_template, _joint_cols=joint_cols, _joint_outer=joint_outer,
+        _joint_skew=joint_skew, _levels=tuple(levels), _joint_slots=joint_slots,
+        _axis_columns=joint_axes[:, :, None], _kp_row=MappingProxyType({k: i for i, k in enumerate(kp_names)}),
+        _kp_slots=kp_slots, _kp_offsets=kp_offsets_h, _kp_joint_mask=kp_joint_mask,
+        _mass=mass, _com=com, _inertia=inertia, _no_inertial=no_inertial,
+    )
 
 
 def tree_to_document(tree: KinematicTree) -> dict:
-    """Inverse of load_robot; field order is fixed for canonical output."""
+    """Inverse of load_robot, written from the columns; field order is fixed for canonical output."""
+    revolute = iter(zip(tree.joint_axes.tolist(), tree.joint_lower.tolist(), tree.joint_upper.tolist(),
+                        tree.joint_damping.tolist()))
+    joints = []
+    for child, jtype in zip(tree.joint_links, tree.joint_types):
+        joints.append({"child_link": child, "type": jtype})
+        if jtype == REVOLUTE:
+            joints[-1].update(zip(("axis", "limit_lower", "limit_upper", "damping"), next(revolute)))
     doc = {
         "name": tree.name,
-        "links": [
-            {
-                "id": l.id,
-                "parent": l.parent,
-                "origin_xyz": [float(v) for v in l.origin.translation],
-                "origin_rpy": list(l.rpy),
-            }
-            for l in tree.links
-        ],
-        "joints": [],
-        "inertials": [
-            {
-                "link": i.link,
-                "mass": float(i.mass),
-                "com": [float(v) for v in i.com],
-                "inertia_6": [
-                    float(i.inertia[0, 0]),
-                    float(i.inertia[0, 1]),
-                    float(i.inertia[0, 2]),
-                    float(i.inertia[1, 1]),
-                    float(i.inertia[1, 2]),
-                    float(i.inertia[2, 2]),
-                ],
-            }
-            for i in tree.inertials.values()
-        ],
-        "keypoints": [
-            {"name": k.name, "link": k.link, "offset": [float(v) for v in k.offset]}
-            for k in tree.keypoints
-        ],
+        "links": [{"id": lid, "parent": parent, "origin_xyz": xyz, "origin_rpy": rpy}
+                  for lid, parent, xyz, rpy in zip(tree.link_ids, tree.link_parents, tree.origin_xyz.tolist(),
+                                                   tree.origin_rpy.tolist())],
+        "joints": joints,
+        "inertials": [{"link": link, "mass": mass, "com": com, "inertia_6": inertia_6}
+                      for link, mass, com, inertia_6 in zip(tree.inertial_links, tree.masses.tolist(),
+                                                            tree.coms.tolist(),
+                                                            tree.inertias[:, _UPPER_ROWS, _UPPER_COLS].tolist())],
+        "keypoints": [{"name": kname, "link": link, "offset": offset}
+                      for kname, link, offset in zip(tree.keypoint_names, tree.keypoint_links,
+                                                     tree.keypoint_offsets.tolist())],
     }
-    for j in tree.joints.values():
-        entry = {"child_link": j.child_link, "type": j.type}
-        if j.type == REVOLUTE:
-            entry["axis"] = [float(v) for v in j.axis]
-            entry["limit_lower"] = float(j.lower)
-            entry["limit_upper"] = float(j.upper)
-            entry["damping"] = float(j.damping)
-        doc["joints"].append(entry)
     if tree.geometry:
         doc["geometry"] = [_plain(g) for g in tree.geometry]
     return doc
@@ -525,7 +479,7 @@ def _joint_rotations(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
     frames. A fixed joint reads angle 0 from an appended zero column, which
     with its zero axis terms gives exactly the identity.
     """
-    if len(tree.links) - 1 > tree.num_actuated:
+    if len(tree.link_ids) - 1 > tree.num_actuated:
         q = np.concatenate((q, np.zeros((len(q), 1))), axis=1)
     return _rodrigues(tree._joint_outer, tree._joint_skew, q[:, tree._joint_cols][..., None, None])
 
@@ -578,7 +532,7 @@ def forward_kinematics(tree: KinematicTree, q: np.ndarray) -> dict[str, np.ndarr
     points = _keypoints(tree, qb)
     if single:
         points = points[0]
-    return {kp.name: points[..., k, :] for k, kp in enumerate(tree.keypoints)}
+    return {name: points[..., k, :] for k, name in enumerate(tree.keypoint_names)}
 
 
 def _keypoint_rows(tree: KinematicTree, names) -> list[int]:

@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, StreamFormatError, atomic_write_text, finite_number, float_rows, read_records
+from .errors import (DataError, StreamFormatError, atomic_write_text, check_json_object, finite_number, float_rows,
+                     read_records)
 from .handgen import BETA_CLAMP, SHAPE_DIM, HandShapeParams
 from .transforms import matrix_to_quat
 
@@ -74,7 +75,9 @@ class HandPoseStream:
 
     def _check(self, records: dict[int, dict], rate_hz, s0, sigma, metadata):
         """Check frame records {i: {t, pose, shape, kp}} (frame i named by key i;
-        a missing field counts as null) and the header; store them as columns."""
+        a missing field counts as null) and the header; store them as columns.
+        `s0` is None, a HandShapeParams or (as a file holds it) a list of 10
+        numbers; `metadata` must read back unchanged (errors.check_json_object)."""
         if len(records) < 2:
             raise StreamFormatError("stream needs at least 2 frames")
         rate_hz = finite_number(rate_hz, StreamFormatError, "rate_hz")
@@ -101,6 +104,8 @@ class HandPoseStream:
         at = ([b for b, kp in enumerate(kps) for _ in kp], [names.index(name) for kp in kps for name in kp])
         kp_points, kp_mask = np.zeros((len(t), len(names), 3)), np.zeros((len(t), len(names)), dtype=bool)
         kp_points[at], kp_mask[at] = points, True
+        if not (s0 is None or isinstance(s0, HandShapeParams)):
+            s0 = HandShapeParams(float_rows([s0], SHAPE_DIM, StreamFormatError, ["s0"])[0])
         if sigma is not None:
             sigma = float_rows([_listed(sigma)], SHAPE_DIM, StreamFormatError, ["sigma"])[0]
             if not np.all(sigma > 0):
@@ -111,6 +116,7 @@ class HandPoseStream:
         for key, width in HEADER_FIELDS.items():
             if key in metadata:
                 float_rows([metadata[key]], width, StreamFormatError, [key])
+        check_json_object(metadata, StreamFormatError, "metadata")
         for array in (t, pose, shape, kp_points, kp_mask):
             array.flags.writeable = False
         vars(self).update(t=t, pose=pose, shape=shape, keypoint_names=names, kp=kp_points, kp_mask=kp_mask,
@@ -168,11 +174,9 @@ def calibrate(shapes: np.ndarray) -> tuple[HandShapeParams, np.ndarray]:
 
 def read_stream(path: str | Path) -> HandPoseStream:
     header, records = read_records(path, FORMAT_VERSION, StreamFormatError, "stream", "frame")
-    s0 = header.get("s0")
-    if s0 is not None:
-        s0 = HandShapeParams(float_rows([s0], SHAPE_DIM, StreamFormatError, ["s0"])[0])
     metadata = {k: v for k, v in header.items() if k not in RESERVED_KEYS}
-    return HandPoseStream._from_records(records, header.get("rate_hz"), s0, header.get("sigma"), metadata)
+    return HandPoseStream._from_records(records, header.get("rate_hz"), header.get("s0"), header.get("sigma"),
+                                        metadata)
 
 
 def stream_to_text(stream: HandPoseStream) -> str:

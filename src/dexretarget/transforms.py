@@ -85,18 +85,22 @@ def matrix_to_quat(m: np.ndarray) -> np.ndarray:
     return quat_normalize(q)
 
 
-def quat_from_rpy(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Fixed-axis XYZ (roll about x, then pitch about y, then yaw about z)."""
+def quat_from_rpy(roll, pitch, yaw) -> np.ndarray:
+    """Fixed-axis XYZ (roll about x, then pitch about y, then yaw about z).
+
+    Broadcasts: angles (...) give quaternions (..., 4).
+    """
     cr, sr = np.cos(roll / 2), np.sin(roll / 2)
     cp, sp = np.cos(pitch / 2), np.sin(pitch / 2)
     cy, sy = np.cos(yaw / 2), np.sin(yaw / 2)
-    q = np.array(
+    q = np.stack(
         [
             cr * cp * cy + sr * sp * sy,
             sr * cp * cy - cr * sp * sy,
             cr * sp * cy + sr * cp * sy,
             cr * cp * sy - sr * sp * cy,
-        ]
+        ],
+        axis=-1,
     )
     return quat_normalize(q)
 

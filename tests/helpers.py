@@ -123,7 +123,7 @@ def rotation_origin_fk(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, 
     order, for a (B, n) stack: each level from its parents as
     pos = rot_p @ origin_trans + pos_p and rot = (rot_p @ origin_rot) @ joint."""
     joint = _joint_rotations(tree, q)  # slot s holds joint s - 1
-    rot = np.empty((len(q), len(tree.links), 3, 3))
+    rot = np.empty((len(q), len(tree.link_ids), 3, 3))
     pos = np.empty(rot.shape[:-1])
     rot[:, 0] = tree._origin_rot[0]
     pos[:, 0] = tree._origin_trans[0]
@@ -142,7 +142,7 @@ def cross_product_jacobians(tree: KinematicTree, q: np.ndarray, names) -> tuple[
     rows = [tree.keypoint_names.index(name) for name in names]
     slots, offsets = tree._kp_slots[rows], tree._kp_offsets[rows, :3]
     points = (rot[:, slots] @ offsets)[..., 0] + pos[:, slots]
-    axes = (rot[:, tree._joint_slots] @ tree._joint_axes[:, :, None])[..., 0]  # (B, N, 3)
+    axes = (rot[:, tree._joint_slots] @ tree.joint_axes[:, :, None])[..., 0]  # (B, N, 3)
     arms = points[:, :, None, :] - pos[:, None, tree._joint_slots]              # (B, K, N, 3)
     cols = np.cross(axes[:, None], arms)                                        # (B, K, N, 3)
     mask = tree._kp_joint_mask[rows]

@@ -56,7 +56,7 @@ def joint_stack(tree, rng, batch=BATCH):
 def test_link_poses_stack_equals_single_frames(tree):
     qs = joint_stack(tree, np.random.default_rng(0))
     frames = _link_poses(tree, qs)
-    assert frames.shape == (BATCH, len(tree.links), 4, 4)
+    assert frames.shape == (BATCH, len(tree.link_ids), 4, 4)
     rot, pos = frames[..., :3, :3], frames[..., :3, 3]
     assert np.all(frames[..., 3, :] == [0.0, 0.0, 0.0, 1.0])
     for b in range(BATCH):
@@ -114,14 +114,13 @@ def test_keypoint_jacobians_stack_equals_single_frames(tree):
 def test_jacobian_columns_off_the_keypoint_chain_are_zero(tree):
     q = joint_stack(tree, np.random.default_rng(4), batch=1)[0]
     _, jacobians = keypoint_jacobians(tree, q, tree.keypoint_names)
-    for k, kp in enumerate(tree.keypoints):
+    for name, link in zip(tree.keypoint_names, tree.keypoint_links):
         chain = set()
-        link = kp.link
         while link is not None:
             chain.add(link)
-            link = tree.links[tree._index[link]].parent
+            link = tree.link_parents[tree.link_ids.index(link)]
         off_chain = [j for j, child in enumerate(tree.actuated_joints) if child not in chain]
-        assert np.all(jacobians[kp.name][:, off_chain] == 0.0)
+        assert np.all(jacobians[name][:, off_chain] == 0.0)
 
 
 def test_stacked_inverse_dynamics_equals_per_row_calls(robot):
@@ -226,26 +225,27 @@ def layout_tree():
 
 def per_link_fk(tree, q):
     """Each link's world frame from its parent's, one link at a time, in
-    topological order: parent_frame @ [[origin_rot @ turn, t], [0, 1]]."""
-    frames = np.empty((len(q), len(tree.links), 4, 4))
+    topological order: parent_frame @ [[origin_rot @ turn, t], [0, 1]], each
+    origin a RigidTransform of the link's own origin_rpy and origin_xyz."""
+    frames = np.empty((len(q), len(tree.link_ids), 4, 4))
     column = {child: j for j, child in enumerate(tree.actuated_joints)}
     done = set()
-    while len(done) < len(tree.links):
-        for i, link in enumerate(tree.links):
-            if i in done or (link.parent is not None and tree._index[link.parent] not in done):
+    while len(done) < len(tree.link_ids):
+        for i, (lid, parent) in enumerate(zip(tree.link_ids, tree.link_parents)):
+            if i in done or (parent is not None and tree.link_ids.index(parent) not in done):
                 continue
+            origin = RigidTransform(quat_from_rpy(*tree.origin_rpy[i]), tree.origin_xyz[i])
             local = np.zeros((len(q), 4, 4))
-            local[:, :3, 3] = link.origin.translation
+            local[:, :3, 3] = origin.translation
             local[:, 3, 3] = 1.0
-            if link.parent is None:
-                local[:, :3, :3] = link.origin.matrix()
+            if parent is None:
+                local[:, :3, :3] = origin.matrix()
                 frames[:, i] = local
             else:
-                joint = tree.joints[link.id]
-                turn = (axis_angle_matrix(joint.axis, q[:, column[link.id]])
-                        if joint.type == "revolute" else np.broadcast_to(np.eye(3), (len(q), 3, 3)))
-                local[:, :3, :3] = link.origin.matrix() @ turn
-                frames[:, i] = frames[:, tree._index[link.parent]] @ local
+                turn = (axis_angle_matrix(tree.joint_axes[column[lid]], q[:, column[lid]])
+                        if lid in column else np.broadcast_to(np.eye(3), (len(q), 3, 3)))
+                local[:, :3, :3] = origin.matrix() @ turn
+                frames[:, i] = frames[:, tree.link_ids.index(parent)] @ local
             done.add(i)
     return frames
 
@@ -256,11 +256,11 @@ def test_slot_layout_levels():
     assert [(lv.links.start, lv.links.stop) for lv in levels] == [(1, 5), (5, 9), (9, 13), (13, 15), (15, 16)]
     kinds = [lv.parents if isinstance(lv.parents, slice) else tuple(lv.parents) for lv in levels]
     assert kinds == [slice(0, 1), slice(1, 5), (5, 6, 6, 7), slice(9, 11), slice(13, 14)]
-    ids = [tree.links[i].id for i in tree._order]
+    ids = [tree.link_ids[i] for i in tree._order]
     assert ids == ["base", "a1", "c1", "d1", "b1", "a2", "c2", "d2", "b2",
                    "a3", "c3x", "c3", "d3", "a4", "c4", "a5"]
     for s, i in enumerate(tree._order[1:], start=1):
-        assert ids[tree._parent_slots[s]] == tree.links[i].parent
+        assert ids[tree._parent_slots[s]] == tree.link_parents[i]
 
 
 @pytest.mark.parametrize("batch", [1, 7])
@@ -271,17 +271,17 @@ def test_slot_layout_fk_equals_per_link_fk_bitwise(batch):
     frames = _link_poses(tree, q)  # slot s holds link tree._order[s]
     assert frames.tobytes() == expected[:, tree._order].tobytes()
     points = forward_kinematics(tree, q)
-    for kp in tree.keypoints:
-        point = (expected[:, tree._index[kp.link]] @ np.append(kp.offset, 1.0)[:, None])[..., :3, 0]
-        assert points[kp.name].tobytes() == point.tobytes()
+    for name, link, offset in zip(tree.keypoint_names, tree.keypoint_links, tree.keypoint_offsets):
+        point = (expected[:, tree.link_ids.index(link)] @ np.append(offset, 1.0)[:, None])[..., :3, 0]
+        assert points[name].tobytes() == point.tobytes()
 
 
 def test_tree_caches_are_read_only(tree):
     arrays = [v for v in vars(tree).values() if isinstance(v, np.ndarray)]
     assert len(arrays) >= 14
-    assert tree._frame_template.shape == (len(tree.links), 4, 4)
+    assert tree._frame_template.shape == (len(tree.link_ids), 4, 4)
     assert tree._axis_columns.shape == (tree.num_actuated, 3, 1)
-    assert tree._kp_offsets.shape == (len(tree.keypoints), 4, 1)
+    assert tree._kp_offsets.shape == (len(tree.keypoint_names), 4, 1)
     for level in tree._levels:
         assert isinstance(level.links, slice)
         if not isinstance(level.parents, slice):

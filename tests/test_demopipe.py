@@ -459,6 +459,18 @@ def test_demonstration_rejects_what_its_file_cannot_hold(field, value, message):
         Demonstration(**{**DEMO_FIELDS, field: value})
 
 
+# Dicts that a JSON round trip does not give back equal: NaN reads back as a
+# new NaN, an integer key as a string, a tuple as a list; an array cannot be written.
+NOT_JSON = [{"x": float("nan")}, {1: "a"}, {"x": (1, 2)}, {"x": np.zeros(2)}]
+NOT_JSON_IDS = ["nan", "int-key", "tuple", "array"]
+
+
+@pytest.mark.parametrize("provenance", NOT_JSON, ids=NOT_JSON_IDS)
+def test_demonstration_provenance_must_read_back_unchanged(provenance):
+    with pytest.raises(DemoFormatError, match="^provenance must be a JSON object that reads back unchanged"):
+        Demonstration(**DEMO_FIELDS, provenance=provenance)
+
+
 def test_demonstration_stores_layouts_as_tuples_of_ints():
     demo = Demonstration(**{**DEMO_FIELDS, "state_layout": [["joints", np.int64(2)]], "dt": 1})
     assert demo.state_layout == (("joints", 2),) and type(demo.state_layout[0][1]) is int

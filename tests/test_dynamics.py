@@ -157,8 +157,8 @@ def test_energy_consistency_second_order_in_dt():
             rot, pos = frames[..., :3, :3], frames[..., :3, 3]
             pot = 0.0
             for s, i in enumerate(tree._order):  # slot s holds link i
-                inert = tree.inertials[tree.links[i].id]
-                pot -= inert.mass * gravity @ (pos[0, s] + rot[0, s] @ inert.com)
+                m = tree.inertial_links.index(tree.link_ids[i])
+                pot -= tree.masses[m] * gravity @ (pos[0, s] + rot[0, s] @ tree.coms[m])
             return kin + pot
 
         return abs(work - (energy(ts[-1]) - energy(ts[0])))

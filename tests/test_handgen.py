@@ -58,7 +58,7 @@ def test_any_clamped_shape_keeps_structure(seed):
     shape = HandShapeParams(rng.uniform(-8, 8, size=10))  # clamped to +/-5
     tree = build_custom_hand(shape)
     assert tree.num_actuated == 45
-    assert len(tree.keypoints) == 5
+    assert len(tree.keypoint_names) == 5
     assert np.all(np.abs(shape.beta) <= 5.0)
 
 
@@ -86,9 +86,9 @@ def test_topology_independent_of_shape():
     rng = np.random.default_rng(2)
     a = build_custom_hand(HandShapeParams(rng.uniform(-3, 3, size=10)))
     b = build_custom_hand(HandShapeParams(rng.uniform(-3, 3, size=10)))
-    assert [l.id for l in a.links] == [l.id for l in b.links]
+    assert a.link_ids == b.link_ids
     assert a.actuated_joints == b.actuated_joints
-    assert [(l.id, l.parent) for l in a.links] == [(l.id, l.parent) for l in b.links]
+    assert list(zip(a.link_ids, a.link_parents)) == list(zip(b.link_ids, b.link_parents))
 
 
 def test_distinct_shapes_give_distinct_fingertips():
@@ -132,9 +132,9 @@ def test_custom_hand_is_built_from_its_description_document():
     assert [math.copysign(1.0, v) for v in doc["links"][0]["origin_rpy"]] == [1.0, 1.0, 1.0]
     again = load_robot(doc)
     assert dump_robot(again) == dump_robot(hand)
-    for key in ("_origin_rot", "_origin_trans", "_joint_axes", "_kp_offsets", "_frame_template"):
+    for key in ("_origin_rot", "_origin_trans", "joint_axes", "_kp_offsets", "_frame_template"):
         assert getattr(again, key).tobytes() == getattr(hand, key).tobytes()
-    assert [link.rpy for link in again.links] == [link.rpy for link in hand.links]
+    assert again.origin_rpy.tolist() == hand.origin_rpy.tolist()
 
 
 def test_shape_params_reject_bad_input():

@@ -246,10 +246,10 @@ def test_only_poseio_names_frame_records():
     assert offenders == {}
 
 
-def test_only_kinematics_builds_tree_elements():
+def test_only_kinematics_builds_trees():
     """A tree is built only from its description document: no module but
-    kinematics constructs a Link, Joint, Inertial or Keypoint or calls _finalize."""
-    builders = {"Link", "Joint", "Inertial", "Keypoint", "_finalize"}
+    kinematics constructs a KinematicTree."""
+    builders = {"KinematicTree"}
 
     def calls(path: Path) -> list[int]:
         return [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
@@ -366,7 +366,7 @@ def test_accepted_robot_documents_round_trip(data, tmp_path):
     first = path.read_bytes()
     back = load_robot(path)
     assert tree_to_document(back) == tree_to_document(tree)
-    for key in ("_origin_rot", "_origin_trans", "_joint_axes", "_kp_offsets"):
+    for key in ("_origin_rot", "_origin_trans", "joint_axes", "_kp_offsets"):
         assert getattr(back, key).tobytes() == getattr(tree, key).tobytes()
     write_robot(back, path)
     assert path.read_bytes() == first

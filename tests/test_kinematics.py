@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -279,14 +281,19 @@ def test_invalid_description_text_is_not_cached():
     assert (after.hits, after.misses) == (before.hits, before.misses + 2)
 
 
-def tree_arrays(tree) -> list[np.ndarray]:
-    """Every array a tree holds, its traversal caches included."""
-    arrays = [v for v in vars(tree).values() if isinstance(v, np.ndarray)]
-    arrays += [level.parents for level in tree._levels if not isinstance(level.parents, slice)]
-    arrays += [a for link in tree.links for a in (link.origin.rotation, link.origin.translation)]
-    arrays += [j.axis for j in tree.joints.values() if j.axis is not None]
-    arrays += [a for i in tree.inertials.values() for a in (i.com, i.inertia)]
-    arrays += [kp.offset for kp in tree.keypoints]
+# The description's array columns and the slot-order arrays; RNEA's _mass,
+# _com and _inertia besides when every link has an inertial.
+TREE_ARRAYS = {"origin_xyz", "origin_rpy", "joint_axes", "joint_lower", "joint_upper", "joint_damping", "masses",
+               "coms", "inertias", "keypoint_offsets", "_order", "_parent_slots", "_origin_rot", "_origin_trans",
+               "_frame_template", "_joint_cols", "_joint_outer", "_joint_skew", "_joint_slots", "_axis_columns",
+               "_kp_slots", "_kp_offsets", "_kp_joint_mask"}
+
+
+def tree_arrays(tree) -> dict[str, np.ndarray]:
+    """Every array a tree holds, its traversal caches included, by name."""
+    arrays = {key: v for key, v in vars(tree).items() if isinstance(v, np.ndarray)}
+    arrays.update((f"_levels[{i}].parents", level.parents) for i, level in enumerate(tree._levels)
+                  if not isinstance(level.parents, slice))
     return arrays
 
 
@@ -299,15 +306,20 @@ def test_shared_trees_are_read_only(source):
     else:
         tree = load_robot(robot_path(source))
     arrays = tree_arrays(tree)
-    assert len(arrays) > 4 * len(tree.links)
-    for arr in arrays:
+    assert TREE_ARRAYS <= set(arrays)
+    assert ({"_mass", "_com", "_inertia"} <= set(arrays)) == (tree._no_inertial is None)
+    for arr in arrays.values():
         with pytest.raises(ValueError):
             arr[...] = 0.0
-    link = tree.actuated_joints[0]
+    # Every other field is immutable: a string, a tuple or a read-only mapping.
+    for key, value in vars(tree).items():
+        assert value is None or isinstance(value, (np.ndarray, str, tuple, MappingProxyType)), key
     with pytest.raises(TypeError):
-        tree.joints[link] = tree.joints[link]
+        tree._kp_row[tree.keypoint_names[0]] = 0
     with pytest.raises(TypeError):
-        tree.inertials[link] = None
+        tree.link_ids[0] = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.joint_lower = np.zeros(tree.num_actuated)
     for entry in tree.geometry:
         with pytest.raises(TypeError):
             entry["kind"] = "box"

@@ -153,6 +153,26 @@ def test_stream_rejects_what_its_file_could_not_hold(kwargs, field):
         make_stream(n=3, **kwargs)
 
 
+@pytest.mark.parametrize("metadata", [{"x": float("nan")}, {1: "a"}, {"x": (1, 2)}, {"x": np.zeros(2)}],
+                         ids=["nan", "int-key", "tuple", "array"])
+def test_stream_metadata_must_read_back_unchanged(metadata):
+    # Each would otherwise be written as a header that reads back unequal,
+    # or (the array) fail in the writer or in the stream's sha256.
+    with pytest.raises(StreamFormatError, match="^metadata must be a JSON object that reads back unchanged"):
+        make_stream(n=3, metadata=metadata)
+
+
+def test_stream_s0_is_checked_as_the_file_checks_it(tmp_path):
+    listed = make_stream(n=3, s0=[0.5] * 10)
+    assert isinstance(listed.s0, HandShapeParams)
+    np.testing.assert_array_equal(listed.s0.beta, np.full(10, 0.5))
+    write_stream(listed, tmp_path / "s.jsonl")
+    np.testing.assert_array_equal(read_stream(tmp_path / "s.jsonl").s0.beta, listed.s0.beta)
+    for s0 in (np.zeros(10), "0000000000", [0.0] * 9, [0.0] * 9 + [float("nan")]):
+        with pytest.raises(StreamFormatError, match="^s0 must be 10 finite numbers$"):
+            make_stream(n=3, s0=s0)
+
+
 def test_stream_holds_read_only_columns():
     kp = {"b": np.array([1.0, 2.0, 3.0]), "a": np.array([4.0, 5.0, 6.0])}
     frames = (make_frame(0.0, kp=kp), make_frame(0.04), make_frame(0.08, kp={"c": np.zeros(3)}))

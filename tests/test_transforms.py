@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dexretarget.assets import robot_path
 from dexretarget.errors import DataError
+from dexretarget.kinematics import load_robot
 from dexretarget.transforms import (
     RigidTransform,
     axis_angle_matrix,
@@ -49,9 +51,17 @@ def test_quat_multiply_matches_matrix_product():
 
 
 def test_rpy_matches_fixed_axis_composition():
+    # Random angles and the bundled robots' link origins. The stacked call
+    # gives each triple's quaternion bitwise, also normalized again (as a
+    # tree's origins are).
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        roll, pitch, yaw = rng.uniform(-np.pi, np.pi, size=3)
+    angles = np.concatenate([rng.uniform(-np.pi, np.pi, size=(50, 3))]
+                            + [load_robot(robot_path(name)).origin_rpy for name in ("allegro", "schunk", "adroit")])
+    stacked = quat_from_rpy(*angles.T)
+    assert stacked.shape == (len(angles), 4)
+    for (roll, pitch, yaw), q in zip(angles, stacked):
+        np.testing.assert_array_equal(q, quat_from_rpy(roll, pitch, yaw))
+        np.testing.assert_array_equal(quat_normalize(q), quat_normalize(quat_from_rpy(roll, pitch, yaw)))
         got = quat_to_matrix(quat_from_rpy(roll, pitch, yaw))
         expected = (
             axis_angle_matrix(np.array([0, 0, 1.0]), yaw)
