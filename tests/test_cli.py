@@ -339,6 +339,12 @@ def test_expert_then_train_both_modes(tmp_path, capsys):
         ("translate", json.dumps({"robot": str(robot_path("allegro")), "alpha": 10**400})),
         ("train", json.dumps({"learning_rate": 10**400})),
         ("train", json.dumps({"seed": -1})),
+        ("train", json.dumps({"bc_epochs": -3})),
+        ("train", json.dumps({"value_epochs": -1})),
+        ("train", json.dumps({"value_learning_rate": -1.0})),
+        ("train", json.dumps({"value_learning_rate": 0.0})),
+        ("train", json.dumps({"bc_learning_rate": 0.0})),
+        ("train", json.dumps({"checkpoint_every": -2})),
         ("translate", b"\xff\xfe{}"),
         ("train", b"{\"seed\": \xe9}"),
     ],
@@ -349,6 +355,8 @@ def test_expert_then_train_both_modes(tmp_path, capsys):
          "translate-grad-tol-0", "translate-grad-tol-nan", "translate-alpha-inf", "translate-alpha-nan",
          "translate-cutoff-0", "translate-cutoff-inf", "translate-gamma-1.5", "translate-gamma-0",
          "translate-alpha-overflow", "train-learning-rate-overflow", "train-seed-negative",
+         "train-bc-epochs-negative", "train-value-epochs-negative", "train-value-learning-rate-negative",
+         "train-value-learning-rate-0", "train-bc-learning-rate-0", "train-checkpoint-every-negative",
          "translate-not-utf8", "train-not-utf8"],
 )
 def test_bad_config_value_exit_2(command, text, short_stream_file, tmp_path, capsys):

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +25,14 @@ from dexretarget.dapg.env import (
     tip_position,
 )
 from dexretarget.dapg.nets import LOG2PI, _Mlp
-from dexretarget.dapg.trainer import VALUE_BATCH_SIZE, Batch, demo_arrays, discounted_to_go, rollout_batch
+from dexretarget.dapg.trainer import (
+    PASS_BLOCK,
+    VALUE_BATCH_SIZE,
+    Batch,
+    demo_arrays,
+    discounted_to_go,
+    rollout_batch,
+)
 from dexretarget.demopipe import read_demo, write_demo
 from dexretarget.errors import DataError
 from dexretarget.kinematics import forward_kinematics
@@ -398,6 +409,106 @@ def test_passes_match_reference_bitwise(rows, hidden):
     assert all(np.array_equal(a, b) for a, b in zip(inputs, (states, actions, weights, targets)))
 
 
+# --- passes over a whole batch run in row blocks ----------------------------
+
+def block_slices(n):
+    return [slice(start, start + PASS_BLOCK) for start in range(0, n, PASS_BLOCK)]
+
+
+@pytest.fixture
+def multi_block_setup():
+    """A batch of 2.5 blocks and a demo set of 1.5 blocks, with positive advantages."""
+    rng = np.random.default_rng(21)
+    policy = GaussianPolicy(9, 3, seed=6)
+    policy.log_std[...] = rng.uniform(-1.0, 0.5, size=3)
+    n = 5 * PASS_BLOCK // 2
+    batch = Batch(rng.normal(size=(n, 9)), rng.normal(size=(n, 3)), rng.normal(size=n),
+                  np.zeros(1), np.zeros(1, bool))
+    advantages = rng.uniform(0.1, 2.0, size=n)
+    demo_s = rng.normal(size=(3 * PASS_BLOCK // 2, 9))
+    demo_a = rng.normal(size=(3 * PASS_BLOCK // 2, 3))
+    return policy, batch, advantages, demo_s, demo_a
+
+
+def block_ordered_sum(policy, states, actions, weights):
+    blocks = block_slices(states.shape[0])
+    total = policy.weighted_logp_grad(states[blocks[0]], actions[blocks[0]], weights[blocks[0]])
+    for rows in blocks[1:]:
+        total = total + policy.weighted_logp_grad(states[rows], actions[rows], weights[rows])
+    return total
+
+
+def test_gradient_is_the_block_ordered_sum(multi_block_setup):
+    policy, batch, adv, demo_s, demo_a = multi_block_setup
+    g, weight = dapg_gradient(policy, batch, adv, demo_s, demo_a, 0.1, 0.99, 2)
+    assert weight == 0.1 * 0.99**2 * adv.max()
+    demo_w = np.full(demo_s.shape[0], weight)
+    blocked = (block_ordered_sum(policy, batch.states, batch.actions, adv)
+               + block_ordered_sum(policy, demo_s, demo_a, demo_w))
+    assert g.tobytes() == blocked.tobytes()
+    one_pass = (policy.weighted_logp_grad(batch.states, batch.actions, adv)
+                + policy.weighted_logp_grad(demo_s, demo_a, demo_w))
+    assert np.abs(g - one_pass).max() <= 1e-12 * np.abs(one_pass).max()
+
+
+def test_gradient_rejects_mismatched_rows_within_a_block(multi_block_setup):
+    policy, batch, adv, _, _ = multi_block_setup
+    short = replace(batch, states=batch.states[:PASS_BLOCK], actions=batch.actions[:PASS_BLOCK])
+    with pytest.raises(DataError, match="batch dimensions disagree"):
+        dapg_gradient(policy, short, adv, None, None, 0.0, 0.99, 0)
+
+
+def test_advantages_are_the_blockwise_predictions():
+    rng = np.random.default_rng(22)
+    batch, _ = make_batch(rng, n=7, horizon=PASS_BLOCK // 2)
+    value_fn = ValueFunction(9, seed=3)
+    value_fn.biases[0][...] = rng.normal(size=value_fn.biases[0].shape)
+    adv = compute_advantages(batch, value_fn)
+    blockwise = np.concatenate([value_fn.predict(batch.states[rows]) for rows in block_slices(adv.size)])
+    assert len(block_slices(adv.size)) == 4
+    assert adv.tobytes() == (batch.returns - blockwise).tobytes()
+    one_pass = batch.returns - value_fn.predict(batch.states)
+    assert np.abs(adv - one_pass).max() <= 1e-12 * np.abs(one_pass).max()
+
+
+def test_no_training_pass_spans_more_than_a_block(expert_demos, monkeypatch):
+    rows = []
+    real_forward = _Mlp.forward
+
+    def forward(self, x):
+        rows.append(x.shape[0])
+        return real_forward(self, x)
+
+    monkeypatch.setattr(_Mlp, "forward", forward)
+    # 2500-row batches: more than a value minibatch, so only blocking keeps the passes small.
+    config = DapgConfig(iterations=2, batch_trajectories=25, bc_epochs=1, value_epochs=1)
+    assert config.batch_trajectories * HORIZON > max(PASS_BLOCK, VALUE_BATCH_SIZE)
+    assert sum(d.actions.shape[0] for d in expert_demos) > PASS_BLOCK
+    train(expert_demos, config)
+    assert max(rows) == max(PASS_BLOCK, VALUE_BATCH_SIZE)
+
+
+def traced_peak_mb(fn, *args) -> float:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_passes_allocate_a_few_blocks_not_the_batch():
+    # In one pass over this batch the gradient peaks at about 21.5 MB and the
+    # advantages at 10.4 MB; in blocks, each stays under 1 MB.
+    rng = np.random.default_rng(23)
+    batch, _ = make_batch(rng, n=200, horizon=HORIZON)
+    policy, value_fn = GaussianPolicy(9, 3, seed=0), ValueFunction(9, seed=1)
+    adv = np.abs(rng.normal(size=batch.returns.size))
+    demo_s, demo_a = rng.normal(size=(2500, 9)), rng.normal(size=(2500, 3))
+    assert traced_peak_mb(dapg_gradient, policy, batch, adv, demo_s, demo_a, 0.1, 0.99, 0) < 4.0
+    assert traced_peak_mb(compute_advantages, batch, value_fn) < 4.0
+
+
 # --- score-function identity ------------------------------------------------
 
 def test_score_function_mean_within_three_standard_errors():
@@ -445,8 +556,6 @@ def test_expert_demo_files_round_trip(expert_demos, tmp_path):
 
 
 def test_demo_arrays_rejects_wrong_layout(expert_demos):
-    from dataclasses import replace
-
     bad = replace(
         expert_demos[0],
         state_layout=(("joints", 3), ("tip", 2), ("object", 2), ("target", 2), ("extra", 1)),
@@ -454,6 +563,20 @@ def test_demo_arrays_rejects_wrong_layout(expert_demos):
     )
     with pytest.raises(DataError):
         demo_arrays([bad])
+
+
+def test_demos_without_transitions_rejected(expert_demos):
+    single_state = replace(expert_demos[0], states=expert_demos[0].states[:1],
+                           actions=expert_demos[0].actions[:0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for demos in ([single_state, single_state], []):
+            with pytest.raises(DataError, match="no \\(state, action\\) pair"):
+                demo_arrays(demos)
+        with pytest.raises(DataError, match="no \\(state, action\\) pair"):
+            train([single_state], DapgConfig(iterations=1, batch_trajectories=2))
+    states, _ = demo_arrays([single_state, expert_demos[1]])
+    assert states.shape == (100, 9)
 
 
 def test_train_pure_rl_returns_curve():
@@ -530,6 +653,26 @@ def test_config_validation():
         DapgConfig(learning_rate=0.0)
     with pytest.raises(DataError):
         DapgConfig(lambda0=1.5)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("bc_epochs", -3, "bc_epochs must be nonnegative, got -3"),
+    ("value_epochs", -1, "value_epochs must be nonnegative, got -1"),
+    ("checkpoint_every", -2, "checkpoint_every must be nonnegative, got -2"),
+    ("seed", -1, "seed must be nonnegative, got -1"),
+    ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
+    ("value_learning_rate", -1.0, "value_learning_rate must be positive, got -1.0"),
+    ("value_learning_rate", 0.0, "value_learning_rate must be positive, got 0.0"),
+    ("bc_learning_rate", 0.0, "bc_learning_rate must be positive, got 0.0"),
+])
+def test_config_rejects_out_of_range_counts_and_rates(field, value, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        DapgConfig(**{field: value})
+
+
+def test_config_accepts_zero_epochs_and_no_checkpoints():
+    config = DapgConfig(bc_epochs=0, value_epochs=0, checkpoint_every=0)
+    assert (config.bc_epochs, config.value_epochs, config.checkpoint_every) == (0, 0, 0)
 
 
 def test_policy_rejects_non_finite_parameters():
