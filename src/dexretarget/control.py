@@ -17,15 +17,17 @@ from .errors import DataError
 @dataclass(frozen=True)
 class ConfidenceModel:
     s0: np.ndarray          # calibrated shape, 10 coefficients
-    sigma_diag: np.ndarray  # per-coordinate variances, all > 0
+    sigma_diag: np.ndarray  # per-coordinate variances, all finite and > 0
 
     def __post_init__(self):
         s0 = np.asarray(self.s0, dtype=float)
         var = np.asarray(self.sigma_diag, dtype=float)
         if s0.shape != var.shape:
             raise DataError("shape mean and variance lengths differ")
-        if not np.all(var > 0):
-            raise DataError("variances must be strictly positive")
+        if not np.all(np.isfinite(s0)):
+            raise DataError("shape mean must be finite")
+        if not np.all((var > 0) & (var < np.inf)):
+            raise DataError("variances must be finite and strictly positive")
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "sigma_diag", var)
 
@@ -40,8 +42,8 @@ class PDGains:
         kd = np.asarray(self.kd, dtype=float)
         if kp.shape != kd.shape:
             raise DataError("kp and kd lengths differ")
-        if np.any(kp < 0) or np.any(kd < 0):
-            raise DataError("PD gains must be nonnegative")
+        if not (np.all((kp >= 0) & (kp < np.inf)) and np.all((kd >= 0) & (kd < np.inf))):
+            raise DataError("PD gains must be finite and nonnegative")
         object.__setattr__(self, "kp", kp)
         object.__setattr__(self, "kd", kd)
 
@@ -51,6 +53,8 @@ def confidence(model: ConfidenceModel, s_t: np.ndarray) -> float:
     s_t = np.asarray(s_t, dtype=float)
     if s_t.shape != model.s0.shape:
         raise DataError("shape vector length mismatch")
+    if not np.all(np.isfinite(s_t)):
+        raise DataError("shape vector must be finite")
     d2 = np.sum((s_t - model.s0) ** 2 / model.sigma_diag)
     # Floor at the smallest positive normal so the score stays > 0 even when
     # exp underflows for wildly off-calibration shapes.

@@ -21,12 +21,12 @@ read-only columns in description order, with no per-element records.
 - geometry: read-only copies of the document's entries.
 
 A tree is built only from its description document: load_robot checks each
-vector column with one float_rows call (errors.py) and each number with
-finite_number, each naming the failing element, then checks the tree as
-array operations and builds it once, its slot-order arrays included. So
-what load_robot accepts, write_robot writes from the columns and load_robot
-reads back. Every other tree, the customized hand included (handgen), is a
-document given to load_robot.
+vector column with one float_rows call (errors.py) and each number column in
+bulk the same way, each naming the first failing element, then checks the
+tree as array operations and builds it once, its slot-order arrays included.
+So what load_robot accepts, write_robot writes from the columns and
+load_robot reads back. Every other tree, the customized hand included
+(handgen), is a document given to load_robot.
 
 Forward kinematics works on homogeneous 4x4 link frames: _link_poses gives
 every link's world frame (B, n_links, 4, 4), each depth level one product of
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +56,7 @@ from .errors import DescriptionError, atomic_write_text, finite_number, float_ro
 from .transforms import _SKEW_BASIS, _axis_terms, _rodrigues, quat_from_rpy, quat_normalize, quat_to_matrix
 
 _AXIS_TOL = 1e-9
+_FLOAT_MAX = sys.float_info.max
 _PSD_TOL = -1e-9
 # Distinct description texts whose trees load_robot keeps (a bundled robot
 # and its text take about 70 KB).
@@ -125,9 +127,10 @@ class KinematicTree:
     # holds its local frame's origin translation and [0, 0, 0, 1] row, and a
     # zero rotation block (each FK writes origin_rot @ joint there, in a copy).
     _frame_template: np.ndarray
-    # Per non-root slot: the q column of its joint (num_actuated for a fixed
-    # joint) and the Rodrigues terms of its axis (zero for a fixed joint).
+    # Per non-root slot: the q column of its joint and that angle's 0/1 turn
+    # (0 and 0 for a fixed joint), and its axis's Rodrigues terms (zero if fixed).
     _joint_cols: np.ndarray
+    _joint_turns: np.ndarray
     _joint_outer: np.ndarray
     _joint_skew: np.ndarray
     _levels: tuple[_Level, ...]
@@ -234,9 +237,12 @@ def _vectors(entries: list[dict], key: str, width: int, elements, default=None) 
 
 
 def _numbers(entries: list[dict], key: str, elements) -> np.ndarray:
-    """The `key` numbers of `entries` (0 where absent), each checked by finite_number."""
-    return np.array([finite_number(raw.get(key, 0.0), functools.partial(DescriptionError, element=element), key)
-                     for raw, element in zip(entries, elements)], dtype=float)
+    """The `key` numbers of `entries` (0 where absent); finite_number names the first bad one."""
+    values = [raw.get(key, 0.0) for raw in entries]
+    if set(map(type, values)) <= {int, float} and all(abs(v) <= _FLOAT_MAX for v in values):
+        return np.array(values, dtype=float)
+    return np.array([finite_number(value, functools.partial(DescriptionError, element=element), key)
+                     for value, element in zip(values, elements)], dtype=float)
 
 
 def _repeat(values) -> str | None:
@@ -379,12 +385,11 @@ def _tree_from_document(doc: dict) -> KinematicTree:
     joint_slots = np.array([slot[c] for c in actuated], dtype=int)
     # Computed on the column-ordered axes, exactly as axis_angle_matrix would.
     outer, skew = _axis_terms(joint_axes)
-    joint_cols = np.array([column.get(lid, len(actuated)) for lid in slot_ids[1:]], dtype=int)
-    turns = joint_cols < len(actuated)
+    turns = np.array([lid in column for lid in slot_ids[1:]], dtype=bool)
+    joint_cols = np.array([column.get(lid, 0) for lid in slot_ids[1:]], dtype=int)
     joint_outer = np.zeros((n - 1, 3, 3))
     joint_skew = np.zeros((n - 1, 3, 3))
-    joint_outer[turns] = outer[joint_cols[turns]]
-    joint_skew[turns] = skew[joint_cols[turns]]
+    joint_outer[turns], joint_skew[turns] = outer[joint_cols[turns]], skew[joint_cols[turns]]
 
     frame_template = np.zeros((n, 4, 4))
     frame_template[:, 3, 3] = 1.0
@@ -424,8 +429,8 @@ def _tree_from_document(doc: dict) -> KinematicTree:
         inertial_links=inertial_links, masses=masses, coms=coms, inertias=inertias,
         keypoint_names=kp_names, keypoint_links=kp_links, keypoint_offsets=kp_offsets, geometry=geometry,
         _order=order, _parent_slots=parent_slots, _origin_rot=origin_rot, _origin_trans=origin_trans,
-        _frame_template=frame_template, _joint_cols=joint_cols, _joint_outer=joint_outer,
-        _joint_skew=joint_skew, _levels=tuple(levels), _joint_slots=joint_slots,
+        _frame_template=frame_template, _joint_cols=joint_cols, _joint_turns=turns.astype(float),
+        _joint_outer=joint_outer, _joint_skew=joint_skew, _levels=tuple(levels), _joint_slots=joint_slots,
         _axis_columns=joint_axes[:, :, None], _kp_row=MappingProxyType({k: i for i, k in enumerate(kp_names)}),
         _kp_slots=kp_slots, _kp_offsets=kp_offsets_h, _kp_joint_mask=kp_joint_mask,
         _mass=mass, _com=com, _inertia=inertia, _no_inertial=no_inertial,
@@ -476,32 +481,31 @@ def _joint_rotations(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
     """Joint rotations (B, n_links - 1, 3, 3) of the non-root slots for a (B, n) stack.
 
     One Rodrigues evaluation from the tree's axis terms covers all joints and
-    frames. A fixed joint reads angle 0 from an appended zero column, which
-    with its zero axis terms gives exactly the identity.
+    frames. A fixed joint's angle is its gathered column times its 0 in
+    _joint_turns, which with its zero axis terms gives exactly the identity.
     """
+    angles = (q if tree.num_actuated else np.zeros((len(q), 1))).take(tree._joint_cols, axis=1)
     if len(tree.link_ids) - 1 > tree.num_actuated:
-        q = np.concatenate((q, np.zeros((len(q), 1))), axis=1)
-    return _rodrigues(tree._joint_outer, tree._joint_skew, q[:, tree._joint_cols][..., None, None])
+        angles *= tree._joint_turns
+    return _rodrigues(tree._joint_outer, tree._joint_skew, angles[..., None, None])
 
 
 def _link_poses(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
     """World frames (B, n_links, 4, 4) of every link, in slot order, for a (B, n) stack.
 
     A link's frame is its parent's frame times its local frame
-    [[origin_rot @ joint, origin_trans], [0, 0, 0, 1]]. The local frames'
-    rotation blocks are one batched product, written into a copy of the
-    tree's frame template, which holds the rest; each depth level is then
-    one product of its parents' frames (read through a slice where it can)
-    and its local frames, written as one block.
+    [[origin_rot @ joint, origin_trans], [0, 0, 0, 1]]: a copy of the tree's
+    frame template whose rotation blocks take one batched product. The world
+    frames start as their copy (the root's frame is the template's), and each
+    depth level is then one product of its parents' frames (a slice where it
+    can be) and its local frames, written as one block.
     """
-    template = tree._frame_template
-    local = np.empty((len(q),) + template.shape)
-    local[...] = template
+    local = tree._frame_template[None].repeat(len(q), axis=0)
     np.matmul(tree._origin_rot[1:], _joint_rotations(tree, q), out=local[:, 1:, :3, :3])
-    frames = np.empty_like(local)
-    frames[:, 0] = template[0]
+    frames = local.copy()
     for links, parents in tree._levels:
-        np.matmul(frames[:, parents], local[:, links], out=frames[:, links])
+        source = frames[:, parents] if isinstance(parents, slice) else frames.take(parents, axis=1)
+        np.matmul(source, local[:, links], out=frames[:, links])
     return frames
 
 
@@ -515,7 +519,7 @@ def _keypoint_positions(frames: np.ndarray, slots: np.ndarray, offsets: np.ndarr
     """Positions (..., K, 3) of keypoints on the link `slots` (K,) at homogeneous
     `offsets` (K, 4, 1), from link frames (..., n_links, 4, 4): one gather and
     one stacked product."""
-    return (frames[..., slots, :, :] @ offsets)[..., :3, 0]
+    return (frames.take(slots, axis=-3) @ offsets)[..., :3, 0]
 
 
 def _keypoints(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
@@ -561,7 +565,7 @@ def _keypoint_jacobian_t(tree: KinematicTree, frames: np.ndarray, points: np.nda
     each keypoint k in turn, where w_j is joint j's world axis and o_j its
     link's origin: one product of the arms (p_k - o_j) by [w_j]x transposed.
     """
-    joint_frames = frames[..., tree._joint_slots, :, :]                        # (..., N, 4, 4)
+    joint_frames = frames.take(tree._joint_slots, axis=-3)                     # (..., N, 4, 4)
     axes = (joint_frames[..., :3, :3] @ tree._axis_columns)[..., 0]            # (..., N, 3)
     skew_t = (axes @ _SKEW_T).reshape(axes.shape + (3,))                       # (..., N, 3, 3)
     arms = points[..., None, :, :] - joint_frames[..., None, :3, 3]            # (..., N, K, 3)

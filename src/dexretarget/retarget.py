@@ -15,14 +15,19 @@ returns an iterate whose objective exceeds the warm start's.
 Each point the solver visits costs one forward kinematics of the target (its
 4x4 link frames) and one gather for the mapped keypoints, and one function
 (_value) turns those keypoints and the joint step into the objective: for the
-warm start, every probe and retarget_objective alike. The link frames
-computed to probe a step are kept, and if the step is accepted the transposed
-Jacobian Jt (N, 3K) at the new iterate is built from them and the gradient
-2 Jt @ res + 2 alpha step from the probe's residuals; the probe's value is
-the new objective. The normal matrix is Jt @ Jt.T. A trajectory's source
-keypoints are the mapped rows of the source hand's keypoints, from one batched
-forward kinematics, and each frame after the first starts from the previous
-frame's final point, whose keypoints and Jacobian it reuses.
+warm start, every probe and retarget_objective alike. An accepted probe's
+link frames give the transposed Jacobian Jt (N, 3K) at the new iterate, and
+its residuals the gradient 2 Jt @ res + 2 alpha step; its value is the new
+objective. The normal matrix is Jt @ Jt.T; _linear_solve, the gufunc that
+np.linalg.solve wraps, solves the damped system under _SOLVE_ERRSTATE, which
+_solve enters once per frame. A point takes tens of microseconds, nearly all
+of it the fixed cost of some 80 NumPy calls on arrays of 16-22 elements, so
+the loop saves calls: no solve wrapper, gathers by take, and in kinematics a
+fixed joint's angle is its column times 0, not an appended zero column. A
+trajectory's source keypoints are the mapped rows of the source hand's
+keypoints, from one batched forward kinematics, and each frame after the
+first starts from the previous frame's final point, whose keypoints and
+Jacobian it reuses.
 
 Exactness: on the bundled robots the solver takes the same decisions
 (iterations, probes, accepted steps) with these kernels as with the
@@ -160,19 +165,6 @@ class RetargetResult:
     probes: int              # objective probes: target FKs, not counting the warm start's
 
 
-def _target_poses(problem: RetargetProblem, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Link frames (n_links, 4, 4) and mapped keypoints (K, 3) of the target
-    at q: the one FK of a point, and one gather for its keypoints."""
-    frames = kinematics._link_poses(problem.target, q[None])[0]
-    return frames, kinematics._keypoint_positions(frames, problem._target_slots, problem._target_offsets)
-
-
-def _point(problem: RetargetProblem, poses: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Mapped keypoints (K, 3) and transposed Jacobian (N, 3K) of a point from its poses."""
-    frames, points = poses
-    return points, kinematics._keypoint_jacobian_t(problem.target, frames, points, problem._jacobian_zeros)
-
-
 def _value(
     problem: RetargetProblem, points: np.ndarray, targets: np.ndarray, q: np.ndarray, q_prev: np.ndarray
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -181,41 +173,43 @@ def _value(
     Also returns what the point's gradient needs: the residual sum of
     squares, the keypoint residuals (3K,) and the step q - q_prev. Each
     keypoint's squared distance is the dot product diff[k] @ diff[k] (a
-    stacked matmul of (1, 3) rows by (3, 1) columns makes the same dot call),
-    and the distances are added in keypoint order.
+    stacked vecdot makes the same dot call), and the distances are added in
+    keypoint order.
     """
     diff = points - targets
-    sq_sum = float(np.add.accumulate(np.matmul(diff[:, None], diff[:, :, None]).reshape(-1))[-1])
+    sq_sum = float(np.add.accumulate(np.vecdot(diff, diff))[-1])
     step = q - q_prev
     value = sq_sum + problem.alpha * float(np.add.reduce(step * step))
     return value, sq_sum, diff.reshape(-1), step
 
 
-def _gradient(problem: RetargetProblem, jac_t: np.ndarray, res: np.ndarray, step: np.ndarray) -> np.ndarray:
+def _gradient(jac_t: np.ndarray, res: np.ndarray, step: np.ndarray, two_alpha: float) -> np.ndarray:
     """Objective gradient from the transposed Jacobian (N, 3K), keypoint
-    residuals (3K,) and step q - q_prev."""
-    return 2.0 * (jac_t @ res) + 2.0 * problem.alpha * step
+    residuals (3K,), step q - q_prev and 2 * alpha."""
+    return 2.0 * (jac_t @ res) + two_alpha * step
 
 
 def _value_at(problem: RetargetProblem, q, q_source, q_prev) -> tuple:
     """Validate one source frame and the target joint vectors q and q_prev;
-    the target's poses at q (_target_poses), then their _value."""
+    the target's link frames at q, then the _value of their keypoints."""
     targets = problem.source_points(problem.source.check_q(q_source, batch=False))
     q = problem.target.check_q(q, batch=False)
     q_prev = problem.target.check_q(q_prev, batch=False)
-    poses = _target_poses(problem, q)
-    return (poses, *_value(problem, poses[1], targets, q, q_prev))
+    frames = kinematics._link_poses(problem.target, q[None])[0]
+    points = kinematics._keypoint_positions(frames, problem._target_slots, problem._target_offsets)
+    return (frames, points, *_value(problem, points, targets, q, q_prev))
 
 
 def retarget_objective(problem: RetargetProblem, q, q_source, q_prev) -> float:
     """The per-frame objective value (used by tests and diagnostics)."""
-    return _value_at(problem, q, q_source, q_prev)[1]
+    return _value_at(problem, q, q_source, q_prev)[2]
 
 
 def retarget_gradient(problem: RetargetProblem, q, q_source, q_prev) -> np.ndarray:
     """Analytic gradient of the per-frame objective."""
-    poses, _, _, res, step = _value_at(problem, q, q_source, q_prev)
-    return _gradient(problem, _point(problem, poses)[1], res, step)
+    frames, points, _, _, res, step = _value_at(problem, q, q_source, q_prev)
+    jac_t = kinematics._keypoint_jacobian_t(problem.target, frames, points, problem._jacobian_zeros)
+    return _gradient(jac_t, res, step, 2.0 * problem.alpha)
 
 
 def retarget_frame(
@@ -224,6 +218,16 @@ def retarget_frame(
     """Solve one frame of the retargeting objective from a warm start: the
     one-frame case of retarget_trajectory."""
     return retarget_trajectory(problem, np.asarray(q_source, dtype=float)[None], q_prev)[0]
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# np.linalg.solve's gufunc for one right-hand side; a singular matrix raises under _SOLVE_ERRSTATE.
+_linear_solve = np.linalg._umath_linalg.solve1
+_SOLVE_ERRSTATE = dict(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+_OUTWARD = np.array([[1.0], [-1.0]])  # the gradient's sign that pushes out of each row of the bounds
 
 
 def _solve(
@@ -238,94 +242,93 @@ def _solve(
     test); a rejection that lifts it past MAX_DAMPING ends the solve.
 
     `bounds` (2, N) stacks the target's lower and upper joint limits.
-    `start`, if given, is the keypoints and Jacobian at q_prev (from _point),
-    which then costs no FK. Returns the result and the same pair at its q.
+    `start`, if given, is the mapped keypoints (K, 3) and transposed Jacobian
+    (N, 3K) at q_prev, which then cost no FK. Returns the result and the same
+    pair at its q.
     """
-    cfg = problem.settings
-    n = problem.target.num_actuated
+    tree, slots, offsets = problem.target, problem._target_slots, problem._target_offsets
+    zeros = problem._jacobian_zeros
+    alpha, two_alpha, grad_tol = problem.alpha, 2.0 * problem.alpha, problem.settings.grad_tol
     lower, upper = bounds
+    with np.errstate(**_SOLVE_ERRSTATE):
+        x = q_prev.copy()
+        if start is None:
+            frames = kinematics._link_poses(tree, x[None])[0]
+            points = kinematics._keypoint_positions(frames, slots, offsets)
+            start = points, kinematics._keypoint_jacobian_t(tree, frames, points, zeros)
+        points, jac_t = start
+        f, sq_sum, res, step = _value(problem, points, targets, x, q_prev)
+        g = _gradient(jac_t, res, step, two_alpha)
+        if not math.isfinite(f):
+            raise NumericalError("non-finite retargeting objective at warm start")
 
-    def project(x):
-        return np.minimum(np.maximum(x, lower), upper)
-
-    x = q_prev.copy()
-    point = start if start is not None else _point(problem, _target_poses(problem, x))
-    f, sq_sum, res, step = _value(problem, point[0], targets, x, q_prev)
-    g = _gradient(problem, point[1], res, step)
-    if not math.isfinite(f):
-        raise NumericalError("non-finite retargeting objective at warm start")
-
-    lam = 1e-6  # adaptive Levenberg damping, carried across iterations
-    converged = False
-    iterations = probes = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        # Optimality measure: how far the projected gradient step moves us.
-        if np.maximum.reduce(np.abs(project(x - g) - x)) <= cfg.grad_tol:
-            converged = True
-            iterations -= 1
-            break
-
-        # Coordinates pinned at a bound with the gradient pushing outward
-        # stay fixed this iteration; solving the damped system on the free
-        # subspace keeps the step from being clipped into uselessness. The
-        # mask is built only when some coordinate sits on a bound.
-        free = None
-        if (x == bounds).any():
-            pinned = ((x == lower) & (g > 0)) | ((x == upper) & (g < 0))
-            if pinned.any():
-                free = ~pinned
-        jac_f, g_f = (point[1], g) if free is None else (point[1][free], g[free])
-        nf = len(g_f)
-        normal = jac_f @ jac_f.T  # (nf, nf); damped in place below
-        undamped, damped = normal.diagonal().copy(), normal.reshape(-1)[::nf + 1]
-        scale = max(1.0, float(undamped.sum()) / max(nf, 1))
-        rhs = -0.5 * g_f
-
-        # Damped Gauss-Newton probes under the damping rule above; an
-        # accepted probe keeps its poses for the next Jacobian.
-        accepted = None
-        while True:
-            np.add(undamped, problem.alpha + lam * scale, out=damped)
-            try:
-                d_f = np.linalg.solve(normal, rhs)
-            except np.linalg.LinAlgError:
-                d_f = np.zeros(nf)  # no step: rejected below
-            if free is None:
-                d = d_f
-            else:
-                d = np.zeros(n)
-                d[free] = d_f
-            cand = project(x + d)
-            delta = cand - x
-            size = np.maximum.reduce(np.abs(delta))
-            # x is finite, so a non-finite candidate shows as a non-finite
-            # step; it is a DescriptionError, as check_q would raise.
-            if not math.isfinite(size):
-                raise DescriptionError("joint vector contains non-finite entries")
-            if size > 0.0:
-                poses = _target_poses(problem, cand)
-                probes += 1
-                f_cand, sq_cand, res, step = _value(problem, poses[1], targets, cand, q_prev)
-                if math.isfinite(f_cand) and f_cand <= f + ARMIJO_C * float(g @ delta):
-                    accepted = (cand, f_cand, sq_cand, res, step, poses)
-                    lam = max(lam / 3.0, 1e-12)
-                    break
-            lam *= 10.0
-            if lam > MAX_DAMPING:
+        lam = 1e-6  # adaptive Levenberg damping, carried across iterations
+        converged = False
+        iterations = probes = 0
+        for iterations in range(1, problem.settings.max_iterations + 1):
+            # Optimality measure: how far the projected gradient step moves us.
+            if np.maximum.reduce(np.abs(np.minimum(np.maximum(x - g, lower), upper) - x)) <= grad_tol:
+                converged = True
+                iterations -= 1
                 break
 
-        if accepted is None:
-            break  # no acceptable descent step: numerical stationarity
-        # The probe's value is the objective at the new iterate; only its
-        # gradient needs the Jacobian.
-        x, f, sq_sum, res, step, poses = accepted
-        point = _point(problem, poses)
-        g = _gradient(problem, point[1], res, step)
+            # Coordinates pinned at a bound with the gradient pushing outward
+            # stay fixed this iteration; solving the damped system on the free
+            # subspace keeps the step from being clipped into uselessness. The
+            # mask is built only when some coordinate sits on a bound.
+            free = None
+            on_bound = np.equal(x, bounds)
+            if np.logical_or.reduce(on_bound, axis=None):
+                pinned = on_bound & np.greater(g * _OUTWARD, 0.0)
+                if np.logical_or.reduce(pinned, axis=None):
+                    free = ~np.logical_or.reduce(pinned)
+            jac_f, g_f = (jac_t, g) if free is None else (jac_t.compress(free, axis=0), g.compress(free))
+            nf = len(g_f)
+            normal = jac_f @ jac_f.T  # (nf, nf); damped in place below
+            damped = normal.reshape(-1)[::nf + 1]
+            undamped = damped.copy()
+            scale = max(1.0, float(np.add.reduce(undamped)) / max(nf, 1))
+            rhs = -0.5 * g_f
 
-    rms = float(np.sqrt(sq_sum / len(targets)))
-    result = RetargetResult(q=x, residual=rms, objective=f, iterations=iterations,
-                            converged=converged, probes=probes)
-    return result, point
+            # Damped Gauss-Newton probes under the damping rule above, until
+            # one is accepted (it keeps its link frames for the next Jacobian)
+            # or the damping passes MAX_DAMPING.
+            while lam <= MAX_DAMPING:
+                np.add(undamped, alpha + lam * scale, out=damped)
+                try:
+                    d = _linear_solve(normal, rhs)
+                except np.linalg.LinAlgError:
+                    d = np.zeros(nf)  # no step: rejected below
+                if free is not None:
+                    d_f, d = d, np.zeros(len(x))
+                    d[free] = d_f
+                cand = np.minimum(np.maximum(x + d, lower), upper)
+                delta = cand - x
+                size = np.maximum.reduce(np.abs(delta))
+                # x is finite, so a non-finite candidate shows as a non-finite
+                # step; it is a DescriptionError, as check_q would raise.
+                if not math.isfinite(size):
+                    raise DescriptionError("joint vector contains non-finite entries")
+                if size > 0.0:
+                    frames = kinematics._link_poses(tree, cand[None])[0]
+                    cand_points = kinematics._keypoint_positions(frames, slots, offsets)
+                    probes += 1
+                    f_cand, sq_cand, res, step = _value(problem, cand_points, targets, cand, q_prev)
+                    if math.isfinite(f_cand) and f_cand <= f + ARMIJO_C * float(g.dot(delta)):
+                        lam = max(lam / 3.0, 1e-12)
+                        break
+                lam *= 10.0
+            else:
+                break  # no acceptable descent step: numerical stationarity
+            # The probe's value is the objective at the new iterate; only its
+            # gradient needs the Jacobian.
+            x, f, sq_sum, points = cand, f_cand, sq_cand, cand_points
+            jac_t = kinematics._keypoint_jacobian_t(tree, frames, points, zeros)
+            g = _gradient(jac_t, res, step, two_alpha)
+
+    result = RetargetResult(q=x, residual=math.sqrt(sq_sum / len(targets)), objective=f,
+                            iterations=iterations, converged=converged, probes=probes)
+    return result, (points, jac_t)
 
 
 def retarget_trajectory(

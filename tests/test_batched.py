@@ -5,6 +5,8 @@ give: each row goes through the same arithmetic.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from dexretarget.assets import robot_path
 from dexretarget.dynamics import DynamicsInput, inverse_dynamics, mass_matrix
 from dexretarget.errors import DataError, DescriptionError
 from dexretarget.handgen import HandShapeParams, build_custom_hand
-from dexretarget.kinematics import _link_poses, forward_kinematics, keypoint_jacobians, load_robot
+from dexretarget.kinematics import _joint_rotations, _link_poses, forward_kinematics, keypoint_jacobians, load_robot
 from dexretarget.poseio import solve_wrists
 from dexretarget.transforms import (
     RigidTransform,
@@ -263,10 +265,7 @@ def test_slot_layout_levels():
         assert ids[tree._parent_slots[s]] == tree.link_parents[i]
 
 
-@pytest.mark.parametrize("batch", [1, 7])
-def test_slot_layout_fk_equals_per_link_fk_bitwise(batch):
-    tree = layout_tree()
-    q = joint_stack(tree, np.random.default_rng(12), batch=batch)
+def assert_fk_is_per_link_fk_bitwise(tree, q):
     expected = per_link_fk(tree, q)
     frames = _link_poses(tree, q)  # slot s holds link tree._order[s]
     assert frames.tobytes() == expected[:, tree._order].tobytes()
@@ -274,6 +273,61 @@ def test_slot_layout_fk_equals_per_link_fk_bitwise(batch):
     for name, link, offset in zip(tree.keypoint_names, tree.keypoint_links, tree.keypoint_offsets):
         point = (expected[:, tree.link_ids.index(link)] @ np.append(offset, 1.0)[:, None])[..., :3, 0]
         assert points[name].tobytes() == point.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_slot_layout_fk_equals_per_link_fk_bitwise(batch):
+    tree = layout_tree()
+    assert_fk_is_per_link_fk_bitwise(tree, joint_stack(tree, np.random.default_rng(12), batch=batch))
+
+
+def with_fixed_joint(robot: str):
+    """A bundled robot (none has a fixed joint) with a link on a fixed joint
+    inserted mid-chain: between its first keypoint's link and that link's
+    parent, at a tilted origin, so that a revolute joint hangs below it."""
+    doc = json.loads(robot_path(robot).read_text())
+    link = doc["keypoints"][0]["link"]
+    entry = next(raw for raw in doc["links"] if raw["id"] == link)
+    doc["links"].append({"id": "fixed_mid", "parent": entry["parent"], "origin_xyz": [0.01, -0.02, 0.03],
+                         "origin_rpy": [0.4, -0.3, 0.2]})
+    entry["parent"] = "fixed_mid"
+    doc["joints"].append({"child_link": "fixed_mid", "type": "fixed"})
+    return load_robot(doc)
+
+
+def fixed_only_tree():
+    """Two links on one fixed joint: a tree with no revolute joint at all."""
+    return load_robot({"name": "rigid", "links": [
+        {"id": "base", "parent": None, "origin_xyz": [0.1, 0.0, 0.0], "origin_rpy": [0.1, 0.2, 0.3]},
+        {"id": "tip", "parent": "base", "origin_xyz": [0.0, 0.2, 0.0], "origin_rpy": [-0.5, 0.0, 0.7]}],
+        "joints": [{"child_link": "tip", "type": "fixed"}],
+        "keypoints": [{"name": "tip", "link": "tip", "offset": [0.0, 0.0, 0.05]}]})
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("source", ROBOTS + ("schunk+fixed", "adroit+fixed", "fixed only"))
+def test_robot_fk_equals_per_link_fk_bitwise(source, batch):
+    # The bundled robots, and two of them with a fixed joint, whose angle is
+    # its gathered column times its 0 entry in _joint_turns.
+    if source == "fixed only":
+        tree = fixed_only_tree()
+    elif source.endswith("+fixed"):
+        tree = with_fixed_joint(source.split("+")[0])
+    else:
+        tree = make_tree(source)
+    assert (source in ROBOTS) == (len(tree.link_ids) - 1 == tree.num_actuated)
+    assert_fk_is_per_link_fk_bitwise(tree, joint_stack(tree, np.random.default_rng(13), batch=batch))
+
+
+@pytest.mark.parametrize("make", [layout_tree, lambda: with_fixed_joint("schunk"), fixed_only_tree])
+def test_fixed_joint_rotation_is_exactly_identity(make):
+    tree = make()
+    fixed = tree._joint_turns == 0.0
+    assert fixed.any() and np.array_equal(tree._joint_turns, (~fixed).astype(float))
+    q = joint_stack(tree, np.random.default_rng(14), batch=7)
+    q[:3] = -q[:3]  # angles of both signs in the gathered column
+    rotations = _joint_rotations(tree, q)[:, fixed]
+    assert rotations.tobytes() == np.broadcast_to(np.eye(3), rotations.shape).tobytes()
 
 
 def test_tree_caches_are_read_only(tree):

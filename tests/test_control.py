@@ -89,6 +89,33 @@ def test_pd_length_mismatch():
         pd_torque(1.0, gains, np.ones(2), np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_shapes_are_rejected(model, bad):
+    s = model.s0.copy()
+    s[2] = bad
+    with pytest.raises(DataError, match="shape vector must be finite"):
+        confidence(model, s)
+    with pytest.raises(DataError, match="shape mean must be finite"):
+        ConfidenceModel(s0=s, sigma_diag=model.sigma_diag)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.04])
+def test_variances_must_be_finite_and_positive(model, bad):
+    var = model.sigma_diag.copy()
+    var[5] = bad
+    with pytest.raises(DataError, match="variances must be finite and strictly positive"):
+        ConfidenceModel(s0=model.s0, sigma_diag=var)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("which", ["kp", "kd"])
+def test_pd_gains_must_be_finite_and_nonnegative(bad, which):
+    gains = {"kp": np.array([2.0, 3.0]), "kd": np.array([0.1, 0.2])}
+    gains[which][1] = bad
+    with pytest.raises(DataError, match="PD gains must be finite and nonnegative"):
+        PDGains(**gains)
+
+
 def test_low_pass_dc_gain_is_one():
     out = low_pass_trajectory(np.tile([2.0, -1.0], (10, 1)), 0.3)
     assert out[-1] == pytest.approx([2.0, -1.0], abs=1e-15)

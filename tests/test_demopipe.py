@@ -3,12 +3,16 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dexretarget
 from dexretarget import demopipe, handgen, kinematics, poseio
 from dexretarget.assets import config_path, robot_path, sample_stream_path
 from dexretarget.cli import main
@@ -590,3 +594,40 @@ def test_shared_trees_give_the_same_demo_bytes(sample_stream, mode, tmp_path):
         assert kinematics._load_text.cache_info().hits == hits[0] + 1
         assert handgen._custom_hand.cache_info().hits == hits[1] + 1
         assert (tmp_path / "warm.demo").read_bytes() == (tmp_path / "cold.demo").read_bytes()
+
+
+_TRANSLATE_SAMPLE = """
+import sys
+from dexretarget.assets import config_path, sample_stream_path
+from dexretarget.demopipe import PipelineConfig, translate_all, write_demo
+from dexretarget.poseio import read_stream
+configs = {robot: PipelineConfig.from_file(config_path(robot)) for robot in ("allegro", "schunk", "adroit")}
+results, errors = translate_all(read_stream(sample_stream_path()), configs)
+assert not errors, errors
+for robot, (demo, _) in results.items():
+    write_demo(demo, f"{sys.argv[1]}/{robot}.demo")
+"""
+
+
+def _masked_demo_text(path) -> str:
+    header, *records = path.read_text().splitlines()
+    header = json.loads(header)
+    header["provenance"]["config_sha256"] = None
+    return "\n".join([json.dumps(header, sort_keys=True), *records])
+
+
+def test_demo_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The sample stream's demos for the three robots, translated in child
+    processes with one and with two OpenBLAS threads, are byte-identical
+    (config_sha256 aside)."""
+    src = os.path.dirname(os.path.dirname(dexretarget.__file__))
+    texts = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", _TRANSLATE_SAMPLE, str(out)], env=env, check=True, timeout=300)
+        texts[threads] = {path.name: _masked_demo_text(path) for path in sorted(out.iterdir())}
+    assert sorted(texts["1"]) == ["adroit.demo", "allegro.demo", "schunk.demo"]
+    assert texts["1"] == texts["2"]

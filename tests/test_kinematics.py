@@ -242,6 +242,29 @@ def test_malformed_description_names_the_element(doc, element):
         load_robot(json.dumps(doc))
 
 
+@pytest.mark.parametrize("section, index, key, element", [
+    ("joints", 1, "limit_lower", "l2"), ("joints", 1, "limit_upper", "l2"), ("joints", 0, "damping", "l1"),
+    ("inertials", 2, "mass", "l2")])
+@pytest.mark.parametrize("bad, shown", [("0.5", "'0.5'"), (True, "True"), (float("nan"), "nan"),
+                                        (float("inf"), "inf"), (10**400, None)])
+def test_number_columns_name_the_first_bad_entry(section, index, key, element, bad, shown):
+    # The scalar columns are checked in bulk; a fault in one entry still gets
+    # finite_number's message, naming that entry's element.
+    doc = planar_two_link_doc()
+    doc[section][index][key] = bad
+    if shown is None:
+        shown = f"{repr(bad)[:24]}...{repr(bad)[-8:]} ({len(repr(bad))} characters)"
+    for source in (doc, json.dumps(doc)):
+        with pytest.raises(DescriptionError) as info:
+            load_robot(source)
+        assert (str(info.value), info.value.element) == (
+            f"{key} must be a finite number, got {shown} (element: {element})", element)
+    doc[section][-1][key] = "second"  # a later fault is not the one named
+    with pytest.raises(DescriptionError) as info:
+        load_robot(doc)
+    assert info.value.element == element
+
+
 def test_equal_texts_share_one_tree_and_an_edit_is_seen(tmp_path):
     path = tmp_path / "planar.robot"
     path.write_text(json.dumps(planar_two_link_doc()))
@@ -285,8 +308,8 @@ def test_invalid_description_text_is_not_cached():
 # _com and _inertia besides when every link has an inertial.
 TREE_ARRAYS = {"origin_xyz", "origin_rpy", "joint_axes", "joint_lower", "joint_upper", "joint_damping", "masses",
                "coms", "inertias", "keypoint_offsets", "_order", "_parent_slots", "_origin_rot", "_origin_trans",
-               "_frame_template", "_joint_cols", "_joint_outer", "_joint_skew", "_joint_slots", "_axis_columns",
-               "_kp_slots", "_kp_offsets", "_kp_joint_mask"}
+               "_frame_template", "_joint_cols", "_joint_turns", "_joint_outer", "_joint_skew", "_joint_slots",
+               "_axis_columns", "_kp_slots", "_kp_offsets", "_kp_joint_mask"}
 
 
 def tree_arrays(tree) -> dict[str, np.ndarray]:

@@ -560,8 +560,25 @@ def test_nonfinite_source_frame_is_named(self_problem):
         retarget_trajectory(self_problem, traj[0], q0=np.zeros(45))
 
 
+@pytest.mark.parametrize("n", [16, 20, 22])
+def test_linear_solve_is_np_linalg_solve_bitwise(n):
+    # The solver calls the gufunc behind np.linalg.solve directly, under its
+    # own errstate; a numpy whose private gufunc changes fails here.
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        jac_t = rng.normal(size=(n, 15))
+        normal = jac_t @ jac_t.T
+        normal.reshape(-1)[::n + 1] += rng.uniform(1e-12, 1.0)
+        rhs = rng.normal(size=n)
+        with np.errstate(**retarget._SOLVE_ERRSTATE):
+            step = retarget._linear_solve(normal, rhs)
+        assert step.tobytes() == np.linalg.solve(normal, rhs).tobytes()
+    with np.errstate(**retarget._SOLVE_ERRSTATE), pytest.raises(np.linalg.LinAlgError):
+        retarget._linear_solve(np.zeros((n, n)), np.ones(n))
+
+
 def test_nonfinite_candidate_step_raises_not_rejects(self_problem, monkeypatch):
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+    monkeypatch.setattr(retarget, "_linear_solve", lambda a, b: np.full_like(b, np.nan))
     q_source = np.full(45, 0.2)
     with pytest.raises(DescriptionError, match="^frame 0: .*non-finite"):
         retarget_trajectory(self_problem, q_source[None], q0=np.zeros(45))
@@ -571,7 +588,7 @@ def test_singular_solves_stall_at_the_warm_start(self_problem, monkeypatch):
     def singular(a, b):
         raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(retarget, "_linear_solve", singular)
     q_prev = np.zeros(45)
     result = retarget_frame(self_problem, np.full(45, 0.2), q_prev)
     assert np.array_equal(result.q, q_prev)
