@@ -242,27 +242,27 @@ def test_malformed_description_names_the_element(doc, element):
         load_robot(json.dumps(doc))
 
 
-@pytest.mark.parametrize("section, index, key, element", [
-    ("joints", 1, "limit_lower", "l2"), ("joints", 1, "limit_upper", "l2"), ("joints", 0, "damping", "l1"),
-    ("inertials", 2, "mass", "l2")])
+@pytest.mark.parametrize("section, key", [
+    ("joints", "limit_lower"), ("joints", "limit_upper"), ("joints", "damping"), ("inertials", "mass")])
 @pytest.mark.parametrize("bad, shown", [("0.5", "'0.5'"), (True, "True"), (float("nan"), "nan"),
-                                        (float("inf"), "inf"), (10**400, None)])
-def test_number_columns_name_the_first_bad_entry(section, index, key, element, bad, shown):
+                                        (float("inf"), "inf"), (10**400, None)],
+                         ids=["string", "bool", "nan", "inf", "overflow"])
+def test_number_columns_name_the_first_bad_entry(section, key, bad, shown):
     # The scalar columns are checked in bulk; a fault in one entry still gets
-    # finite_number's message, naming that entry's element.
+    # finite_number's message, naming that entry's element (l2, the last).
     doc = planar_two_link_doc()
-    doc[section][index][key] = bad
+    doc[section][-1][key] = bad
     if shown is None:
         shown = f"{repr(bad)[:24]}...{repr(bad)[-8:]} ({len(repr(bad))} characters)"
     for source in (doc, json.dumps(doc)):
         with pytest.raises(DescriptionError) as info:
             load_robot(source)
         assert (str(info.value), info.value.element) == (
-            f"{key} must be a finite number, got {shown} (element: {element})", element)
-    doc[section][-1][key] = "second"  # a later fault is not the one named
+            f"{key} must be a finite number, got {shown} (element: l2)", "l2")
+    doc[section][-2][key] = "first"  # an earlier fault is the one named
     with pytest.raises(DescriptionError) as info:
         load_robot(doc)
-    assert info.value.element == element
+    assert info.value.element == "l1"
 
 
 def test_equal_texts_share_one_tree_and_an_edit_is_seen(tmp_path):
