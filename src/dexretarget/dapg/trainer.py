@@ -20,7 +20,10 @@ passes, whose bits follow the one-pass formulas that `tests/test_dapg.py`
 keeps as a reference; a gradient over more than one block differs from the
 one-pass gradient only in the order of summation, and a batch of at most one
 block gives the one-pass bits. The value fit keeps its VALUE_BATCH_SIZE-row
-minibatches.
+minibatches, each gathered from the batch by index, with no shuffled copy of
+the batch. An iteration holds no array that it will not read again: the
+batch's actions and the advantages are released before the value fit, and
+its states and returns after it. Adam updates its moments in place.
 """
 from __future__ import annotations
 
@@ -177,6 +180,8 @@ def compute_advantages(batch: Batch, value_fn: ValueFunction) -> np.ndarray:
     """Monte-Carlo advantages: empirical return minus the value baseline."""
     if batch.states.shape[0] == 0:
         raise DataError("empty batch")
+    if batch.returns.shape != (batch.states.shape[0],):
+        raise DataError("batch dimensions disagree")
     return batch.returns - _by_blocks(value_fn.predict, batch.states)
 
 
@@ -267,15 +272,20 @@ def fit_value(
     rng: np.random.Generator,
 ) -> float:
     """Minibatch Adam epochs on the value network's squared error, updating
-    its parameter vector in place; the last minibatch's loss."""
+    its parameter vector in place; the last minibatch's loss.
+
+    Each epoch draws one permutation of the rows, and each minibatch gathers
+    its rows from `states` and `targets` by index, so no shuffled copy of the
+    whole batch is made."""
     loss = float("nan")
     n = states.shape[0]
+    if targets.shape != (n,):
+        raise DataError("batch dimensions disagree")
     for _ in range(epochs):
         order = rng.permutation(n)
-        shuffled_states, shuffled_targets = states[order], targets[order]
         for start in range(0, n, VALUE_BATCH_SIZE):
-            stop = start + VALUE_BATCH_SIZE
-            loss, grad = value_fn.mse_and_grad(shuffled_states[start:stop], shuffled_targets[start:stop])
+            idx = order[start : start + VALUE_BATCH_SIZE]
+            loss, grad = value_fn.mse_and_grad(states.take(idx, axis=0), targets.take(idx))
             value_fn.params -= adam.step(grad)
     return loss
 
@@ -318,11 +328,15 @@ def train(
     n_samples = config.batch_trajectories * HORIZON
     for k in range(config.iterations):
         batch = rollout_batch(policy, config.batch_trajectories, rng, config.discount)
-        advantages = compute_advantages(batch, value_fn)
         grad, weight = dapg_gradient(
-            policy, batch, advantages, demo_states, demo_actions,
+            policy, batch, compute_advantages(batch, value_fn), demo_states, demo_actions,
             config.lambda0 if demos else 0.0, config.lambda1, k,
         )
+        curve.add(k, batch.episode_returns.mean(), batch.successes.mean(), weight)
+        # The value fit reads only the states and returns: the actions and the
+        # advantages are released before it runs, and these two after it.
+        states, returns = batch.states, batch.returns
+        del batch
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {k}")
         params = policy.params + policy_adam.step(grad / n_samples)
@@ -330,9 +344,9 @@ def train(
             raise NumericalError(f"non-finite policy parameters at iteration {k}")
         policy.set_flat(params)
         if k + 1 < config.iterations:
-            fit_value(value_fn, batch.states, batch.returns, config.value_epochs, value_adam, rng)
+            fit_value(value_fn, states, returns, config.value_epochs, value_adam, rng)
+        del states, returns
 
-        curve.add(k, batch.episode_returns.mean(), batch.successes.mean(), weight)
         if out_dir is not None and config.checkpoint_every > 0 and (k + 1) % config.checkpoint_every == 0:
             atomic_write_text(out_dir / f"checkpoint_{k + 1:04d}.npz", {"params": policy.get_flat()})
         if k % 10 == 0:

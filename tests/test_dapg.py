@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -7,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dexretarget
 from dexretarget.dapg import (
     DapgConfig,
     GaussianPolicy,
@@ -18,19 +22,25 @@ from dexretarget.dapg import (
     train,
 )
 from dexretarget.dapg.env import (
+    DT,
+    GRASP_RADIUS,
     HORIZON,
+    JOINT_LIMIT,
+    MAX_JOINT_SPEED,
+    SUCCESS_RADIUS,
     BatchedRelocate,
     scripted_expert_action,
     tip_jacobian,
     tip_position,
 )
-from dexretarget.dapg.nets import LOG2PI, _Mlp
+from dexretarget.dapg.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG2PI, Adam, _Mlp
 from dexretarget.dapg.trainer import (
     PASS_BLOCK,
     VALUE_BATCH_SIZE,
     Batch,
     demo_arrays,
     discounted_to_go,
+    fit_value,
     rollout_batch,
 )
 from dexretarget.demopipe import read_demo, write_demo
@@ -104,6 +114,35 @@ def test_batched_env_matches_single_env_bitwise():
             assert np.array_equal(env.observe()[0], batch.observe()[i])
     for i, env in enumerate(singles):
         assert env.successes[0] == batch.successes[i]
+
+
+def ref_env_step(env, actions):
+    """BatchedRelocate.step with its bounds applied by np.clip."""
+    a = np.clip(actions, -MAX_JOINT_SPEED, MAX_JOINT_SPEED)
+    env.q = np.clip(env.q + a * DT, -JOINT_LIMIT, JOINT_LIMIT)
+    env.tip = tip = tip_position(env.q)
+    tip_obj = np.sqrt(np.sum((tip - env.obj) ** 2, axis=1))
+    env.grasped |= tip_obj < GRASP_RADIUS
+    env.obj = np.where(env.grasped[:, None], tip, env.obj)
+    obj_tgt = np.sqrt(np.sum((env.obj - env.tgt) ** 2, axis=1))
+    return np.where(env.grasped, -obj_tgt + (obj_tgt < SUCCESS_RADIUS), -tip_obj)
+
+
+def test_env_step_matches_the_clip_formula_bitwise():
+    seeds = range(8)
+    env, ref = BatchedRelocate(seeds), BatchedRelocate(seeds)
+    rng = np.random.default_rng(12)
+    # Half the episodes drive their joints up, half down, with commands up to
+    # twice the speed limit, so both bounds are hit on actions and joints.
+    drift = np.repeat([[3.0], [-3.0]], 4, axis=0)
+    for _ in range(HORIZON):
+        actions = drift + rng.uniform(-1.0, 1.0, size=(8, 3))
+        actions[:, 0] = np.where(rng.random(8) < 0.2, 0.0, actions[:, 0])
+        rewards = env.step(actions)
+        assert rewards.tobytes() == ref_env_step(ref, actions).tobytes()
+        for name in ("q", "tip", "obj"):
+            assert getattr(env, name).tobytes() == getattr(ref, name).tobytes()
+    assert np.any(env.q == JOINT_LIMIT) and np.any(env.q == -JOINT_LIMIT)
 
 
 def test_scripted_expert_stack_matches_single_observations_bitwise():
@@ -211,6 +250,13 @@ def test_empty_batch_rejected():
     empty = Batch(np.zeros((0, 9)), np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0, bool))
     with pytest.raises(DataError):
         compute_advantages(empty, ValueFunction(9))
+
+
+def test_advantages_reject_returns_of_another_length():
+    rng = np.random.default_rng(10)
+    batch, _ = make_batch(rng, n=10, horizon=5)
+    with pytest.raises(DataError, match="batch dimensions disagree"):
+        compute_advantages(replace(batch, returns=np.array([1.0])), ValueFunction(9))
 
 
 # --- augmented gradient -----------------------------------------------------
@@ -407,6 +453,104 @@ def test_passes_match_reference_bitwise(rows, hidden):
     assert loss == ref_loss
     assert np.array_equal(grad, ref_grad)
     assert all(np.array_equal(a, b) for a, b in zip(inputs, (states, actions, weights, targets)))
+
+
+def ref_adam_step(adam, grad):
+    adam.t += 1
+    adam.m = ADAM_BETA1 * adam.m + (1 - ADAM_BETA1) * grad
+    adam.v = ADAM_BETA2 * adam.v + (1 - ADAM_BETA2) * grad**2
+    m_hat = adam.m / (1 - ADAM_BETA1**adam.t)
+    v_hat = adam.v / (1 - ADAM_BETA2**adam.t)
+    return adam.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def test_adam_step_matches_reference_bitwise():
+    rng = np.random.default_rng(31)
+    adam, ref = Adam(500, 3e-3), Adam(500, 3e-3)
+    m, v = adam.m, adam.v
+    for _ in range(6):
+        grad = rng.normal(scale=rng.uniform(1e-6, 10.0), size=500)
+        grad[::7] = 0.0
+        given = grad.copy()
+        step = adam.step(grad)
+        assert step.tobytes() == ref_adam_step(ref, grad).tobytes()
+        assert adam.m.tobytes() == ref.m.tobytes()
+        assert adam.v.tobytes() == ref.v.tobytes()
+        assert adam.m is m and adam.v is v
+        assert not np.shares_memory(step, m) and not np.shares_memory(step, v)
+        assert grad.tobytes() == given.tobytes()
+    assert adam.t == ref.t == 6
+
+
+def fit_both(value_fn, ref, states, targets, monkeypatch):
+    """fit_value on value_fn, then ref_fit_value on ref through the reference
+    passes and Adam; returns both losses and both Adams."""
+    adam, ref_adam = Adam(value_fn.params.size, 1e-2), Adam(ref.params.size, 1e-2)
+    loss = fit_value(value_fn, states, targets, 3, adam, np.random.default_rng(5))
+    monkeypatch.setattr(ValueFunction, "mse_and_grad", ref_mse_and_grad)
+    monkeypatch.setattr(Adam, "step", ref_adam_step)
+    ref_loss = ref_fit_value(ref, states, targets, 3, ref_adam, np.random.default_rng(5))
+    return loss, ref_loss, adam, ref_adam
+
+
+@pytest.mark.parametrize("hidden", [(32, 32), (16,), (8, 8, 8)])
+@pytest.mark.parametrize("rows", [1, 100, 4096, 5000])
+def test_value_fit_matches_reference_bitwise(rows, hidden, monkeypatch):
+    # 5000 rows end each epoch with a 904-row minibatch.
+    rng = np.random.default_rng(rows + 10 * len(hidden))
+    value_fn, ref = ValueFunction(9, hidden=hidden, seed=2), ValueFunction(9, hidden=hidden, seed=2)
+    value_fn.biases[0][...] = ref.biases[0][...] = rng.normal(size=hidden[0])
+    states, targets = rng.normal(size=(rows, 9)), rng.normal(size=rows)
+    inputs = states.copy(), targets.copy()
+    loss, ref_loss, adam, ref_adam = fit_both(value_fn, ref, states, targets, monkeypatch)
+    assert loss == ref_loss
+    assert value_fn.params.tobytes() == ref.params.tobytes()
+    assert adam.m.tobytes() == ref_adam.m.tobytes()
+    assert adam.v.tobytes() == ref_adam.v.tobytes()
+    assert states.tobytes() == inputs[0].tobytes() and targets.tobytes() == inputs[1].tobytes()
+
+
+def test_value_fit_of_exact_targets_matches_reference_bitwise(monkeypatch):
+    # Every error is zero, so the value head's delta is all zeros, where the
+    # broadcast product and the reference's matmul give zeros of different
+    # sign; neither the parameters nor the moments may show it.
+    value_fn, ref = ValueFunction(9, seed=2), ValueFunction(9, seed=2)
+    states = np.random.default_rng(32).normal(size=(1, 9))
+    targets = value_fn.predict(states)
+    assert value_fn.mse_and_grad(states, targets)[0] == 0.0
+    loss, ref_loss, adam, ref_adam = fit_both(value_fn, ref, states, targets, monkeypatch)
+    assert loss == ref_loss == 0.0
+    assert value_fn.params.tobytes() == ref.params.tobytes()
+    assert adam.m.tobytes() == ref_adam.m.tobytes()
+    assert adam.v.tobytes() == ref_adam.v.tobytes()
+
+
+@pytest.mark.parametrize("targets", [80, 30])
+def test_value_fit_rejects_targets_of_another_length(targets):
+    rng = np.random.default_rng(33)
+    value_fn = ValueFunction(9, seed=1)
+    before = value_fn.params.copy()
+    with pytest.raises(DataError, match="batch dimensions disagree"):
+        fit_value(value_fn, rng.normal(size=(50, 9)), rng.normal(size=targets), 2,
+                  Adam(value_fn.params.size, 1e-2), rng)
+    assert value_fn.params.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(32, 32), (16,), (8, 8, 8)])
+def test_backward_releases_only_the_hidden_activations(hidden):
+    rng = np.random.default_rng(34)
+    states = rng.normal(size=(64, 9))
+    for net in (GaussianPolicy(9, 3, hidden=hidden, seed=1), ValueFunction(9, hidden=hidden, seed=1)):
+        out, acts = net.forward(states)
+        kept_states, kept_out = states.copy(), out.copy()
+        grad_out = rng.normal(size=out.shape)
+        given = grad_out.copy()
+        net.backward(acts, grad_out)
+        assert acts[0] is states and acts[-1] is out
+        assert acts[1:-1] == [None] * len(hidden)
+        assert states.tobytes() == kept_states.tobytes()
+        assert out.tobytes() == kept_out.tobytes()
+        assert grad_out.tobytes() == given.tobytes()
 
 
 # --- passes over a whole batch run in row blocks ----------------------------
@@ -635,6 +779,41 @@ def test_train_writes_curve_and_checkpoints(expert_demos, tmp_path):
     assert (tmp_path / "checkpoint_0004.npz").exists()
     header = (tmp_path / "curve.csv").read_text().splitlines()[0]
     assert header == "iteration,mean_return,success_rate,demo_weight"
+
+
+_TRAIN_SMALL = """
+import sys
+from dexretarget.dapg import DapgConfig, demos_from_expert, train
+policy, curve = train(demos_from_expert(10, seed=0), DapgConfig(iterations=4))
+sys.stdout.write(curve.to_table() + policy.params.tobytes().hex())
+"""
+
+
+def _numpy_blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        return ""
+
+
+@pytest.mark.skipif("openblas" not in _numpy_blas_name(),
+                    reason="numpy's BLAS is not OpenBLAS, which OPENBLAS_NUM_THREADS sets")
+def test_curves_do_not_depend_on_blas_threads():
+    """A 4-iteration train of 200-trajectory batches, in child processes with
+    one and with two OpenBLAS threads, gives the same curve table and the same
+    parameter bytes."""
+    src = os.path.dirname(os.path.dirname(dexretarget.__file__))
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _TRAIN_SMALL], env=env, check=True,
+                              capture_output=True, text=True, timeout=300)
+        table, _, params = done.stdout.rpartition("\n")
+        outputs[threads] = table, params
+    assert outputs["1"][0].count("\n") == 4  # the header and 4 rows
+    assert outputs["1"][0] == outputs["2"][0]
+    assert outputs["1"][1] == outputs["2"][1]
 
 
 def test_dapg_outranks_rl_at_small_scale(expert_demos):
