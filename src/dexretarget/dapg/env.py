@@ -92,10 +92,8 @@ class BatchedRelocate:
     def step(self, actions: np.ndarray) -> np.ndarray:
         if self.done:
             raise RuntimeError("step() called on a finished episode")
-        # Bounded by maximum, then minimum: np.clip's values without its wrapper.
-        a = np.minimum(np.maximum(actions, -MAX_JOINT_SPEED), MAX_JOINT_SPEED)
-        q = self.q + a * DT
-        self.q = np.minimum(np.maximum(q, -JOINT_LIMIT, out=q), JOINT_LIMIT, out=q)
+        a = np.clip(actions, -MAX_JOINT_SPEED, MAX_JOINT_SPEED)
+        self.q = np.clip(self.q + a * DT, -JOINT_LIMIT, JOINT_LIMIT)
         self.tip = tip = tip_position(self.q)
         tip_obj = np.sqrt(np.sum((tip - self.obj) ** 2, axis=1))
         self.grasped |= tip_obj < GRASP_RADIUS

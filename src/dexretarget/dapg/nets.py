@@ -79,12 +79,7 @@ class _Mlp:
                 slope, acts[k] = acts[k], None
                 np.square(slope, out=slope)
                 np.subtract(1.0, slope, out=slope)
-                # A one-column delta times a weight row is an outer product:
-                # every entry is one product, which multiply gives without BLAS.
-                if delta.shape[1] == 1:
-                    delta = np.multiply(delta, self.weights[k].T)
-                else:
-                    delta = np.matmul(delta, self.weights[k].T)
+                delta = np.matmul(delta, self.weights[k].T)
                 np.multiply(delta, slope, out=delta)
         return grad, extra
 
@@ -97,31 +92,13 @@ class Adam:
         self.t = 0
 
     def step(self, grad: np.ndarray) -> np.ndarray:
-        """Update increment for a gradient ASCENT direction, a new array.
-
-        The moments are updated in place, and the increment is built with one
-        temporary beside it. Every entry comes from the operations of
-
-            m = beta1 * m + (1 - beta1) * grad
-            v = beta2 * v + (1 - beta2) * grad**2
-            increment = lr * m_hat / (sqrt(v_hat) + eps)
-
-        so the bits are those of these out-of-place formulas."""
+        """Update increment for a gradient ASCENT direction."""
         self.t += 1
-        m, v = self.m, self.v
-        tmp = np.multiply(1 - ADAM_BETA1, grad)
-        np.multiply(ADAM_BETA1, m, out=m)
-        np.add(m, tmp, out=m)
-        np.square(grad, out=tmp)
-        np.multiply(1 - ADAM_BETA2, tmp, out=tmp)
-        np.multiply(ADAM_BETA2, v, out=v)
-        np.add(v, tmp, out=v)
-        step = np.divide(m, 1 - ADAM_BETA1**self.t)
-        np.multiply(self.lr, step, out=step)
-        v_hat = np.divide(v, 1 - ADAM_BETA2**self.t, out=tmp)
-        np.sqrt(v_hat, out=v_hat)
-        np.add(v_hat, ADAM_EPS, out=v_hat)
-        return np.divide(step, v_hat, out=step)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad**2
+        m_hat = self.m / (1 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1 - ADAM_BETA2**self.t)
+        return self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class GaussianPolicy(_Mlp):

@@ -23,7 +23,7 @@ block gives the one-pass bits. The value fit keeps its VALUE_BATCH_SIZE-row
 minibatches, each gathered from the batch by index, with no shuffled copy of
 the batch. An iteration holds no array that it will not read again: the
 batch's actions and the advantages are released before the value fit, and
-its states and returns after it. Adam updates its moments in place.
+its states and returns after it.
 """
 from __future__ import annotations
 
