@@ -380,16 +380,19 @@ def write_demo(demo: Demonstration, path: str | Path):
 def read_demo(path: str | Path) -> Demonstration:
     """Read a demonstration file; the header values go to the Demonstration
     constructor, which checks them. Rows are read at their layouts' widths,
-    each named by its record."""
+    each named by its record; every record but the last needs an action."""
     header, records = read_records(path, DEMO_FORMAT, DemoFormatError, "demonstration", "record")
     try:
         robot, task, dt = header["robot"], header["task"], header["dt"]
         state_layout, action_layout = header["state_layout"], header["action_layout"]
     except KeyError as exc:
         raise DemoFormatError(f"demonstration header missing {exc}") from exc
+    last = max(records, default=None)
     for i, rec in records.items():
         if "state" not in rec:
             raise DemoFormatError(f"record {i} has no state")
+        if "action" not in rec and i != last:
+            raise DemoFormatError(f"record {i} has no action; every record but the last needs one")
     acted = [i for i, rec in records.items() if "action" in rec]
     return Demonstration(
         robot=robot,

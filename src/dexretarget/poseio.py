@@ -11,8 +11,8 @@ A HandPoseStream holds read-only columns: `t` (T,), `pose` (T, 45), `shape`
 (T, 10) clamped to +-BETA_CLAMP when built, the sorted `keypoint_names` (K)
 observed in any frame, their points `kp` (T, K, 3) (zero where unobserved)
 and the (T, K) mask `kp_mask`. `frames` is a view that builds HandPoseFrame
-records on demand. calibrate takes (K, 10) shape rows; solve_wrists takes
-(B, K, 3) canonical and observed stacks and a (B, K) mask.
+records on demand. calibrate takes (K, 10) shape rows; solve_wrists aligns
+(B, K, 3) canonical and observed stacks over a (B, K) mask in one pass.
 """
 from __future__ import annotations
 
@@ -205,13 +205,18 @@ def write_stream(stream: HandPoseStream, path: str | Path):
 # Wrist solving: 3D-3D rigid alignment (orthogonal Procrustes)
 # ---------------------------------------------------------------------------
 
-def _align(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rotations, translations, RMS residuals and collinearity flags aligning
-    each (K, 3) point set of a (B, K, 3) stack onto its observed counterpart,
-    with one stacked SVD."""
-    src_mean = src.mean(axis=1)
-    dst_mean = dst.mean(axis=1)
-    cross = np.swapaxes(src - src_mean[:, None], 1, 2) @ (dst - dst_mean[:, None])
+def _align(src: np.ndarray, dst: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rotations, translations, RMS residuals, observed-point counts and
+    collinearity flags aligning each (K, 3) point set of a (B, K, 3) stack
+    onto its observed counterpart with one stacked SVD. Points the (B, K)
+    mask leaves out are zeroed, so every sum runs over a frame's observed
+    points in column order."""
+    count, seen = mask.sum(axis=1), mask[..., None]
+    share = np.maximum(count, 1)  # keeps a frame without points finite; solve_wrists rejects it
+    src, dst = np.where(seen, src, 0.0), np.where(seen, dst, 0.0)
+    src_mean, dst_mean = src.sum(axis=1) / share[:, None], dst.sum(axis=1) / share[:, None]
+    src_c, dst_c = (np.where(seen, x - mean[:, None], 0.0) for x, mean in ((src, src_mean), (dst, dst_mean)))
+    cross = np.swapaxes(src_c, 1, 2) @ dst_c
     u, s, vt = np.linalg.svd(cross)
     # Points spanning a plane give rank 2; a line gives rank 1, which leaves
     # the rotation about that line free.
@@ -223,8 +228,8 @@ def _align(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     rot = (v * diag) @ ut
     trans = dst_mean - (rot @ src_mean[..., None])[..., 0]
     moved = src @ np.swapaxes(rot, 1, 2) + trans[:, None]
-    residual = np.sqrt(np.mean(np.sum((moved - dst) ** 2, axis=2), axis=1))
-    return rot, trans, residual, collinear
+    residual = np.sqrt(np.where(mask, np.sum((moved - dst) ** 2, axis=2), 0.0).sum(axis=1) / share)
+    return rot, trans, residual, count, collinear
 
 
 def solve_wrists(
@@ -235,27 +240,17 @@ def solve_wrists(
 
     `canonical` and `observed` are (B, K, 3) stacks of the same K keypoints,
     and the (B, K) `mask` marks the keypoints each frame observed; a frame
-    needs at least 3 observed, non-collinear points. Frames with the same
-    mask row are solved with one stacked SVD, their points in column order.
+    needs at least 3 observed, non-collinear points. All frames are solved
+    with one stacked SVD over their observed points in column order.
     Returns the (B, 4) proper-rotation quaternions, (B, 3) translations and
     (B,) RMS residuals in meters, and a {frame: message} map of the frames
     rejected; their rows are NaN.
     """
-    rotation, translation = np.full((len(mask), 4), np.nan), np.full((len(mask), 3), np.nan)
-    residual = np.full(len(mask), np.nan)
-    errors: dict[int, str] = {}
-    patterns, group = np.unique(mask, axis=0, return_inverse=True)
-    for g, pattern in enumerate(patterns):
-        rows, cols = np.flatnonzero(group == g), np.flatnonzero(pattern)
-        if len(cols) < 3:
-            errors.update(dict.fromkeys(rows.tolist(), f"need at least 3 shared keypoints, got {len(cols)}"))
-            continue
-        at = np.ix_(rows, cols)
-        rot, trans, res, collinear = _align(canonical[at], observed[at])
-        errors.update(dict.fromkeys(rows[collinear].tolist(),
-                                    "keypoint configuration is collinear; wrist rotation is ambiguous"))
-        good = ~collinear
-        rotation[rows[good]] = matrix_to_quat(rot[good])
-        translation[rows[good]] = trans[good]
-        residual[rows[good]] = res[good]
-    return rotation, translation, residual, errors
+    rot, trans, res, count, collinear = _align(canonical, observed, mask)
+    errors = {b: f"need at least 3 shared keypoints, got {n}" if n < 3 else
+              "keypoint configuration is collinear; wrist rotation is ambiguous"
+              for b, (n, bad) in enumerate(zip(count.tolist(), collinear.tolist())) if n < 3 or bad}
+    good = (count >= 3) & ~collinear
+    rotation = np.full((len(mask), 4), np.nan)
+    rotation[good] = matrix_to_quat(rot[good])
+    return rotation, np.where(good[:, None], trans, np.nan), np.where(good, res, np.nan), errors

@@ -1,11 +1,12 @@
-"""Shared fixtures-by-hand: random chains and independent FK oracles."""
+"""Shared fixtures-by-hand: random chains, independent FK oracles and the grouped wrist solve."""
 from __future__ import annotations
 
 import numpy as np
 
 from dexretarget.dapg.env import JOINT_LIMIT, LINK_LENGTHS
 from dexretarget.kinematics import KinematicTree, _joint_rotations, load_robot
-from dexretarget.transforms import RigidTransform, quat_conjugate, quat_multiply, quat_to_matrix
+from dexretarget.poseio import CONDITIONING_TOL
+from dexretarget.transforms import RigidTransform, matrix_to_quat, quat_conjugate, quat_multiply, quat_to_matrix
 
 
 def planar_two_link_doc(l1: float = 1.0, l2: float = 1.0) -> dict:
@@ -263,3 +264,38 @@ def lagrangian_torque_oracle(doc: dict, q, qd, qdd, gravity,
         dl_dq = (_oracle_energy(doc, q + e, qd, gravity) - _oracle_energy(doc, q - e, qd, gravity)) / (2 * h_q)
         tau[k] = dp_dt - dl_dq
     return tau
+
+
+def grouped_solve_wrists(canonical: np.ndarray, observed: np.ndarray, mask: np.ndarray):
+    """Reference wrist solve: frames grouped by mask row, one stacked
+    Procrustes per group over its observed columns (gathered with np.ix_).
+    Same contract as poseio.solve_wrists."""
+    rotation, translation = np.full((len(mask), 4), np.nan), np.full((len(mask), 3), np.nan)
+    residual = np.full(len(mask), np.nan)
+    errors: dict[int, str] = {}
+    patterns, group = np.unique(mask, axis=0, return_inverse=True)
+    for g, pattern in enumerate(patterns):
+        rows, cols = np.flatnonzero(group == g), np.flatnonzero(pattern)
+        if len(cols) < 3:
+            errors.update(dict.fromkeys(rows.tolist(), f"need at least 3 shared keypoints, got {len(cols)}"))
+            continue
+        at = np.ix_(rows, cols)
+        src, dst = canonical[at], observed[at]
+        src_mean, dst_mean = src.mean(axis=1), dst.mean(axis=1)
+        cross = np.swapaxes(src - src_mean[:, None], 1, 2) @ (dst - dst_mean[:, None])
+        u, s, vt = np.linalg.svd(cross)
+        collinear = s[:, 1] <= CONDITIONING_TOL * np.maximum(s[:, 0], 1e-300)
+        v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
+        diag = np.ones((len(v), 1, 3))
+        diag[:, 0, 2] = np.sign(np.linalg.det(v @ ut))
+        rot = (v * diag) @ ut
+        trans = dst_mean - (rot @ src_mean[..., None])[..., 0]
+        moved = src @ np.swapaxes(rot, 1, 2) + trans[:, None]
+        res = np.sqrt(np.mean(np.sum((moved - dst) ** 2, axis=2), axis=1))
+        errors.update(dict.fromkeys(rows[collinear].tolist(),
+                                    "keypoint configuration is collinear; wrist rotation is ambiguous"))
+        good = ~collinear
+        rotation[rows[good]] = matrix_to_quat(rot[good])
+        translation[rows[good]] = trans[good]
+        residual[rows[good]] = res[good]
+    return rotation, translation, residual, errors

@@ -199,6 +199,22 @@ def test_demo_rejects_inconsistent_counts(short_stream, tmp_path):
         read_demo(path)
 
 
+def test_demo_rejects_a_misplaced_action(short_stream, tmp_path):
+    """Counts that agree do not make actions sit right: an action missing
+    from record 5 but present on the last record would shift every later
+    action by one step."""
+    demo = translate(short_stream, make_config("allegro"))
+    path = tmp_path / "demo.jsonl"
+    write_demo(demo, path)
+    header, *records = path.read_text().splitlines()
+    fifth, last = json.loads(records[5]), json.loads(records[-1])
+    last["action"] = fifth.pop("action")
+    records[5], records[-1] = json.dumps(fifth), json.dumps(last)
+    path.write_text("\n".join([header, *records]) + "\n")
+    with pytest.raises(DemoFormatError, match="^record 5 has no action; every record but the last needs one$"):
+        read_demo(path)
+
+
 def test_demo_version_header_enforced(short_stream, tmp_path):
     demo = translate(short_stream, make_config("allegro"))
     path = tmp_path / "demo.jsonl"
