@@ -212,9 +212,9 @@ def _align(src: np.ndarray, dst: np.ndarray, mask: np.ndarray) -> tuple[np.ndarr
     mask leaves out are zeroed, so every sum runs over a frame's observed
     points in column order."""
     count, seen = mask.sum(axis=1), mask[..., None]
-    share = np.maximum(count, 1)  # keeps a frame without points finite; solve_wrists rejects it
+    divisor = np.maximum(count, 1)  # keeps a frame without points finite; solve_wrists rejects it
     src, dst = np.where(seen, src, 0.0), np.where(seen, dst, 0.0)
-    src_mean, dst_mean = src.sum(axis=1) / share[:, None], dst.sum(axis=1) / share[:, None]
+    src_mean, dst_mean = src.sum(axis=1) / divisor[:, None], dst.sum(axis=1) / divisor[:, None]
     src_c, dst_c = (np.where(seen, x - mean[:, None], 0.0) for x, mean in ((src, src_mean), (dst, dst_mean)))
     cross = np.swapaxes(src_c, 1, 2) @ dst_c
     u, s, vt = np.linalg.svd(cross)
@@ -228,7 +228,7 @@ def _align(src: np.ndarray, dst: np.ndarray, mask: np.ndarray) -> tuple[np.ndarr
     rot = (v * diag) @ ut
     trans = dst_mean - (rot @ src_mean[..., None])[..., 0]
     moved = src @ np.swapaxes(rot, 1, 2) + trans[:, None]
-    residual = np.sqrt(np.where(mask, np.sum((moved - dst) ** 2, axis=2), 0.0).sum(axis=1) / share)
+    residual = np.sqrt(np.where(mask, np.sum((moved - dst) ** 2, axis=2), 0.0).sum(axis=1) / divisor)
     return rot, trans, residual, count, collinear
 
 
