@@ -1,9 +1,10 @@
 """Command-line interface for the full pipeline.
 
-Exit codes: 0 success, 1 usage error (bad flags, missing files), 2 data error
-(malformed or inconsistent inputs), 3 numerical failure (solver
-non-convergence beyond the allowed fraction, non-finite results). Machine
-output goes to stdout or files; human-readable summaries go to stderr.
+Exit codes: 0 success, 1 usage error (bad flags, missing files, an output
+that cannot be written), 2 data error (malformed or inconsistent inputs), 3
+numerical failure (solver non-convergence beyond the allowed fraction,
+non-finite results). Machine output goes to stdout or files; human-readable
+summaries go to stderr.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .demopipe import (
     read_config_object,
     read_demo,
     translate_all,
-    translate_timed,
     write_demo,
 )
 from .dynamics import DynamicsInput, inverse_dynamics
@@ -55,7 +55,7 @@ def _say(message: str):
 
 def _exit_code(exc: Exception, who: str = "") -> int:
     """Report a failure on stderr and return its exit code; re-raise one that has none."""
-    for kind, what, code in ((FileNotFoundError, "error", USAGE_ERROR), (DataError, "data error", DATA_ERROR),
+    for kind, what, code in ((OSError, "error", USAGE_ERROR), (DataError, "data error", DATA_ERROR),
                              (NumericalError, "numerical failure", NUMERICAL_ERROR)):
         if isinstance(exc, kind):
             _say(f"{who}{what}: {exc}")
@@ -120,7 +120,10 @@ def _report_and_write(label: str, demo, timings: dict[str, float], out_path: Pat
         _say(f"{label}: unconverged fraction {fraction:.1%} exceeds "
              f"--max-unconverged {max_unconverged:.1%}")
         return NUMERICAL_ERROR
-    write_demo(demo, out_path)
+    try:
+        write_demo(demo, out_path)
+    except OSError as exc:
+        return _exit_code(exc, f"{label}: ")
     _say(f"wrote {out_path}")
     return 0
 
@@ -129,7 +132,10 @@ def cmd_translate(args) -> int:
     stream = read_stream(args.stream)
     config = _apply_overrides(PipelineConfig.from_file(args.config), args)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    demo, timings = translate_timed(stream, config)
+    results, failed = translate_all(stream, {config.robot: config})
+    if failed:
+        raise failed[config.robot]
+    demo, timings = results[config.robot]
     return _report_and_write(demo.robot, demo, timings, Path(args.out), args.max_unconverged)
 
 

@@ -20,14 +20,15 @@ link frames give the transposed Jacobian Jt (N, 3K) at the new iterate, and
 its residuals the gradient 2 Jt @ res + 2 alpha step; its value is the new
 objective. The normal matrix is Jt @ Jt.T; _linear_solve, the gufunc that
 np.linalg.solve wraps, solves the damped system under _SOLVE_ERRSTATE, which
-_solve enters once per frame. A point takes tens of microseconds, nearly all
-of it the fixed cost of some 80 NumPy calls on arrays of 16-22 elements, so
-the loop saves calls: no solve wrapper, gathers by take, and in kinematics a
-fixed joint's angle is its column times 0, not an appended zero column. A
-trajectory's source keypoints are the mapped rows of the source hand's
-keypoints, from one batched forward kinematics, and each frame after the
+retarget_keypoints enters once per trajectory. A point takes tens of
+microseconds, nearly all of it the fixed cost of some 80 NumPy calls on
+arrays of 16-22 elements, so the loop saves calls: no solve wrapper, gathers
+by take, and in kinematics a fixed joint's angle is its column times 0, not
+an appended zero column. A trajectory's source keypoints are the mapped rows
+of the source hand's keypoints, from one batched forward kinematics.
+retarget_keypoints owns the whole trajectory's solve: each frame after the
 first starts from the previous frame's final point, whose keypoints and
-Jacobian it reuses.
+Jacobian it reuses as plain locals.
 
 Exactness: on the bundled robots the solver takes the same decisions
 (iterations, probes, accepted steps) with these kernels as with the
@@ -230,107 +231,6 @@ _SOLVE_ERRSTATE = dict(call=_raise_singular, invalid="call", over="ignore", divi
 _OUTWARD = np.array([[1.0], [-1.0]])  # the gradient's sign that pushes out of each row of the bounds
 
 
-def _solve(
-    problem: RetargetProblem, targets: np.ndarray, q_prev: np.ndarray, bounds: np.ndarray,
-    start: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[RetargetResult, tuple[np.ndarray, np.ndarray]]:
-    """Damped GN from q_prev (inside the box); each point costs one target FK.
-
-    The Levenberg damping, carried across iterations, falls threefold (to no
-    less than 1e-12) on an accepted probe and rises tenfold on a rejected one
-    (a singular system, a step that projects to nothing or a failed Armijo
-    test); a rejection that lifts it past MAX_DAMPING ends the solve.
-
-    `bounds` (2, N) stacks the target's lower and upper joint limits.
-    `start`, if given, is the mapped keypoints (K, 3) and transposed Jacobian
-    (N, 3K) at q_prev, which then cost no FK. Returns the result and the same
-    pair at its q.
-    """
-    tree, slots, offsets = problem.target, problem._target_slots, problem._target_offsets
-    zeros = problem._jacobian_zeros
-    alpha, two_alpha, grad_tol = problem.alpha, 2.0 * problem.alpha, problem.settings.grad_tol
-    lower, upper = bounds
-    with np.errstate(**_SOLVE_ERRSTATE):
-        x = q_prev.copy()
-        if start is None:
-            frames = kinematics._link_poses(tree, x[None])[0]
-            points = kinematics._keypoint_positions(frames, slots, offsets)
-            start = points, kinematics._keypoint_jacobian_t(tree, frames, points, zeros)
-        points, jac_t = start
-        f, sq_sum, res, step = _value(problem, points, targets, x, q_prev)
-        g = _gradient(jac_t, res, step, two_alpha)
-        if not math.isfinite(f):
-            raise NumericalError("non-finite retargeting objective at warm start")
-
-        lam = 1e-6  # adaptive Levenberg damping, carried across iterations
-        converged = False
-        iterations = probes = 0
-        for iterations in range(1, problem.settings.max_iterations + 1):
-            # Optimality measure: how far the projected gradient step moves us.
-            if np.maximum.reduce(np.abs(np.minimum(np.maximum(x - g, lower), upper) - x)) <= grad_tol:
-                converged = True
-                iterations -= 1
-                break
-
-            # Coordinates pinned at a bound with the gradient pushing outward
-            # stay fixed this iteration; solving the damped system on the free
-            # subspace keeps the step from being clipped into uselessness. The
-            # mask is built only when some coordinate sits on a bound.
-            free = None
-            on_bound = np.equal(x, bounds)
-            if np.logical_or.reduce(on_bound, axis=None):
-                pinned = on_bound & np.greater(g * _OUTWARD, 0.0)
-                if np.logical_or.reduce(pinned, axis=None):
-                    free = ~np.logical_or.reduce(pinned)
-            jac_f, g_f = (jac_t, g) if free is None else (jac_t.compress(free, axis=0), g.compress(free))
-            nf = len(g_f)
-            normal = jac_f @ jac_f.T  # (nf, nf); damped in place below
-            damped = normal.reshape(-1)[::nf + 1]
-            undamped = damped.copy()
-            scale = max(1.0, float(np.add.reduce(undamped)) / max(nf, 1))
-            rhs = -0.5 * g_f
-
-            # Damped Gauss-Newton probes under the damping rule above, until
-            # one is accepted (it keeps its link frames for the next Jacobian)
-            # or the damping passes MAX_DAMPING.
-            while lam <= MAX_DAMPING:
-                np.add(undamped, alpha + lam * scale, out=damped)
-                try:
-                    d = _linear_solve(normal, rhs)
-                except np.linalg.LinAlgError:
-                    d = np.zeros(nf)  # no step: rejected below
-                if free is not None:
-                    d_f, d = d, np.zeros(len(x))
-                    d[free] = d_f
-                cand = np.minimum(np.maximum(x + d, lower), upper)
-                delta = cand - x
-                size = np.maximum.reduce(np.abs(delta))
-                # x is finite, so a non-finite candidate shows as a non-finite
-                # step; it is a DescriptionError, as check_q would raise.
-                if not math.isfinite(size):
-                    raise DescriptionError("joint vector contains non-finite entries")
-                if size > 0.0:
-                    frames = kinematics._link_poses(tree, cand[None])[0]
-                    cand_points = kinematics._keypoint_positions(frames, slots, offsets)
-                    probes += 1
-                    f_cand, sq_cand, res, step = _value(problem, cand_points, targets, cand, q_prev)
-                    if math.isfinite(f_cand) and f_cand <= f + ARMIJO_C * float(g.dot(delta)):
-                        lam = max(lam / 3.0, 1e-12)
-                        break
-                lam *= 10.0
-            else:
-                break  # no acceptable descent step: numerical stationarity
-            # The probe's value is the objective at the new iterate; only its
-            # gradient needs the Jacobian.
-            x, f, sq_sum, points = cand, f_cand, sq_cand, cand_points
-            jac_t = kinematics._keypoint_jacobian_t(tree, frames, points, zeros)
-            g = _gradient(jac_t, res, step, two_alpha)
-
-    result = RetargetResult(q=x, residual=math.sqrt(sq_sum / len(targets)), objective=f,
-                            iterations=iterations, converged=converged, probes=probes)
-    return result, (points, jac_t)
-
-
 def retarget_trajectory(
     problem: RetargetProblem, source_traj: np.ndarray, q0: np.ndarray
 ) -> list[RetargetResult]:
@@ -350,11 +250,16 @@ def retarget_keypoints(
     """retarget_trajectory for a trajectory given as its mapped source
     keypoints (T, K, 3), in keypoint-map order.
 
-    A frame's warm start is the previous frame's final point, so that
-    point's keypoints and Jacobian carry over instead of being computed again.
+    Each frame is a damped GN from the previous frame's final point (frame 0
+    from q0 clipped into the box), whose keypoints and Jacobian carry over;
+    only the first warm start costs an FK, and every probe costs one. The
+    Levenberg damping, carried across iterations, falls threefold (to no less
+    than 1e-12) on an accepted probe and rises tenfold on a rejected one (a
+    singular system, a step that projects to nothing or a failed Armijo
+    test); a rejection that lifts it past MAX_DAMPING ends the frame.
     """
     q0 = problem.target.check_q(q0, batch=False)
-    bounds = np.array(problem.target.joint_limits())
+    bounds = np.array(problem.target.joint_limits())  # (2, N): lower and upper limits
     lower, upper = bounds
     if np.any(q0 < lower - 1e-9) or np.any(q0 > upper + 1e-9):
         raise DataError("initial guess lies outside the target joint limits")
@@ -365,13 +270,92 @@ def retarget_keypoints(
     if not np.all(np.isfinite(targets)):
         raise DataError("source keypoints contain non-finite values")
 
+    tree, slots, offsets = problem.target, problem._target_slots, problem._target_offsets
+    zeros = problem._jacobian_zeros
+    alpha, two_alpha, grad_tol = problem.alpha, 2.0 * problem.alpha, problem.settings.grad_tol
     results: list[RetargetResult] = []
-    q_prev, point = np.clip(q0, lower, upper), None
-    for t, frame_targets in enumerate(targets):
-        try:
-            result, point = _solve(problem, frame_targets, q_prev, bounds, point)
-        except (DataError, NumericalError) as exc:
-            raise type(exc)(f"frame {t}: {exc}") from exc
-        results.append(result)
-        q_prev = result.q
+    t = 0
+    try:
+        with np.errstate(**_SOLVE_ERRSTATE):
+            x = np.clip(q0, lower, upper)
+            frames = kinematics._link_poses(tree, x[None])[0]
+            points = kinematics._keypoint_positions(frames, slots, offsets)
+            jac_t = kinematics._keypoint_jacobian_t(tree, frames, points, zeros)
+            for t, frame_targets in enumerate(targets):
+                q_prev, x = x, x.copy()
+                f, sq_sum, res, step = _value(problem, points, frame_targets, x, q_prev)
+                g = _gradient(jac_t, res, step, two_alpha)
+                if not math.isfinite(f):
+                    raise NumericalError("non-finite retargeting objective at warm start")
+
+                lam = 1e-6  # adaptive Levenberg damping, carried across iterations
+                converged = False
+                iterations = probes = 0
+                for iterations in range(1, problem.settings.max_iterations + 1):
+                    # Optimality measure: how far the projected gradient step moves us.
+                    if np.maximum.reduce(np.abs(np.minimum(np.maximum(x - g, lower), upper) - x)) <= grad_tol:
+                        converged = True
+                        iterations -= 1
+                        break
+
+                    # Coordinates pinned at a bound with the gradient pushing
+                    # outward stay fixed this iteration; solving the damped
+                    # system on the free subspace keeps the step from being
+                    # clipped into uselessness. The mask is built only when
+                    # some coordinate sits on a bound.
+                    free = None
+                    on_bound = np.equal(x, bounds)
+                    if np.logical_or.reduce(on_bound, axis=None):
+                        pinned = on_bound & np.greater(g * _OUTWARD, 0.0)
+                        if np.logical_or.reduce(pinned, axis=None):
+                            free = ~np.logical_or.reduce(pinned)
+                    jac_f, g_f = (jac_t, g) if free is None else (jac_t.compress(free, axis=0), g.compress(free))
+                    nf = len(g_f)
+                    normal = jac_f @ jac_f.T  # (nf, nf); damped in place below
+                    damped = normal.reshape(-1)[::nf + 1]
+                    undamped = damped.copy()
+                    scale = max(1.0, float(np.add.reduce(undamped)) / max(nf, 1))
+                    rhs = -0.5 * g_f
+
+                    # Damped Gauss-Newton probes under the damping rule above,
+                    # until one is accepted (it keeps its link frames for the
+                    # next Jacobian) or the damping passes MAX_DAMPING.
+                    while lam <= MAX_DAMPING:
+                        np.add(undamped, alpha + lam * scale, out=damped)
+                        try:
+                            d = _linear_solve(normal, rhs)
+                        except np.linalg.LinAlgError:
+                            d = np.zeros(nf)  # no step: rejected below
+                        if free is not None:
+                            d_f, d = d, np.zeros(len(x))
+                            d[free] = d_f
+                        cand = np.minimum(np.maximum(x + d, lower), upper)
+                        delta = cand - x
+                        size = np.maximum.reduce(np.abs(delta))
+                        # x is finite, so a non-finite candidate shows as a
+                        # non-finite step; it is a DescriptionError, as
+                        # check_q would raise.
+                        if not math.isfinite(size):
+                            raise DescriptionError("joint vector contains non-finite entries")
+                        if size > 0.0:
+                            frames = kinematics._link_poses(tree, cand[None])[0]
+                            cand_points = kinematics._keypoint_positions(frames, slots, offsets)
+                            probes += 1
+                            f_cand, sq_cand, res, step = _value(problem, cand_points, frame_targets, cand, q_prev)
+                            if math.isfinite(f_cand) and f_cand <= f + ARMIJO_C * float(g.dot(delta)):
+                                lam = max(lam / 3.0, 1e-12)
+                                break
+                        lam *= 10.0
+                    else:
+                        break  # no acceptable descent step: numerical stationarity
+                    # The probe's value is the objective at the new iterate;
+                    # only its gradient needs the Jacobian.
+                    x, f, sq_sum, points = cand, f_cand, sq_cand, cand_points
+                    jac_t = kinematics._keypoint_jacobian_t(tree, frames, points, zeros)
+                    g = _gradient(jac_t, res, step, two_alpha)
+
+                results.append(RetargetResult(q=x, residual=math.sqrt(sq_sum / len(frame_targets)), objective=f,
+                                              iterations=iterations, converged=converged, probes=probes))
+    except (DataError, NumericalError) as exc:
+        raise type(exc)(f"frame {t}: {exc}") from exc
     return results

@@ -199,6 +199,32 @@ def test_cli_never_prints_a_traceback(data, valid, tmp_path_factory):
     assert "Traceback" not in err.getvalue()
 
 
+def test_translate_to_an_unwritable_output_exits_1(tmp_path, capsys):
+    (tmp_path / "stream.jsonl").write_text(_stream_text(12))
+    out = tmp_path / "allegro.demo"
+    out.mkdir()  # the output path is a directory
+    code = main(["translate", "--stream", str(tmp_path / "stream.jsonl"),
+                 "--config", str(asset_path("configs/allegro.json")), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_translate_all_writes_the_robots_after_an_unwritable_output(tmp_path, capsys):
+    # Configs run in name order: adroit, allegro, schunk. Allegro's output is
+    # a directory; it is reported, and schunk is still translated and written.
+    (tmp_path / "stream.jsonl").write_text(_stream_text(12))
+    out_dir = tmp_path / "demos"
+    (out_dir / "allegro.demo").mkdir(parents=True)
+    code = main(["translate-all", "--stream", str(tmp_path / "stream.jsonl"),
+                 "--configs", str(asset_path("configs")), "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "allegro: error: " in err and "Traceback" not in err
+    assert [read_demo(out_dir / f"{name}.demo").robot for name in ("adroit", "schunk")] == ["adroit", "schunk"]
+    assert (out_dir / "allegro.demo").is_dir()
+
+
 def _calls(tree: ast.AST, methods: set[str], functions: set[tuple[str, str]]) -> list[str]:
     """Calls in a module of a method named in `methods` or a `module.function` in `functions`."""
     found = []

@@ -424,40 +424,35 @@ def test_one_target_fk_per_point_and_one_source_fk_per_trajectory(custom_hand, s
     problem = bundled_problem("allegro", custom_hand)
     q0 = np.clip(np.zeros(16), *problem.target.joint_limits())
     events = []
-    real_poses, real_solve, real_value = kinematics._link_poses, retarget._solve, retarget._value
+    real_poses, real_value = kinematics._link_poses, retarget._value
 
     def poses(tree, q):
         events.append(("fk", tree, np.array(q)))
         return real_poses(tree, q)
-
-    def solve(*args):
-        events.append(("frame",))
-        return real_solve(*args)
 
     def value(*args):
         events.append(("value",))
         return real_value(*args)
 
     monkeypatch.setattr(kinematics, "_link_poses", poses)
-    monkeypatch.setattr(retarget, "_solve", solve)
     monkeypatch.setattr(retarget, "_value", value)
     results = retarget_trajectory(problem, sample_poses, q0)
 
     source = [e[2] for e in events if e[0] == "fk" and e[1] is custom_hand]
     assert len(source) == 1 and np.array_equal(source[0], sample_poses)
-    starts = [i for i, e in enumerate(events) if e[0] == "frame"] + [len(events)]
-    assert len(starts) == len(results) + 1
-    evaluated = []
-    for t, (result, a, b) in enumerate(zip(results, starts, starts[1:])):
-        frame = events[a + 1:b]
-        points = [e[2][0] for e in frame if e[0] == "fk"]
-        assert all(e[0] == "value" or e[1] is problem.target for e in frame)
+    solve = [e for e in events if not (e[0] == "fk" and e[1] is custom_hand)]
+    assert all(e[0] == "value" or e[1] is problem.target for e in solve)
+    evaluated, a = [], 0
+    for t, result in enumerate(results):
         # Frame 0 evaluates its warm start; every later frame starts from the
         # previous frame's final point and reuses its keypoints and Jacobian.
         # The warm start is valued once, then each objective probe costs one
         # target FK valued right after it, and accepted iterates reuse their
-        # probe's poses.
+        # probe's poses. So a frame's events are split off by its probes.
         warm = 1 if t == 0 else 0
+        frame = solve[a:a + warm + 1 + 2 * result.probes]
+        a += len(frame)
+        points = [e[2][0] for e in frame if e[0] == "fk"]
         kinds = [e[0] for e in frame]
         assert kinds == ["fk"] * warm + ["value"] + ["fk", "value"] * result.probes
         probes = sum(e[0] == "value" for e in frame) - 1
@@ -467,8 +462,38 @@ def test_one_target_fk_per_point_and_one_source_fk_per_trajectory(custom_hand, s
             assert np.array_equal(points[0], q0)
         assert len(points) >= warm + result.iterations
         evaluated += points
+    assert a == len(solve)
     # No point is evaluated twice across the whole trajectory.
     assert len({q.tobytes() for q in evaluated}) == len(evaluated)
+
+
+def test_solve_restores_the_callers_errstate(self_problem, monkeypatch):
+    # The solver enters _SOLVE_ERRSTATE once per trajectory; the caller's
+    # floating-point error handling is back after it returns and after it raises.
+    def handler(err, flag):
+        pass
+
+    traj = np.full((3, 45), 0.2)
+    with np.errstate(over="raise", divide="warn", under="ignore", invalid="ignore", call=handler):
+        before = np.geterr(), np.geterrcall()
+        retarget_trajectory(self_problem, traj, q0=np.zeros(45))
+        assert (np.geterr(), np.geterrcall()) == before
+        monkeypatch.setattr(retarget, "_linear_solve", lambda a, b: np.full_like(b, np.nan))
+        with pytest.raises(DescriptionError, match="^frame 0: .*non-finite"):
+            retarget_trajectory(self_problem, traj, q0=np.zeros(45))
+        assert (np.geterr(), np.geterrcall()) == before
+
+
+def test_a_frame_converged_at_its_warm_start_owns_its_q(self_problem):
+    # A constant source: after the first frame, frames converge where they
+    # start, yet each frame's q is its own array, not the previous frame's.
+    results = retarget_trajectory(self_problem, np.full((4, 45), 0.2), q0=np.zeros(45))
+    still = [t for t in range(1, 4) if results[t].iterations == 0 and results[t].converged]
+    assert still
+    for t in still:
+        assert results[t].q.tobytes() == results[t - 1].q.tobytes()
+    for t in range(1, 4):
+        assert not np.shares_memory(results[t].q, results[t - 1].q)
 
 
 @pytest.mark.parametrize("robot", ["allegro", "schunk", "adroit"])
