@@ -96,16 +96,18 @@ def cmd_gen_hand(args) -> int:
     shape = HandShapeParams(float_rows([doc["beta"]], SHAPE_DIM, DataError, ["beta"])[0])
     template = load_template(args.template) if args.template else None
     tree = build_custom_hand(shape, template)
-    atomic_write_text(args.out, dump_robot(tree))
+    try:
+        atomic_write_text(args.out, dump_robot(tree))
+    except OSError as exc:
+        return _exit_code(exc)
     _say(f"wrote {args.out}: {tree.num_actuated} actuated joints, "
          f"{len(tree.keypoint_names)} fingertip keypoints")
     return 0
 
 
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    keys = ("alpha", "gamma", "action_mode", "calibration_frames", "task")
-    overrides = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
-    return replace(config, **overrides) if overrides else config
+    return replace(config, **{key: getattr(args, key) for key in ("alpha", "action_mode")
+                              if getattr(args, key) is not None})
 
 
 def _report_and_write(label: str, demo, timings: dict[str, float], out_path: Path, max_unconverged: float) -> int:
@@ -179,7 +181,10 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     started = time.perf_counter()
-    _, curve = train(demos, config, out_dir=out_dir)
+    try:
+        _, curve = train(demos, config, out_dir=out_dir)  # it reads no file, so its OSError is an output's
+    except OSError as exc:
+        return _exit_code(exc)
     _say(f"trained {config.iterations} iterations in {time.perf_counter() - started:.0f}s: "
          f"final return {curve.mean_return[-1]:.2f}, "
          f"final success rate {curve.success_rate[-1]:.2f}")
@@ -190,9 +195,12 @@ def cmd_train(args) -> int:
 def cmd_expert(args) -> int:
     demos = demos_from_expert(args.n, seed=args.seed if args.seed is not None else 0)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, demo in enumerate(demos):
-        write_demo(demo, out_dir / f"expert_{i:03d}.jsonl")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, demo in enumerate(demos):
+            write_demo(demo, out_dir / f"expert_{i:03d}.jsonl")
+    except OSError as exc:
+        return _exit_code(exc)
     _say(f"wrote {len(demos)} expert demonstrations to {out_dir}")
     return 0
 
@@ -252,11 +260,8 @@ def build_parser() -> _Parser:
             p.add_argument("--config", required=True, help="pipeline config JSON")
             p.add_argument("--out", required=True, help="output demonstration path")
         p.add_argument("--alpha", type=float, default=None, help="override smoothness weight")
-        p.add_argument("--gamma", type=float, default=None, help="override filter factor")
         p.add_argument("--action-mode", dest="action_mode", default=None,
                        choices=("torque", "position"), help="override action mode")
-        p.add_argument("--calibration-frames", dest="calibration_frames", type=int, default=None)
-        p.add_argument("--task", default=None, help="override task tag")
         p.add_argument("--max-unconverged", type=float, default=0.05,
                        help="allowed fraction of unconverged frames before exit 3")
         p.set_defaults(func=func)
@@ -294,13 +299,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        level = (args.log_level or os.environ.get("DEXRETARGET_LOG", "WARNING")).upper()
+        if not isinstance(logging.getLevelName(level), int):  # a level name maps to its number
+            parser.error(f"unknown log level '{level}' (DEBUG, INFO, WARNING, ERROR or CRITICAL)")
     except SystemExit as exc:
         # argparse exits 0 for --help; anything else is a usage error
         return int(exc.code) if exc.code in (0, USAGE_ERROR) else USAGE_ERROR
 
-    level = args.log_level or os.environ.get("DEXRETARGET_LOG", "WARNING")
-    logging.basicConfig(level=getattr(logging, str(level).upper(), logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
 
     try:
         return args.func(args)

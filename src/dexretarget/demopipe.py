@@ -31,7 +31,7 @@ from .control import gamma_from_cutoff
 from .dynamics import POSITION, TORQUE, compute_actions
 from .errors import (DataError, DemoFormatError, NumericalError, atomic_write_text, check_json_object,
                      check_number_fields, float_rows, is_number, must_be, parse_object, read_records, read_text)
-from .handgen import build_custom_hand, default_template, load_template
+from .handgen import build_custom_hand
 from .kinematics import KinematicTree, load_robot
 from .poseio import HandPoseStream, calibrate, solve_wrists
 from .retarget import (
@@ -49,6 +49,8 @@ log = logging.getLogger(__name__)
 DEMO_FORMAT = "dexdemo/1"
 DEFAULT_CUTOFF_HZ = 5.0  # chosen, not from any published source
 PALM_VELOCITY_WIDTH = 6
+CALIBRATION_FRAMES = 30  # leading frames that calibrate a stream without a stored s0
+TASK = "relocate"        # the task of every demonstration: its state layout is relocate's
 
 
 def read_config_object(path: str | Path, cls, what: str) -> dict:
@@ -67,40 +69,26 @@ class PipelineConfig:
     robot: str | Path                     # target robot description path
     keypoint_map: str | Path | None = None  # defaults to shared fingertip names
     alpha: float = DEFAULT_ALPHA
-    gamma: float | None = None            # filter factor; derived from cutoff if None
-    cutoff_hz: float = DEFAULT_CUTOFF_HZ
-    calibration_frames: int = 30
+    cutoff_hz: float = DEFAULT_CUTOFF_HZ  # sets the filter factor, gamma_from_cutoff(cutoff_hz, dt)
     action_mode: str = POSITION
-    task: str = "relocate"
     grad_tol: float = SolverSettings.grad_tol
     max_iterations: int = SolverSettings.max_iterations
-    template: str | Path | None = None    # customized-hand template override
 
     def __post_init__(self):
-        check_number_fields(
-            self,
-            reals=("alpha", "cutoff_hz") + (("gamma",) if self.gamma is not None else ()),
-            integers=("calibration_frames",),
-        )
-        if not isinstance(self.task, str):
-            raise DataError(must_be("task", "a string", self.task))
+        check_number_fields(self, reals=("alpha", "cutoff_hz"))
         if self.action_mode not in (TORQUE, POSITION):
             raise DataError(f"unknown action mode '{self.action_mode}'")
         if self.alpha < 0:
             raise DataError(f"alpha must be nonnegative, got {self.alpha!r}")
         if self.cutoff_hz <= 0:
             raise DataError(f"cutoff_hz must be positive, got {self.cutoff_hz!r}")
-        if self.gamma is not None and not 0.0 < self.gamma <= 1.0:
-            raise DataError(f"gamma must be in (0, 1], got {self.gamma!r}")
         SolverSettings(max_iterations=self.max_iterations, grad_tol=self.grad_tol)  # checks the solver fields
-        if self.calibration_frames < 10:
-            raise DataError("calibration needs at least 10 frames")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         base = Path(path).parent
         doc = read_config_object(path, cls, "pipeline config")
-        for key in ("robot", "keypoint_map", "template"):
+        for key in ("robot", "keypoint_map"):
             value = doc.get(key)
             if value is None and key != "robot":
                 continue
@@ -230,18 +218,18 @@ def translate_all(
     """Each robot's demonstration and wall-clock seconds per pipeline stage;
     failures stay isolated.
 
-    Robots whose configs share calibration_frames and template share one
-    stream stage; its seconds count in the first such robot's timings.
+    The robots share one stream stage; its seconds count in the first
+    robot's timings. A stage that fails to build is tried again for the next
+    robot, so each robot reports its own failure.
     """
-    stages: dict[tuple, _StreamStage] = {}
+    stage = None
     results, errors = {}, {}
     for name, config in configs.items():
         t0 = time.perf_counter()
-        key = (config.calibration_frames, config.template)
         try:
-            if key not in stages:
-                stages[key] = _StreamStage.build(stream, config)
-            results[name] = _robot_stage(stages[key], config, t0)
+            if stage is None:
+                stage = _StreamStage.build(stream)
+            results[name] = _robot_stage(stage, config, t0)
         except Exception as exc:  # noqa: BLE001 - per-robot isolation is the contract
             # Logged, not warned: the caller gets the exception in `errors`.
             log.info("translation for '%s' failed: %s", name, exc)
@@ -251,8 +239,7 @@ def translate_all(
 
 @dataclass(frozen=True)
 class _StreamStage:
-    """The robot-independent part of a translation, built once per stream
-    and (calibration_frames, template)."""
+    """The robot-independent part of a translation, built once per stream."""
 
     hand: KinematicTree
     keypoints: np.ndarray      # (T, K, 3) the hand's keypoints over the stream: its one FK
@@ -262,11 +249,10 @@ class _StreamStage:
     provenance: dict           # stream_sha256 and object_fields
 
     @classmethod
-    def build(cls, stream: HandPoseStream, config: PipelineConfig) -> "_StreamStage":
+    def build(cls, stream: HandPoseStream) -> "_StreamStage":
         # Shape calibration: stored stream calibration wins over recomputation.
-        s0 = stream.s0 if stream.s0 is not None else calibrate(stream.shape[:config.calibration_frames])[0]
-        template = load_template(config.template) if config.template else default_template()
-        hand = build_custom_hand(s0, template)
+        s0 = stream.s0 if stream.s0 is not None else calibrate(stream.shape[:CALIBRATION_FRAMES])[0]
+        hand = build_custom_hand(s0)
         # The customized hand's one FK, on the stream's checked (T, 45) poses.
         # It gives every robot's retarget its source keypoints and the wrist
         # solve its canonical keypoints.
@@ -316,9 +302,9 @@ def _robot_stage(
     timings["retarget"] = time.perf_counter() - t0
     t0 = time.perf_counter()
 
-    gamma = config.gamma if config.gamma is not None else gamma_from_cutoff(config.cutoff_hz, stage.dt)
     try:
-        finger_track = compute_actions(target, q_traj, stage.dt, gamma, mode=config.action_mode)
+        finger_track = compute_actions(target, q_traj, stage.dt, gamma_from_cutoff(config.cutoff_hz, stage.dt),
+                                       mode=config.action_mode)
     except (DataError, NumericalError) as exc:
         raise type(exc)(f"action stage: {exc}") from exc
     timings["actions"] = time.perf_counter() - t0
@@ -347,7 +333,7 @@ def _robot_stage(
         "translated %d frames onto '%s': mean residual %.4g m, %d unconverged",
         len(states), target.name, mean_residual, unconverged,
     )
-    demo = Demonstration(robot=target.name, task=config.task, dt=stage.dt, state_layout=state_layout,
+    demo = Demonstration(robot=target.name, task=TASK, dt=stage.dt, state_layout=state_layout,
                          action_layout=action_layout, states=states, actions=actions, provenance=provenance)
     return demo, timings
 

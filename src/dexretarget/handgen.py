@@ -33,10 +33,8 @@ JOINT_LIMIT = 1.6  # rad, applied symmetrically to every stacked axis
 BETA_CLAMP = 5.0
 _AXES = (("x", [1.0, 0.0, 0.0]), ("y", [0.0, 1.0, 0.0]), ("z", [0.0, 0.0, 1.0]))
 _BONE_DENSITY = 1000.0  # kg/m^3, water-like soft tissue stand-in
-# Distinct template texts whose templates load_template keeps, and
 # (shape, template, name) keys whose hands build_custom_hand keeps (about
 # 75 KB each).
-TEMPLATE_CACHE_SIZE = 4
 HAND_CACHE_SIZE = 16
 
 
@@ -131,15 +129,9 @@ class HandTemplate:
 
 
 def load_template(path: str | Path) -> HandTemplate:
-    """Read a hand template file. It is read on every call; equal texts then
-    share one template, up to TEMPLATE_CACHE_SIZE texts. A missing file
-    raises FileNotFoundError, anything else wrong DataError."""
-    return _template_from_text(read_text(path, DataError, "hand template"))
-
-
-@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
-def _template_from_text(text: str) -> HandTemplate:
-    doc = parse_object(text, DataError, "hand template")
+    """Read a hand template file into a new template. A missing file raises
+    FileNotFoundError, anything else wrong DataError."""
+    doc = parse_object(read_text(path, DataError, "hand template"), DataError, "hand template")
     if doc.get("format") != "dexhand-template/1":
         raise DataError(f"unsupported template format {doc.get('format')!r}")
     try:

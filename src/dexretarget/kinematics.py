@@ -263,7 +263,7 @@ def _reject(flags, elements, message: str):
 
 
 def load_robot(source: str | Path | dict) -> KinematicTree:
-    """Load and validate a robot description (path, JSON text, or dict).
+    """Load and validate a robot description from a file path (`str` or `Path`) or a dict.
 
     A path is read on every call, so an edited file is never served stale.
     Equal texts then share one tree, built the first time: up to
@@ -272,10 +272,7 @@ def load_robot(source: str | Path | dict) -> KinematicTree:
     """
     if isinstance(source, dict):
         return _tree_from_document(source)
-    text = str(source)
-    if not text.lstrip().startswith("{"):
-        text = read_text(source, DescriptionError, "robot description")
-    return _load_text(text)
+    return _load_text(read_text(source, DescriptionError, "robot description"))
 
 
 @functools.lru_cache(maxsize=ROBOT_CACHE_SIZE)

@@ -33,9 +33,7 @@ def allegro_config_file(tmp_path):
         "keypoint_map": str(asset_path("maps/custom_to_allegro.map")),
         "alpha": 0.004,
         "cutoff_hz": 5.0,
-        "calibration_frames": 30,
         "action_mode": "position",
-        "task": "relocate",
     }
     path = tmp_path / "allegro.json"
     path.write_text(json.dumps(config))
@@ -221,7 +219,7 @@ def test_translate_flag_overrides_config(short_stream_file, allegro_config_file,
     out_b = tmp_path / "b.demo"
     base = ["translate", "--stream", str(short_stream_file), "--config", str(allegro_config_file)]
     assert main(base + ["--out", str(out_a)]) == 0
-    assert main(base + ["--out", str(out_b), "--gamma", "1.0"]) == 0
+    assert main(base + ["--out", str(out_b), "--alpha", "0.5"]) == 0
     a, b = read_demo(out_a), read_demo(out_b)
     assert not np.array_equal(a.actions, b.actions)
     assert a.provenance["config_sha256"] != b.provenance["config_sha256"]
@@ -489,3 +487,55 @@ def test_translate_exit_3_when_solver_starved(short_stream_file, tmp_path, capsy
     assert code == 3
     assert not out.exists()  # no partial output on failure
     assert "unconverged fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["translate", "translate-all"])
+@pytest.mark.parametrize("flag", [["--gamma", "0.5"], ["--calibration-frames", "30"], ["--task", "relocate"]],
+                         ids=["gamma", "calibration-frames", "task"])
+def test_removed_translate_flags_are_usage_errors(command, flag, short_stream_file, allegro_config_file,
+                                                  tmp_path, capsys):
+    # The filter factor comes from cutoff_hz; calibration frames and task are constants.
+    inputs = ["--config", str(allegro_config_file)] if command == "translate" else ["--configs", str(tmp_path)]
+    out = tmp_path / "out"
+    assert main([command, "--stream", str(short_stream_file), *inputs, "--out", str(out), *flag]) == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["verbose", "BASIC_FORMAT", "10"])
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_unknown_log_level_is_a_usage_error(level, source, monkeypatch, capsys):
+    argv = ["fk", "--robot", "allegro"]
+    if source == "flag":
+        argv = ["--log-level", level] + argv
+    else:
+        monkeypatch.setenv("DEXRETARGET_LOG", level)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: unknown log level '{level.upper()}'" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""  # the command did not run
+
+
+def test_log_level_names_are_case_insensitive(monkeypatch, capsys):
+    monkeypatch.setenv("DEXRETARGET_LOG", "warning")
+    assert main(["fk", "--robot", "allegro"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("command", ["gen-hand", "expert", "train"])
+def test_an_unwritable_output_gets_no_usage_hint(command, tmp_path, capsys):
+    # gen-hand's output is an existing directory; expert's and train's output
+    # directory is an existing file.
+    out = tmp_path / "out"
+    if command == "gen-hand":
+        out.mkdir()
+        (tmp_path / "shape.json").write_text(json.dumps({"beta": [0.0] * 10}))
+        argv = ["gen-hand", "--shape", str(tmp_path / "shape.json"), "--out", str(out)]
+    else:
+        out.write_text("")
+        argv = ["expert", "--n", "1", "--out", str(out)] if command == "expert" else ["train", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "--help" not in err and "Traceback" not in err

@@ -421,41 +421,6 @@ def test_passes_match_reference_bitwise(rows, hidden):
     assert all(np.array_equal(a, b) for a, b in zip(inputs, (states, actions, weights, targets)))
 
 
-@pytest.mark.parametrize("hidden", [(32, 32), (16,), (8, 8, 8)])
-@pytest.mark.parametrize("rows", [1, 128, 2048, 20000])
-def test_passes_match_reference_bitwise(rows, hidden):
-    rng = np.random.default_rng(rows + len(hidden))
-    policy = GaussianPolicy(9, 3, hidden=hidden, seed=4)
-    policy.log_std[...] = rng.uniform(-1.0, 0.5, size=3)
-    value_fn = ValueFunction(9, hidden=hidden, seed=5)
-    for net in (policy, value_fn):
-        net.biases[0][...] = rng.normal(size=net.biases[0].shape)
-    states = rng.normal(size=(rows, 9))
-    actions = rng.normal(size=(rows, 3))
-    weights = rng.normal(size=rows)
-    targets = rng.normal(size=rows)
-    inputs = [a.copy() for a in (states, actions, weights, targets)]
-
-    for net in (policy, value_fn):
-        out, acts = net.forward(states)
-        ref_out, ref_acts = ref_forward(net, states)
-        assert np.array_equal(out, ref_out)
-        assert all(np.array_equal(a, b) for a, b in zip(acts, ref_acts))
-        grad_out = rng.normal(size=out.shape)
-        grad, extra = net.backward(acts, grad_out)
-        ref_grad, _ = ref_backward(net, ref_acts, grad_out)
-        assert np.array_equal(grad[: grad.size - extra.size], ref_grad[: grad.size - extra.size])
-    assert np.array_equal(policy.weighted_logp_grad(states, actions, weights),
-                          ref_weighted_logp_grad(policy, states, actions, weights))
-    assert np.array_equal(policy.log_prob(states, actions), ref_log_prob(policy, states, actions))
-    assert np.array_equal(value_fn.predict(states), ref_predict(value_fn, states))
-    loss, grad = value_fn.mse_and_grad(states, targets)
-    ref_loss, ref_grad = ref_mse_and_grad(value_fn, states, targets)
-    assert loss == ref_loss
-    assert np.array_equal(grad, ref_grad)
-    assert all(np.array_equal(a, b) for a, b in zip(inputs, (states, actions, weights, targets)))
-
-
 def fit_both(value_fn, ref, states, targets, monkeypatch):
     """fit_value on value_fn, then ref_fit_value on ref through the reference
     passes; returns both losses and both Adams."""

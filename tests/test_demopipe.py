@@ -51,9 +51,7 @@ def make_config(robot_name: str, **overrides) -> PipelineConfig:
         keypoint_map=None,
         alpha=0.004,
         cutoff_hz=5.0,
-        calibration_frames=30,
         action_mode="position",
-        task="relocate",
     )
     defaults.update(overrides)
     return PipelineConfig(**defaults)
@@ -127,17 +125,12 @@ def test_self_translation_returns_filtered_source(tmp_path):
         keypoint_map=map_path,
         alpha=0.0,
         cutoff_hz=5.0,
-        calibration_frames=30,
         grad_tol=1e-10,
     )
     demo = translate(stream, config)
     targets = demo.actions[:, 6:]
-    expected = low_pass_trajectory(stream.pose_matrix(), config_gamma(config, stream.dt))[:-1]
+    expected = low_pass_trajectory(stream.pose_matrix(), gamma_from_cutoff(config.cutoff_hz, stream.dt))[:-1]
     assert np.abs(targets - expected).max() < 1e-6
-
-
-def config_gamma(config: PipelineConfig, dt: float) -> float:
-    return config.gamma if config.gamma is not None else gamma_from_cutoff(config.cutoff_hz, dt)
 
 
 def test_bundled_config_files_load():
@@ -155,6 +148,11 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text('{"robot": "x.robot", "kp": 2.0, "kd": 0.1}')  # removed PD gains
     with pytest.raises(DataError, match="unknown config keys: \\['kd', 'kp'\\]"):
         PipelineConfig.from_file(path)
+    # Removed settings: gamma is derived from cutoff_hz, the others are constants.
+    for key, value in (("gamma", 0.5), ("calibration_frames", 30), ("template", "t.json"), ("task", "relocate")):
+        path.write_text(json.dumps({"robot": "x.robot", key: value}))
+        with pytest.raises(DataError, match=f"unknown config keys: \\['{key}'\\]"):
+            PipelineConfig.from_file(path)
 
 
 def test_demo_round_trip(short_stream, tmp_path):
@@ -275,8 +273,7 @@ def test_finger_targets_respect_limits(short_stream):
     "field, value",
     [("max_iterations", 0), ("max_iterations", -3), ("grad_tol", -1.0), ("grad_tol", 0.0),
      ("grad_tol", float("inf")), ("alpha", float("inf")), ("alpha", float("nan")), ("alpha", -1.0),
-     ("cutoff_hz", 0.0), ("cutoff_hz", float("nan")), ("gamma", 1.5), ("gamma", 0.0),
-     ("gamma", float("nan"))],
+     ("cutoff_hz", 0.0), ("cutoff_hz", float("nan"))],
 )
 def test_config_rejects_out_of_range_values_when_built(field, value):
     # Rejected before any stage runs, naming the field.
@@ -384,15 +381,17 @@ def test_translate_all_builds_the_stream_stage_once(short_stream, monkeypatch):
     assert counts == {"build_custom_hand": 1, "hand_fk": 1, "solve_wrists": 1}
 
 
-def test_translate_all_builds_one_stream_stage_per_calibration(short_stream, monkeypatch):
-    assert short_stream.s0 is None
+def test_a_failed_stream_stage_is_tried_and_reported_for_each_robot(monkeypatch):
+    stream = make_wrist_stream(n=12)
+    frames = list(stream.frames)
+    names = sorted(frames[5].observed_keypoints)
+    frames[5] = replace(frames[5], observed_keypoints={n: np.array([0.02 * i, 0.0, 0.0]) for i, n in enumerate(names)})
     counts = _count_stream_stage_calls(monkeypatch)
-    configs = {"a": make_config("allegro"), "b": make_config("allegro", calibration_frames=20),
-               "c": make_config("schunk", calibration_frames=20)}
-    results, errors = translate_all(short_stream, configs)
-    assert errors == {} and len(results) == 3
-    assert counts == {"build_custom_hand": 2, "hand_fk": 2, "solve_wrists": 2}
-    assert not np.array_equal(results["a"][0].states, results["b"][0].states)
+    results, errors = translate_all(HandPoseStream(tuple(frames), stream.rate_hz),
+                                    {n: make_config(n) for n in ("schunk", "allegro")})
+    assert results == {} and list(errors) == ["schunk", "allegro"]
+    assert all(str(exc).startswith("wrist solve failed at frame 5") for exc in errors.values())
+    assert counts["solve_wrists"] == 2
 
 
 def test_stream_stages_read_the_default_template_once_per_process(short_stream, monkeypatch):
@@ -405,8 +404,8 @@ def test_stream_stages_read_the_default_template_once_per_process(short_stream, 
         return real(path, *args)
 
     monkeypatch.setattr(handgen, "read_text", counting)
-    for frames in (20, 30):
-        demopipe._StreamStage.build(short_stream, make_config("allegro", calibration_frames=frames))
+    for _ in range(2):
+        demopipe._StreamStage.build(short_stream)
     assert reads == []
 
 
@@ -602,7 +601,6 @@ def test_shared_trees_give_the_same_demo_bytes(sample_stream, mode, tmp_path):
     for robot in ("allegro", "schunk", "adroit"):
         config = replace(PipelineConfig.from_file(config_path(robot)), action_mode=mode)
         kinematics._load_text.cache_clear()
-        handgen._template_from_text.cache_clear()
         handgen._custom_hand.cache_clear()
         write_demo(translate(sample_stream, config), tmp_path / "cold.demo")
         hits = kinematics._load_text.cache_info().hits, handgen._custom_hand.cache_info().hits

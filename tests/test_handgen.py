@@ -112,10 +112,11 @@ def test_geometry_annotations_cover_palm_and_bones():
     assert kinds.count("capsule") == 15
 
 
-def test_custom_hand_description_round_trips():
+def test_custom_hand_description_round_trips(tmp_path):
     tree = build_custom_hand(HandShapeParams.zeros())
-    text = dump_robot(tree)
-    again = load_robot(text)
+    path = tmp_path / "hand.robot"
+    path.write_text(dump_robot(tree))
+    again = load_robot(path)
     assert again.num_actuated == 45
     q = np.zeros(45)
     for name in tree.keypoint_names:
@@ -188,10 +189,13 @@ def test_equal_shapes_share_one_hand_per_template_and_name(tmp_path):
     doc["palm_box"][0] += 0.01
     edited = tmp_path / "template.json"
     edited.write_text(json.dumps(doc))
-    wider = build_custom_hand(HandShapeParams(beta), load_template(edited))
+    template = load_template(edited)
+    wider = build_custom_hand(HandShapeParams(beta), template)
     assert wider is not hand
     assert dump_robot(wider) != dump_robot(hand)
-    assert build_custom_hand(HandShapeParams(beta), load_template(edited)) is wider
+    assert build_custom_hand(HandShapeParams(beta), template) is wider
+    # Each load_template call gives a new template, so a new hand key.
+    assert build_custom_hand(HandShapeParams(beta), load_template(edited)) is not wider
 
 
 def test_hand_cache_evicts_the_least_recently_used():

@@ -79,8 +79,7 @@ def valid(tmp_path_factory) -> dict[str, list]:
         "demo": _demo_text(tmp_dir),
         "pipeline-config": json.dumps({"robot": str(robot_path("allegro")),
                                        "keypoint_map": str(asset_path("maps/custom_to_allegro.map")),
-                                       "alpha": 0.004, "gamma": 0.5, "calibration_frames": 10,
-                                       "action_mode": "position", "task": "relocate"}),
+                                       "alpha": 0.004, "action_mode": "position"}),
         "training-config": json.dumps({**asdict(DapgConfig()), "hidden": [4], "iterations": 1,
                                        "batch_trajectories": 2, "bc_epochs": 1, "value_epochs": 1}),
     }

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from dexretarget import kinematics
 from dexretarget.assets import robot_path
+from dexretarget.cli import main
 from dexretarget.errors import DescriptionError
 from dexretarget.handgen import HandShapeParams, build_custom_hand
 from dexretarget.kinematics import (
@@ -32,6 +34,12 @@ def fd_jacobian(tree, q, name, h=1e-6):
         qm[j] -= h
         jac[:, j] = (forward_kinematics(tree, qp)[name] - forward_kinematics(tree, qm)[name]) / (2 * h)
     return jac
+
+
+def robot_file(path, doc):
+    """`path` holding description `doc`: a document, or its JSON text as it is."""
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return path
 
 
 def test_planar_chain_rest_pose():
@@ -145,12 +153,12 @@ def test_missing_parent_names_offending_link():
         load_robot(doc)
 
 
-def test_description_round_trip():
+def test_description_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     doc = random_chain_doc(rng, 4)
     tree = load_robot(doc)
     text = dump_robot(tree)
-    again = load_robot(text)
+    again = load_robot(robot_file(tmp_path / "chain.robot", text))
     q = rng.uniform(-1, 1, size=4)
     assert forward_kinematics(again, q)["tip"] == pytest.approx(
         forward_kinematics(tree, q)["tip"], abs=1e-12
@@ -234,12 +242,12 @@ def _malformed(edit):
         "origin-number-strings", "limit-number-string", "damping-bool", "axis-bool", "mass-bool",
         "offset-number-string", "limit-overflow", "origin-overflow", "offset-nan", "axis-nan",
         "limit-inf", "com-nan"])
-def test_malformed_description_names_the_element(doc, element):
+def test_malformed_description_names_the_element(doc, element, tmp_path):
     with pytest.raises(DescriptionError) as info:
         load_robot(doc)
     assert info.value.element == element
-    with pytest.raises(DescriptionError):  # the same through the text path
-        load_robot(json.dumps(doc))
+    with pytest.raises(DescriptionError):  # the same through a file
+        load_robot(robot_file(tmp_path / "bad.robot", doc))
 
 
 @pytest.mark.parametrize("section, key", [
@@ -247,14 +255,14 @@ def test_malformed_description_names_the_element(doc, element):
 @pytest.mark.parametrize("bad, shown", [("0.5", "'0.5'"), (True, "True"), (float("nan"), "nan"),
                                         (float("inf"), "inf"), (10**400, None)],
                          ids=["string", "bool", "nan", "inf", "overflow"])
-def test_number_columns_name_the_first_bad_entry(section, key, bad, shown):
+def test_number_columns_name_the_first_bad_entry(section, key, bad, shown, tmp_path):
     # The scalar columns are checked in bulk; a fault in one entry still gets
     # finite_number's message, naming that entry's element (l2, the last).
     doc = planar_two_link_doc()
     doc[section][-1][key] = bad
     if shown is None:
         shown = f"{repr(bad)[:24]}...{repr(bad)[-8:]} ({len(repr(bad))} characters)"
-    for source in (doc, json.dumps(doc)):
+    for source in (doc, robot_file(tmp_path / "bad.robot", doc)):
         with pytest.raises(DescriptionError) as info:
             load_robot(source)
         assert (str(info.value), info.value.element) == (
@@ -271,7 +279,7 @@ def test_equal_texts_share_one_tree_and_an_edit_is_seen(tmp_path):
     tree = load_robot(path)
     assert load_robot(path) is tree
     assert load_robot(str(path)) is tree
-    assert load_robot(path.read_text()) is tree
+    assert load_robot(robot_file(tmp_path / "copy.robot", path.read_text())) is tree
 
     path.write_text(json.dumps(planar_two_link_doc(l1=2.0)))
     edited = load_robot(path)
@@ -285,21 +293,30 @@ def test_dict_sources_are_built_afresh():
     assert load_robot(doc) is not load_robot(doc)
 
 
-def test_description_cache_evicts_the_least_recently_used():
-    texts = [json.dumps(planar_two_link_doc(l1=1.0 + i)) for i in range(ROBOT_CACHE_SIZE + 1)]
-    first = load_robot(texts[0])
-    assert load_robot(texts[0]) is first
-    for text in texts[1:]:
-        load_robot(text)
-    assert load_robot(texts[0]) is not first
+def test_a_path_that_begins_with_a_brace_is_read_as_a_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    tree = load_robot(robot_file(tmp_path / "{x}.robot", planar_two_link_doc()))
+    assert load_robot("{x}.robot") is tree
+    assert load_robot(Path("{x}.robot")) is tree
+    assert main(["fk", "--robot", "{x}.robot"]) == 0
 
 
-def test_invalid_description_text_is_not_cached():
-    text = json.dumps(_malformed(lambda d: d["links"][2].update(parent="nope")))
+def test_description_cache_evicts_the_least_recently_used(tmp_path):
+    paths = [robot_file(tmp_path / f"r{i}.robot", planar_two_link_doc(l1=1.0 + i))
+             for i in range(ROBOT_CACHE_SIZE + 1)]
+    first = load_robot(paths[0])
+    assert load_robot(paths[0]) is first
+    for path in paths[1:]:
+        load_robot(path)
+    assert load_robot(paths[0]) is not first
+
+
+def test_invalid_description_text_is_not_cached(tmp_path):
+    path = robot_file(tmp_path / "bad.robot", _malformed(lambda d: d["links"][2].update(parent="nope")))
     before = kinematics._load_text.cache_info()
     for _ in range(2):
         with pytest.raises(DescriptionError, match="l2"):
-            load_robot(text)
+            load_robot(path)
     after = kinematics._load_text.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses + 2)
 
