@@ -384,8 +384,8 @@ def test_translate_all_builds_the_stream_stage_once(short_stream, monkeypatch):
 def test_a_failed_stream_stage_is_tried_and_reported_for_each_robot(monkeypatch):
     stream = make_wrist_stream(n=12)
     frames = list(stream.frames)
-    names = sorted(frames[5].observed_keypoints)
-    frames[5] = replace(frames[5], observed_keypoints={n: np.array([0.02 * i, 0.0, 0.0]) for i, n in enumerate(names)})
+    line = {n: np.array([0.02 * i, 0.0, 0.0]) for i, n in enumerate(sorted(frames[5].observed_keypoints))}
+    frames[5] = replace(frames[5], observed_keypoints=line)  # collinear: the wrist solve fails
     counts = _count_stream_stage_calls(monkeypatch)
     results, errors = translate_all(HandPoseStream(tuple(frames), stream.rate_hz),
                                     {n: make_config(n) for n in ("schunk", "allegro")})
