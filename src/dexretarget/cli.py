@@ -232,6 +232,28 @@ def cmd_id(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _fraction(text: str) -> float:
+    """A flag value in [0, 1]; NaN and anything outside are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a fraction in [0, 1], got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """A flag value that is an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dexretarget", description=__doc__.strip().splitlines()[0],
                      epilog=EXIT_CODES)
@@ -262,7 +284,7 @@ def build_parser() -> _Parser:
         p.add_argument("--alpha", type=float, default=None, help="override smoothness weight")
         p.add_argument("--action-mode", dest="action_mode", default=None,
                        choices=("torque", "position"), help="override action mode")
-        p.add_argument("--max-unconverged", type=float, default=0.05,
+        p.add_argument("--max-unconverged", type=_fraction, default=0.05,
                        help="allowed fraction of unconverged frames before exit 3")
         p.set_defaults(func=func)
 
@@ -276,7 +298,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("expert", help="generate scripted-expert demonstrations", epilog=EXIT_CODES)
-    p.add_argument("--n", type=int, required=True, help="number of demonstrations")
+    p.add_argument("--n", type=_count, required=True, help="number of demonstrations")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_expert)
 

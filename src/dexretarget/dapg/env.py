@@ -27,6 +27,14 @@ OBS_DIM = 9
 ACT_DIM = 3
 EXPERT_GAIN = 6.0
 ACTION_NOISE = 0.3  # std of the expert's execution noise
+MIN_SEPARATION = 0.3  # least object-to-target distance at a reset
+SPAWN_TRIES = 100  # target draws per reset, at most
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distances of two (N, 2) arrays."""
+    d = a - b
+    return np.sqrt(np.add.reduce(d * d, axis=1))
 
 
 def tip_position(q: np.ndarray) -> np.ndarray:
@@ -56,18 +64,47 @@ def tip_jacobian(q: np.ndarray) -> np.ndarray:
     return np.stack([-s, c], axis=-2)
 
 
-def _spawn(rng: np.random.Generator):
-    """Initial joints plus object and target positions for one episode."""
-    q = rng.uniform(-0.1, 0.4, size=3)
-    radius = rng.uniform(0.5, 0.95)
-    angle = rng.uniform(-0.85, 0.85)
-    obj = radius * np.array([np.cos(angle), np.sin(angle)])
-    for _ in range(100):
-        radius_t = rng.uniform(0.5, 0.95)
-        angle_t = rng.uniform(-0.85, 0.85)
-        tgt = radius_t * np.array([np.cos(angle_t), np.sin(angle_t)])
-        if np.linalg.norm(tgt - obj) >= 0.3:
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """`Generator.uniform(low, high)` of the standard uniforms u, bit for bit."""
+    return low + (high - low) * u
+
+
+def _place(radius_u: np.ndarray, angle_u: np.ndarray) -> np.ndarray:
+    """(N, 2) points in the reachable sector from the standard uniforms of
+    their radii and angles."""
+    radius, angle = _uniform(radius_u, 0.5, 0.95), _uniform(angle_u, -0.85, 0.85)
+    return radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+
+
+def _separation(tgt: np.ndarray, obj: np.ndarray) -> np.ndarray:
+    """Row-wise distances, with the dot kernel of `np.linalg.norm` on one vector."""
+    d = tgt - obj
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _spawn(seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial joints plus object and target positions, one row per seed.
+
+    Episode i draws from its own default_rng(seeds[i]): 3 joint angles, the
+    object's radius and angle, then a target radius and angle until the target
+    lies at least MIN_SEPARATION from the object, at most SPAWN_TRIES times;
+    the last try stands. The first 7 uniforms of every episode come from one
+    `random(7)` call and only the episodes that still need a target draw again,
+    2 uniforms per try, so each generator yields the values that scalar
+    `uniform` calls would and the rows are those of a per-episode loop.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    u = np.array([rng.random(7) for rng in rngs])
+    q = _uniform(u[:, :3], -0.1, 0.4)
+    obj = _place(u[:, 3], u[:, 4])
+    tgt = _place(u[:, 5], u[:, 6])
+    retry = np.flatnonzero(_separation(tgt, obj) < MIN_SEPARATION)
+    for _ in range(SPAWN_TRIES - 1):
+        if not retry.size:
             break
+        u = np.array([rngs[i].random(2) for i in retry])
+        tgt[retry] = _place(u[:, 0], u[:, 1])
+        retry = retry[_separation(tgt[retry], obj[retry]) < MIN_SEPARATION]
     return q, obj, tgt
 
 
@@ -75,10 +112,9 @@ class BatchedRelocate:
     """Lockstep batch of episodes: the one implementation of the step rules."""
 
     def __init__(self, seeds):
-        spawns = [_spawn(np.random.default_rng(seed)) for seed in seeds]
-        self.q, self.obj, self.tgt = (np.stack(column) for column in zip(*spawns))
+        self.q, self.obj, self.tgt = _spawn(seeds)
         self.tip = tip_position(self.q)
-        self.grasped = np.zeros(len(spawns), dtype=bool)
+        self.grasped = np.zeros(len(self.q), dtype=bool)
         self._steps = 0
 
     @property
@@ -92,23 +128,23 @@ class BatchedRelocate:
     def step(self, actions: np.ndarray) -> np.ndarray:
         if self.done:
             raise RuntimeError("step() called on a finished episode")
-        a = np.clip(actions, -MAX_JOINT_SPEED, MAX_JOINT_SPEED)
-        self.q = np.clip(self.q + a * DT, -JOINT_LIMIT, JOINT_LIMIT)
+        # np.clip's bits, without its Python wrapper
+        a = np.minimum(np.maximum(actions, -MAX_JOINT_SPEED), MAX_JOINT_SPEED)
+        self.q = np.minimum(np.maximum(self.q + a * DT, -JOINT_LIMIT), JOINT_LIMIT)
         self.tip = tip = tip_position(self.q)
-        tip_obj = np.sqrt(np.sum((tip - self.obj) ** 2, axis=1))
+        tip_obj = _distance(tip, self.obj)
         self.grasped |= tip_obj < GRASP_RADIUS
         # Only an episode that is still not grasping keeps its object, so its
         # tip_obj is still the tip-to-object distance.
         self.obj = np.where(self.grasped[:, None], tip, self.obj)
-        obj_tgt = np.sqrt(np.sum((self.obj - self.tgt) ** 2, axis=1))
+        obj_tgt = _distance(self.obj, self.tgt)
         rewards = np.where(self.grasped, -obj_tgt + (obj_tgt < SUCCESS_RADIUS), -tip_obj)
         self._steps += 1
         return rewards
 
     @property
     def successes(self) -> np.ndarray:
-        obj_tgt = np.sqrt(np.sum((self.obj - self.tgt) ** 2, axis=1))
-        return self.grasped & (obj_tgt < SUCCESS_RADIUS)
+        return self.grasped & (_distance(self.obj, self.tgt) < SUCCESS_RADIUS)
 
 
 def scripted_expert_action(obs: np.ndarray) -> np.ndarray:
@@ -139,22 +175,26 @@ def demos_from_expert(n: int, seed: int = 0) -> list[Demonstration]:
     noise from the episode's own default_rng(seed) while the recorded action
     stays the expert's feedback response to the perturbed state: the wider
     state distribution makes the data far more clonable than noise-free
-    rollouts, and cloning it teaches recovery behavior.
+    rollouts, and cloning it teaches recovery behavior. Each episode's noise
+    for the whole horizon is one draw of its generator. A count below 1 is a
+    DataError.
     """
+    if n < 1:
+        raise DataError(f"need at least 1 expert demonstration, got {n}")
     demos = []
     attempts = 0
     while len(demos) < n and attempts < 20 * n:
         first = int(seed) + attempts
         seeds = range(first, first + min(n - len(demos), 20 * n - attempts))
         attempts += len(seeds)
-        rngs = [np.random.default_rng(s) for s in seeds]
+        noise = np.stack([np.random.default_rng(s).normal(scale=ACTION_NOISE, size=(HORIZON, ACT_DIM))
+                          for s in seeds], axis=1)
         env = BatchedRelocate(seeds)
         states = [env.observe()]
         actions, rewards = [], []
-        while not env.done:
+        for step_noise in noise:
             action = scripted_expert_action(states[-1])
-            noise = np.stack([rng.normal(scale=ACTION_NOISE, size=ACT_DIM) for rng in rngs])
-            rewards.append(env.step(action + noise))
+            rewards.append(env.step(action + step_noise))
             states.append(env.observe())
             actions.append(action)
         states, actions, rewards = np.stack(states, axis=1), np.stack(actions, axis=1), np.stack(rewards, axis=1)

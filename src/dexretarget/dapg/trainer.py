@@ -144,25 +144,30 @@ class LearningCurve:
 def rollout_batch(
     policy: GaussianPolicy, n: int, rng: np.random.Generator, discount: float
 ) -> Batch:
-    """n on-policy episodes stepped in lockstep."""
-    seeds = rng.integers(0, 2**63 - 1, size=n)
-    envs = BatchedRelocate(seeds)
-    obs = envs.observe()
-    all_states = np.empty((HORIZON, n, OBS_DIM))
-    all_actions = np.empty((HORIZON, n, ACT_DIM))
-    all_rewards = np.empty((HORIZON, n))
+    """n on-policy episodes stepped in lockstep.
+
+    Each step's observations, actions and rewards are written straight into
+    the batch's (HORIZON, n, ...) arrays. An action is the policy mean plus
+    sigma times one (n, ACT_DIM) standard-normal draw from `rng`, the draw
+    and the arithmetic of `policy.sample`.
+    """
+    envs = BatchedRelocate(rng.integers(0, 2**63 - 1, size=n))
+    states = np.empty((HORIZON, n, OBS_DIM))
+    actions = np.empty((HORIZON, n, ACT_DIM))
+    rewards = np.empty((HORIZON, n))
+    sigma = np.exp(policy.log_std)
     for t in range(HORIZON):
-        actions = policy.sample(obs, rng)
-        all_states[t] = obs
-        all_actions[t] = actions
-        all_rewards[t] = envs.step(actions)
-        obs = envs.observe()
+        states[t] = envs.observe()
+        mu, _ = policy.forward(states[t])
+        np.multiply(sigma, rng.standard_normal(mu.shape), out=actions[t])
+        np.add(mu, actions[t], out=actions[t])
+        rewards[t] = envs.step(actions[t])
     return Batch(
-        states=all_states.reshape(HORIZON * n, OBS_DIM),
-        actions=all_actions.reshape(HORIZON * n, ACT_DIM),
-        returns=discounted_to_go(all_rewards, discount).reshape(HORIZON * n),
-        episode_returns=all_rewards.sum(axis=0),
-        successes=envs.successes.copy(),
+        states=states.reshape(HORIZON * n, OBS_DIM),
+        actions=actions.reshape(HORIZON * n, ACT_DIM),
+        returns=discounted_to_go(rewards, discount).reshape(HORIZON * n),
+        episode_returns=rewards.sum(axis=0),
+        successes=envs.successes,
     )
 
 

@@ -1,9 +1,18 @@
-"""Shared fixtures-by-hand: random chains, independent FK oracles and the grouped wrist solve."""
+"""Shared fixtures-by-hand: random chains, independent FK oracles, the grouped wrist solve and
+the reference toy relocate batch."""
 from __future__ import annotations
 
 import numpy as np
 
-from dexretarget.dapg.env import JOINT_LIMIT, LINK_LENGTHS
+from dexretarget.dapg.env import (
+    DT,
+    GRASP_RADIUS,
+    HORIZON,
+    JOINT_LIMIT,
+    LINK_LENGTHS,
+    MAX_JOINT_SPEED,
+    SUCCESS_RADIUS,
+)
 from dexretarget.kinematics import KinematicTree, _joint_rotations, load_robot
 from dexretarget.poseio import CONDITIONING_TOL
 from dexretarget.transforms import RigidTransform, matrix_to_quat, quat_conjugate, quat_multiply, quat_to_matrix
@@ -99,6 +108,71 @@ def arm_tree() -> KinematicTree:
                "limit_upper": JOINT_LIMIT} for i in range(len(starts))]
     tip = {"name": "tip", "link": links[-1]["id"], "offset": [LINK_LENGTHS[-1], 0, 0]}
     return load_robot({"name": "toy-relocate-arm", "links": links, "joints": joints, "keypoints": [tip]})
+
+
+# --- reference toy relocate: a per-episode spawn loop and the step arithmetic ---
+
+def reference_spawn(rng: np.random.Generator, min_separation: float = 0.3):
+    """One episode's initial joints, object and target from scalar `uniform`
+    draws, and the number of target tries it took (at most 100; the last stands)."""
+    q = rng.uniform(-0.1, 0.4, size=3)
+    radius = rng.uniform(0.5, 0.95)
+    angle = rng.uniform(-0.85, 0.85)
+    obj = radius * np.array([np.cos(angle), np.sin(angle)])
+    for tries in range(1, 101):
+        radius_t = rng.uniform(0.5, 0.95)
+        angle_t = rng.uniform(-0.85, 0.85)
+        tgt = radius_t * np.array([np.cos(angle_t), np.sin(angle_t)])
+        if np.linalg.norm(tgt - obj) >= min_separation:
+            break
+    return q, obj, tgt, tries
+
+
+def reference_tip(q: np.ndarray) -> np.ndarray:
+    a1 = q[..., 0]
+    a2 = q[..., 0] + q[..., 1]
+    a3 = a2 + q[..., 2]
+    x = LINK_LENGTHS[0] * np.cos(a1) + LINK_LENGTHS[1] * np.cos(a2) + LINK_LENGTHS[2] * np.cos(a3)
+    y = LINK_LENGTHS[0] * np.sin(a1) + LINK_LENGTHS[1] * np.sin(a2) + LINK_LENGTHS[2] * np.sin(a3)
+    return np.stack([x, y], axis=-1)
+
+
+class ReferenceRelocate:
+    """The lockstep toy relocate batch as a per-episode spawn loop with
+    np.clip, np.sum and np.linalg.norm: the reference for BatchedRelocate."""
+
+    def __init__(self, seeds):
+        spawns = [reference_spawn(np.random.default_rng(seed)) for seed in seeds]
+        self.q, self.obj, self.tgt, self.tries = (np.stack(column) for column in zip(*spawns))
+        self.tip = reference_tip(self.q)
+        self.grasped = np.zeros(len(spawns), dtype=bool)
+        self._steps = 0
+
+    @property
+    def done(self) -> bool:
+        return self._steps >= HORIZON
+
+    def observe(self) -> np.ndarray:
+        return np.concatenate([self.q, self.tip, self.obj, self.tgt], axis=-1)
+
+    def step(self, actions: np.ndarray) -> np.ndarray:
+        if self.done:
+            raise RuntimeError("step() called on a finished episode")
+        a = np.clip(actions, -MAX_JOINT_SPEED, MAX_JOINT_SPEED)
+        self.q = np.clip(self.q + a * DT, -JOINT_LIMIT, JOINT_LIMIT)
+        self.tip = tip = reference_tip(self.q)
+        tip_obj = np.sqrt(np.sum((tip - self.obj) ** 2, axis=1))
+        self.grasped |= tip_obj < GRASP_RADIUS
+        self.obj = np.where(self.grasped[:, None], tip, self.obj)
+        obj_tgt = np.sqrt(np.sum((self.obj - self.tgt) ** 2, axis=1))
+        rewards = np.where(self.grasped, -obj_tgt + (obj_tgt < SUCCESS_RADIUS), -tip_obj)
+        self._steps += 1
+        return rewards
+
+    @property
+    def successes(self) -> np.ndarray:
+        obj_tgt = np.sqrt(np.sum((self.obj - self.tgt) ** 2, axis=1))
+        return self.grasped & (obj_tgt < SUCCESS_RADIUS)
 
 
 # --- rigid-transform algebra, used only to state expectations ---------------

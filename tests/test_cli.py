@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dexretarget.assets import asset_path, robot_path, sample_stream_path
-from dexretarget.cli import main
+from dexretarget.cli import build_parser, main
 from dexretarget.demopipe import read_demo
 from dexretarget.kinematics import load_robot
 from dexretarget.poseio import read_stream, write_stream
@@ -487,6 +487,40 @@ def test_translate_exit_3_when_solver_starved(short_stream_file, tmp_path, capsy
     assert code == 3
     assert not out.exists()  # no partial output on failure
     assert "unconverged fraction" in capsys.readouterr().err
+
+
+def translate_argv(command, stream, config_file, out) -> list[str]:
+    inputs = ["--config", str(config_file)] if command == "translate" else ["--configs", str(config_file.parent)]
+    return [command, "--stream", str(stream), *inputs, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["translate", "translate-all"])
+@pytest.mark.parametrize("value", ["nan", "-1", "1.5", "-inf", "x"])
+def test_max_unconverged_outside_0_1_is_a_usage_error(command, value, short_stream_file, allegro_config_file,
+                                                       tmp_path, capsys):
+    # NaN would switch the gate off and -1 fail every robot.
+    out = tmp_path / "out"
+    argv = translate_argv(command, short_stream_file, allegro_config_file, out)
+    assert main([*argv, f"--max-unconverged={value}"]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --max-unconverged: must be a fraction in [0, 1], got '{value}'" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["translate", "translate-all"])
+@pytest.mark.parametrize("value", ["0", "1", "0.05"])
+def test_max_unconverged_accepts_0_to_1(command, value):
+    argv = translate_argv(command, "s.jsonl", Path("configs/allegro.json"), "out")
+    assert build_parser().parse_args([*argv, "--max-unconverged", value]).max_unconverged == float(value)
+
+
+@pytest.mark.parametrize("n", ["0", "-2", "1.5"])
+def test_expert_count_below_one_is_a_usage_error(n, tmp_path, capsys):
+    out = tmp_path / "demos"
+    assert main(["expert", "--n", n, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --n: must be an integer of at least 1, got '{n}'" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["translate", "translate-all"])

@@ -23,6 +23,8 @@ from dexretarget.dapg import (
 )
 from dexretarget.dapg.env import (
     HORIZON,
+    JOINT_LIMIT,
+    MAX_JOINT_SPEED,
     BatchedRelocate,
     scripted_expert_action,
     tip_jacobian,
@@ -42,7 +44,7 @@ from dexretarget.demopipe import read_demo, write_demo
 from dexretarget.errors import DataError
 from dexretarget.kinematics import forward_kinematics
 
-from helpers import arm_tree
+from helpers import ReferenceRelocate, arm_tree, reference_spawn
 
 
 # --- environment ------------------------------------------------------------
@@ -123,6 +125,47 @@ def test_reset_reproducible_from_seed():
     assert np.array_equal(BatchedRelocate([123]).observe(), BatchedRelocate([123]).observe())
 
 
+# Seeds 0-19999: a third of the episodes need a second target try, 309 need
+# 5 or more and seed 5204 needs 14.
+REFERENCE_SEEDS = range(20000)
+
+
+def test_batched_env_equals_the_reference_loop_bitwise():
+    env, ref = BatchedRelocate(REFERENCE_SEEDS), ReferenceRelocate(REFERENCE_SEEDS)
+    assert (ref.tries >= 2).mean() > 0.3 and (ref.tries >= 5).sum() > 300 and ref.tries.max() == 14
+    for name in ("q", "obj", "tgt", "tip"):
+        assert getattr(env, name).tobytes() == getattr(ref, name).tobytes()
+    # A third of the episodes follow the noisy expert, a third push every
+    # joint one way at more than the speed limit and a third act at random.
+    rng = np.random.default_rng(12)
+    kind = np.arange(len(REFERENCE_SEEDS)) % 3
+    push = np.where(rng.random((len(kind), 3)) < 0.5, -2.5, 2.5)
+    clipped = 0
+    while not ref.done:
+        obs = ref.observe()
+        assert env.observe().tobytes() == obs.tobytes()
+        actions = np.where((kind == 0)[:, None], scripted_expert_action(obs) + rng.normal(size=(len(kind), 3)),
+                           np.where((kind == 1)[:, None], push, rng.uniform(-3.0, 3.0, size=(len(kind), 3))))
+        clipped += np.count_nonzero(np.abs(actions) > MAX_JOINT_SPEED)
+        assert env.step(actions).tobytes() == ref.step(actions).tobytes()
+    assert env.done
+    assert env.observe().tobytes() == ref.observe().tobytes()
+    assert np.array_equal(env.successes, ref.successes)
+    assert clipped and np.any(np.abs(ref.q) == JOINT_LIMIT)
+    assert 0 < ref.successes.sum() < ref.grasped.sum() < len(kind)
+
+
+def test_spawn_keeps_the_last_target_when_every_try_is_too_close(monkeypatch):
+    import dexretarget.dapg.env as env_mod
+
+    monkeypatch.setattr(env_mod, "MIN_SEPARATION", 5.0)  # wider than the sector
+    seeds = range(40)
+    ref = [reference_spawn(np.random.default_rng(seed), min_separation=5.0) for seed in seeds]
+    assert all(tries == 100 for *_, tries in ref)
+    for column, got in zip(zip(*ref), env_mod._spawn(seeds)):
+        assert np.stack(column).tobytes() == got.tobytes()
+
+
 def expert_fingerprint(demo):
     return demo.states.tobytes(), demo.actions.tobytes(), demo.provenance
 
@@ -155,6 +198,12 @@ def test_expert_keeps_the_first_successful_seeds_in_order(monkeypatch):
     batches = fail_expert_episodes(monkeypatch, lambda s: s % 2 == 1)
     assert [expert_fingerprint(d) for d in demos_from_expert(4, seed=3)] == expected
     assert batches == [[3, 4, 5, 6], [7, 8], [9], [10]]
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_expert_rejects_a_count_below_one(n):
+    with pytest.raises(DataError, match=f"^need at least 1 expert demonstration, got {n}$"):
+        demos_from_expert(n)
 
 
 def test_expert_gives_up_at_the_attempt_cap(monkeypatch):
@@ -693,6 +742,35 @@ def test_train_matches_reference_passes_bitwise(expert_demos, monkeypatch):
     monkeypatch.setattr(GaussianPolicy, "log_prob", ref_log_prob)
     monkeypatch.setattr(ValueFunction, "predict", ref_predict)
     monkeypatch.setattr(ValueFunction, "mse_and_grad", ref_mse_and_grad)
+    ref_policy, ref_curve = train(expert_demos, config)
+    assert curve.to_table() == ref_curve.to_table()
+    assert policy.params.tobytes() == ref_policy.params.tobytes()
+
+
+def reference_rollout_batch(policy, n, rng, discount):
+    """rollout_batch on ReferenceRelocate, sampling through policy.sample."""
+    envs = ReferenceRelocate(rng.integers(0, 2**63 - 1, size=n))
+    states, actions, rewards = [], [], []
+    while not envs.done:
+        states.append(envs.observe())
+        actions.append(policy.sample(states[-1], rng))
+        rewards.append(envs.step(actions[-1]))
+    rewards = np.stack(rewards)
+    return Batch(
+        states=np.concatenate(states),
+        actions=np.concatenate(actions),
+        returns=discounted_to_go(rewards, discount).reshape(-1),
+        episode_returns=rewards.sum(axis=0),
+        successes=envs.successes,
+    )
+
+
+def test_train_matches_the_reference_rollout_bitwise(expert_demos, monkeypatch):
+    import dexretarget.dapg.trainer as trainer_mod
+
+    config = DapgConfig(iterations=3, bc_epochs=2, seed=4)
+    policy, curve = train(expert_demos, config)
+    monkeypatch.setattr(trainer_mod, "rollout_batch", reference_rollout_batch)
     ref_policy, ref_curve = train(expert_demos, config)
     assert curve.to_table() == ref_curve.to_table()
     assert policy.params.tobytes() == ref_policy.params.tobytes()
