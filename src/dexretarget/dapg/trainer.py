@@ -147,20 +147,15 @@ def rollout_batch(
     """n on-policy episodes stepped in lockstep.
 
     Each step's observations, actions and rewards are written straight into
-    the batch's (HORIZON, n, ...) arrays. An action is the policy mean plus
-    sigma times one (n, ACT_DIM) standard-normal draw from `rng`, the draw
-    and the arithmetic of `policy.sample`.
+    the batch's (HORIZON, n, ...) arrays.
     """
     envs = BatchedRelocate(rng.integers(0, 2**63 - 1, size=n))
     states = np.empty((HORIZON, n, OBS_DIM))
     actions = np.empty((HORIZON, n, ACT_DIM))
     rewards = np.empty((HORIZON, n))
-    sigma = np.exp(policy.log_std)
     for t in range(HORIZON):
         states[t] = envs.observe()
-        mu, _ = policy.forward(states[t])
-        np.multiply(sigma, rng.standard_normal(mu.shape), out=actions[t])
-        np.add(mu, actions[t], out=actions[t])
+        actions[t] = policy.sample(states[t], rng)
         rewards[t] = envs.step(actions[t])
     return Batch(
         states=states.reshape(HORIZON * n, OBS_DIM),

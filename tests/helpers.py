@@ -12,6 +12,7 @@ from dexretarget.dapg.env import (
     LINK_LENGTHS,
     MAX_JOINT_SPEED,
     SUCCESS_RADIUS,
+    tip_position,
 )
 from dexretarget.kinematics import KinematicTree, _joint_rotations, load_robot
 from dexretarget.poseio import CONDITIONING_TOL
@@ -128,23 +129,15 @@ def reference_spawn(rng: np.random.Generator, min_separation: float = 0.3):
     return q, obj, tgt, tries
 
 
-def reference_tip(q: np.ndarray) -> np.ndarray:
-    a1 = q[..., 0]
-    a2 = q[..., 0] + q[..., 1]
-    a3 = a2 + q[..., 2]
-    x = LINK_LENGTHS[0] * np.cos(a1) + LINK_LENGTHS[1] * np.cos(a2) + LINK_LENGTHS[2] * np.cos(a3)
-    y = LINK_LENGTHS[0] * np.sin(a1) + LINK_LENGTHS[1] * np.sin(a2) + LINK_LENGTHS[2] * np.sin(a3)
-    return np.stack([x, y], axis=-1)
-
-
 class ReferenceRelocate:
     """The lockstep toy relocate batch as a per-episode spawn loop with
-    np.clip, np.sum and np.linalg.norm: the reference for BatchedRelocate."""
+    np.clip, np.sum and np.linalg.norm, on env.tip_position: the reference
+    for BatchedRelocate."""
 
     def __init__(self, seeds):
         spawns = [reference_spawn(np.random.default_rng(seed)) for seed in seeds]
         self.q, self.obj, self.tgt, self.tries = (np.stack(column) for column in zip(*spawns))
-        self.tip = reference_tip(self.q)
+        self.tip = tip_position(self.q)
         self.grasped = np.zeros(len(spawns), dtype=bool)
         self._steps = 0
 
@@ -160,7 +153,7 @@ class ReferenceRelocate:
             raise RuntimeError("step() called on a finished episode")
         a = np.clip(actions, -MAX_JOINT_SPEED, MAX_JOINT_SPEED)
         self.q = np.clip(self.q + a * DT, -JOINT_LIMIT, JOINT_LIMIT)
-        self.tip = tip = reference_tip(self.q)
+        self.tip = tip = tip_position(self.q)
         tip_obj = np.sqrt(np.sum((tip - self.obj) ** 2, axis=1))
         self.grasped |= tip_obj < GRASP_RADIUS
         self.obj = np.where(self.grasped[:, None], tip, self.obj)
